@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .model import Constraint, LinearExpr, Multipliers, Sign
+from .model import Constraint, IndexOutOfRange, LinearExpr, Multipliers, Sign
 from .rational import Rational, ZERO, ceil_int, floor_int, is_integer
 
-
-class UnresolvableIndex(Exception):
-    """A combination references a constraint index that does not exist."""
+# earlier name of the out-of-range exception, kept importable
+UnresolvableIndex = IndexOutOfRange
 
 
 def sign_value(constraint: Constraint) -> int:
@@ -134,25 +133,12 @@ def roundable_flags(lhs: LinearExpr, eq: bool, int_vars: frozenset[int]) -> bool
 def rnd_dominance(
     lhs: LinearExpr, rhs: Rational, geq: bool, leq: bool, target: Constraint
 ) -> bool:
-    """Bound test of the rounding rule: the combination is either an
-    absurdity, or shares the target's left-hand side and its rounded
-    bound (ceiling for >=, floor for <=) is at least as tight."""
-    if lhs.is_zero:
-        if geq:
-            absurd = rhs > 0
-        elif leq:
-            absurd = rhs < 0
-        else:
-            absurd = False
-        if absurd:
-            return True
-    if lhs != target.lhs:
-        return False
-    if target.sign is Sign.EQ:
-        return False
-    if target.sign is Sign.GEQ:
-        return geq and ceil_int(rhs) >= target.rhs
-    return leq and floor_int(rhs) <= target.rhs
+    """Bound test of the rounding rule: plain domination by the rounded
+    combination, whose bound is the ceiling for >= and the floor for <=.
+    Rounding keeps the absurdity test, since ceil(b) > 0 iff b > 0 and
+    floor(b) < 0 iff b < 0; an equality combination is never rounded."""
+    rounded = ceil_int(rhs) if geq else floor_int(rhs)
+    return dominates(lhs, rounded, False, geq, leq, target)
 
 
 def is_split_disjunction(ci: Constraint, cj: Constraint, int_vars: frozenset[int]) -> bool:

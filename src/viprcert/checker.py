@@ -7,20 +7,17 @@ and the last constraint clinching the claimed relation).  Assumption
 sets are not stored in certificate files; they are recomputed here in
 one sequential pass, which discharges their correctness by construction.
 
-Failure reporting is deterministic regardless of the worker count:
-solution points in listed order, then derivations by ascending index,
-then the final obligation.
+Failure reporting is deterministic: solution points in listed order,
+then derivations by ascending index, then the final obligation.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
-    UnresolvableIndex,
     constraint_dominates,
     is_split_disjunction,
     linear_combination,
@@ -52,6 +49,15 @@ class EmptyConstraintSystem(Exception):
     """The final obligation needs a last constraint, but d = 0."""
 
 
+def _objective_bound_constraint(problem: Problem, sign: Sign, bound: Rational) -> Constraint:
+    return Constraint(name="objective-bound", lhs=problem.objective, sign=sign, rhs=bound)
+
+
+def _relation(bound: Constraint) -> str:
+    """`>= b` or `<= b` for a one-sided bound constraint."""
+    return f"{'>=' if bound.sign is Sign.GEQ else '<='} {format_rational(bound.rhs)}"
+
+
 @dataclass(frozen=True)
 class RtpFlags:
     """Constants derived from the problem sense and the relation to prove.
@@ -81,6 +87,38 @@ class RtpFlags:
             upper=rtp.ub if prove_upper else ZERO,
             lower=rtp.lb if prove_lower else ZERO,
         )
+
+    def solution_bound(self, problem: Problem) -> Optional[Constraint]:
+        """The objective bound some listed solution must satisfy: the
+        upper bound of a min problem or the lower bound of a max problem;
+        None when that bound is not being proven."""
+        if self.minimize and self.prove_upper:
+            return _objective_bound_constraint(problem, Sign.LEQ, self.upper)
+        if not self.minimize and self.prove_lower:
+            return _objective_bound_constraint(problem, Sign.GEQ, self.lower)
+        return None
+
+    def final_target(self, problem: Problem, certificate: Certificate) -> Optional[Constraint]:
+        """The constraint the last constraint C_d must dominate: 0 >= 1
+        for infeasibility, else the lower bound of a min problem or the
+        upper bound of a max problem; None when no obligation applies.
+
+        Raises EmptyConstraintSystem when an obligation applies but the
+        unified constraint array is empty.
+        """
+        if not self.has_range:
+            target = Constraint("absurdity", LinearExpr({}), Sign.GEQ, ONE)
+        elif self.minimize and self.prove_lower:
+            target = _objective_bound_constraint(problem, Sign.GEQ, self.lower)
+        elif not self.minimize and self.prove_upper:
+            target = _objective_bound_constraint(problem, Sign.LEQ, self.upper)
+        else:
+            return None
+        if total_constraints(problem, certificate) == 0:
+            raise EmptyConstraintSystem(
+                "the relation to prove requires a last constraint, but there are none"
+            )
+        return target
 
 
 @dataclass(frozen=True)
@@ -138,20 +176,19 @@ def compute_assumption_sets(problem: Problem, certificate: Certificate) -> Assum
     )
 
 
+def _satisfies(constraint: Constraint, coords) -> bool:
+    value = constraint.lhs.evaluate(coords)
+    s = constraint.sign.value
+    return (s < 0 or value >= constraint.rhs) and (s > 0 or value <= constraint.rhs)
+
+
 def phi_feas(problem: Problem, point: SolutionPoint) -> bool:
     """Is the point feasible: integral on integer variables, and on the
     right side of every problem constraint?"""
     for j in problem.int_vars:
         if not is_integer(point.coordinate(j)):
             return False
-    for constraint in problem.constraints:
-        value = constraint.lhs.evaluate(point.coords)
-        s = constraint.sign.value
-        if s >= 0 and not value >= constraint.rhs:
-            return False
-        if s <= 0 and not value <= constraint.rhs:
-            return False
-    return True
+    return all(_satisfies(c, point.coords) for c in problem.constraints)
 
 
 def sol_violations(
@@ -178,31 +215,15 @@ def sol_violations(
                     f"solution point {point.name} is not feasible",
                 )
             )
-    objective = problem.objective
-    if flags.minimize:
-        if flags.prove_upper and not any(
-            objective.evaluate(p.coords) <= flags.upper for p in certificate.sol
-        ):
-            failures.append(
-                Verdict.invalid(
-                    Location.final(),
-                    "sol-bound",
-                    "no listed solution achieves objective value"
-                    f" <= {format_rational(flags.upper)}",
-                )
+    bound = flags.solution_bound(problem)
+    if bound is not None and not any(_satisfies(bound, p.coords) for p in certificate.sol):
+        failures.append(
+            Verdict.invalid(
+                Location.final(),
+                "sol-bound",
+                f"no listed solution achieves objective value {_relation(bound)}",
             )
-    else:
-        if flags.prove_lower and not any(
-            objective.evaluate(p.coords) >= flags.lower for p in certificate.sol
-        ):
-            failures.append(
-                Verdict.invalid(
-                    Location.final(),
-                    "sol-bound",
-                    "no listed solution achieves objective value"
-                    f" >= {format_rational(flags.lower)}",
-                )
-            )
+        )
     return failures
 
 
@@ -213,10 +234,6 @@ def phi_sol(problem: Problem, certificate: Certificate, flags: RtpFlags) -> bool
 def phi_prv(k: int, multipliers: Multipliers) -> bool:
     """Every multiplier index refers to a strictly earlier constraint."""
     return all(1 <= i < k for i in nz(multipliers))
-
-
-def _objective_bound_constraint(problem: Problem, sign: Sign, bound: Rational) -> Constraint:
-    return Constraint(name="objective-bound", lhs=problem.objective, sign=sign, rhs=bound)
 
 
 def der_violation(
@@ -232,12 +249,6 @@ def der_violation(
     """
     derived: DerivedConstraint = certificate.der[k - problem.m - 1]
     target = derived.constraint
-    d = total_constraints(problem, certificate)
-
-    def resolve(i: int) -> Constraint:
-        if not 1 <= i <= d:
-            raise UnresolvableIndex(f"constraint index {i} outside [1, {d}]")
-        return constraint_at(problem, certificate, i)
 
     def fail(predicate_id: str, message: str) -> Verdict:
         return Verdict.invalid(Location.der(k), predicate_id, f"{target.name}: {message}")
@@ -251,7 +262,9 @@ def der_violation(
             return fail(
                 "prv", "multiplier indices must refer to strictly earlier constraints"
             )
-        combination = linear_combination(derived.data, resolve)
+        combination = linear_combination(
+            derived.data, lambda i: constraint_at(problem, certificate, i)
+        )
         if derived.reason is Reason.LIN:
             if not combination.dominates(target):
                 return fail("lin-domination", "the linear combination does not dominate")
@@ -311,28 +324,17 @@ def final_violation(
     Raises EmptyConstraintSystem when an obligation is active but the
     unified constraint array is empty.
     """
-    if not flags.has_range:
-        target = Constraint("absurdity", LinearExpr({}), Sign.GEQ, ONE)
-        label = "infeasibility requires the last constraint to dominate 0 >= 1"
-    elif flags.minimize and flags.prove_lower:
-        target = _objective_bound_constraint(problem, Sign.GEQ, flags.lower)
-        label = (
-            "the last constraint must dominate the objective lower bound"
-            f" (>= {format_rational(flags.lower)})"
-        )
-    elif not flags.minimize and flags.prove_upper:
-        target = _objective_bound_constraint(problem, Sign.LEQ, flags.upper)
-        label = (
-            "the last constraint must dominate the objective upper bound"
-            f" (<= {format_rational(flags.upper)})"
-        )
-    else:
+    target = flags.final_target(problem, certificate)
+    if target is None:
         return None
-    d = total_constraints(problem, certificate)
-    if d == 0:
-        raise EmptyConstraintSystem(
-            "the relation to prove requires a last constraint, but there are none"
+    if not flags.has_range:
+        label = "infeasibility requires the last constraint to dominate 0 >= 1"
+    else:
+        side = "lower" if target.sign is Sign.GEQ else "upper"
+        label = (
+            f"the last constraint must dominate the objective {side} bound ({_relation(target)})"
         )
+    d = total_constraints(problem, certificate)
     last = constraint_at(problem, certificate, d)
     if not constraint_dominates(last, target):
         return Verdict.invalid(
@@ -353,24 +355,13 @@ def der_violations(
     certificate: Certificate,
     asets: AssumptionSets,
     flags: RtpFlags,
-    jobs: int = 1,
 ) -> list[Verdict]:
     """All derivation-side failures: ascending k, then the final check."""
-    m = problem.m
-    d = total_constraints(problem, certificate)
-    indices = range(m + 1, d + 1)
     failures: list[Verdict] = []
-    if jobs > 1 and len(certificate.der) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                lambda k: der_violation(problem, certificate, asets, k), indices
-            )
-            failures.extend(v for v in results if v is not None)
-    else:
-        for k in indices:
-            violation = der_violation(problem, certificate, asets, k)
-            if violation is not None:
-                failures.append(violation)
+    for k in range(problem.m + 1, total_constraints(problem, certificate) + 1):
+        violation = der_violation(problem, certificate, asets, k)
+        if violation is not None:
+            failures.append(violation)
     final = final_violation(problem, certificate, asets, flags)
     if final is not None:
         failures.append(final)
@@ -399,10 +390,12 @@ class CheckReport:
 def check_certificate_report(
     problem: Problem, certificate: Certificate, jobs: int = 1
 ) -> CheckReport:
+    """Verdict and every failure.  The check is sequential; `jobs` is
+    accepted for compatibility and has no effect."""
     flags = RtpFlags.of(problem, certificate)
     asets = compute_assumption_sets(problem, certificate)
     failures = sol_violations(problem, certificate, flags)
-    failures.extend(der_violations(problem, certificate, asets, flags, jobs=jobs))
+    failures.extend(der_violations(problem, certificate, asets, flags))
     verdict = failures[0] if failures else Verdict.ok()
     return CheckReport(
         verdict=verdict,
@@ -414,9 +407,11 @@ def check_certificate_report(
 
 def check_certificate(problem: Problem, certificate: Certificate, jobs: int = 1) -> Verdict:
     """Valid iff the solution side and the derivation side both hold;
-    otherwise the deterministic first failure."""
+    otherwise the deterministic first failure.  `jobs` has no effect."""
     return check_certificate_report(problem, certificate, jobs=jobs).verdict
 
 
 def default_jobs() -> int:
+    """Default `--jobs`: the block count of `emit` and the solver
+    concurrency of `verify`."""
     return os.cpu_count() or 1

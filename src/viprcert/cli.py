@@ -42,37 +42,13 @@ def default_solver_command() -> str:
     return f"{shlex.quote(sys.executable)} -m viprcert.smteval {{}}"
 
 
-def _load(path: str):
-    with open(path, "rb") as handle:
-        return parse_certificate(handle.read())
-
-
-def _report_parse_error(exc: ParseError) -> int:
-    print(
-        f"parse error at line {exc.line}, column {exc.column}:"
-        f" [{exc.kind.value}] {exc.message}",
-        file=sys.stderr,
-    )
-    return EXIT_FORMAT_ERROR
-
-
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace, data: bytes) -> int:
     started = time.perf_counter()
-    try:
-        problem, certificate = _load(args.file)
-    except OSError as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_FORMAT_ERROR
-    except ParseError as exc:
-        return _report_parse_error(exc)
+    problem, certificate = parse_certificate(data)
     parse_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    try:
-        report = check_certificate_report(problem, certificate, jobs=args.jobs)
-    except EmptyConstraintSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
+    report = check_certificate_report(problem, certificate)
     check_seconds = time.perf_counter() - started
 
     verdict = report.verdict
@@ -123,19 +99,10 @@ def _emit_files(problem, certificate, out_dir, block_size: Optional[int], jobs: 
     return emit(problem, certificate, asets, plan, out_dir)
 
 
-def cmd_emit(args: argparse.Namespace) -> int:
-    try:
-        problem, certificate = _load(args.file)
-    except OSError as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_FORMAT_ERROR
-    except ParseError as exc:
-        return _report_parse_error(exc)
+def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
+    problem, certificate = parse_certificate(data)
     try:
         files = _emit_files(problem, certificate, args.out, args.block_size, args.jobs)
-    except EmptyConstraintSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
     except OSError as exc:
         print(f"cannot write to {args.out}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
@@ -158,22 +125,13 @@ def cmd_emit(args: argparse.Namespace) -> int:
     return EXIT_VALID
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        problem, certificate = _load(args.file)
-    except OSError as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_FORMAT_ERROR
-    except ParseError as exc:
-        return _report_parse_error(exc)
+def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
+    problem, certificate = parse_certificate(data)
     solver = args.solver or default_solver_command()
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="viprcert-") as scratch:
         try:
             files = _emit_files(problem, certificate, scratch, args.block_size, args.jobs)
-        except EmptyConstraintSystem as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL_ERROR
         except OSError as exc:
             print(f"cannot write SMT files: {exc}", file=sys.stderr)
             return EXIT_INTERNAL_ERROR
@@ -220,7 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="evaluate the certificate natively")
     check.add_argument("file")
-    check.add_argument("--jobs", type=_positive_int, default=default_jobs())
+    check.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=default_jobs(),
+        help="accepted for uniformity with emit and verify; the check is sequential",
+    )
     check.add_argument("--diagnose", action="store_true", help="report every failure")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.set_defaults(handler=cmd_check)
@@ -251,7 +214,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        with open(args.file, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
+        return EXIT_FORMAT_ERROR
+    try:
+        return args.handler(args, data)
+    except ParseError as exc:
+        print(
+            f"parse error at line {exc.line}, column {exc.column}:"
+            f" [{exc.kind.value}] {exc.message}",
+            file=sys.stderr,
+        )
+        return EXIT_FORMAT_ERROR
+    except EmptyConstraintSystem as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -252,7 +252,7 @@ def nz(multipliers: Multipliers) -> frozenset[int]:
 class Location:
     """Where a verdict failure was localized."""
 
-    kind: str  # "sol" | "der" | "final" | "attr"
+    kind: str  # "sol" | "der" | "final"
     point: Optional[str] = None
     k: Optional[int] = None
 
@@ -268,17 +268,11 @@ class Location:
     def final(cls) -> "Location":
         return cls(kind="final")
 
-    @classmethod
-    def attr(cls, k: int) -> "Location":
-        return cls(kind="attr", k=k)
-
     def __str__(self) -> str:
         if self.kind == "sol":
             return f"Sol({self.point})"
         if self.kind == "der":
             return f"Der({self.k})"
-        if self.kind == "attr":
-            return f"Attr({self.k})"
         return "Final"
 
 

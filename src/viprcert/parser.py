@@ -125,25 +125,23 @@ class _Parser:
     def name(self, context: str) -> str:
         return self.stream.next(context).text
 
-    def integer(self, context: str, kind: ParseErrorKind) -> int:
+    def integer(self, context: str, kind: ParseErrorKind) -> tuple[_Token, int]:
+        """The next token, which must be an integer, and its value."""
         token = self.stream.next(context, kind)
         if not _INT_RE.match(token.text):
             raise self.stream.error(token, kind, f"expected {context}, found {token.text!r}")
-        return int(token.text)
+        return token, int(token.text)
 
     def count(self, context: str) -> int:
-        token = self.stream.next(context, ParseErrorKind.BAD_COUNT)
-        if not _INT_RE.match(token.text):
-            raise self.stream.error(
-                token, ParseErrorKind.BAD_COUNT, f"expected {context}, found {token.text!r}"
-            )
-        value = int(token.text)
+        token, value = self.integer(context, ParseErrorKind.BAD_COUNT)
         if value < 0:
             raise self.stream.error(token, ParseErrorKind.BAD_COUNT, f"negative {context}: {value}")
         return value
 
     def rational(self, context: str) -> Rational:
-        token = self.stream.next(context)
+        return self.rational_value(self.stream.next(context))
+
+    def rational_value(self, token: _Token) -> Rational:
         try:
             return parse_rational(token.text)
         except DecimalNotationError as exc:
@@ -153,12 +151,7 @@ class _Parser:
 
     def shifted_index(self, limit: int, context: str) -> int:
         """0-based file index in [0, limit), returned 1-based."""
-        token = self.stream.next(context, ParseErrorKind.BAD_INDEX)
-        if not _INT_RE.match(token.text):
-            raise self.stream.error(
-                token, ParseErrorKind.BAD_INDEX, f"expected {context}, found {token.text!r}"
-            )
-        value = int(token.text)
+        token, value = self.integer(context, ParseErrorKind.BAD_INDEX)
         if not 0 <= value < limit:
             raise self.stream.error(
                 token, ParseErrorKind.BAD_INDEX, f"{context} {value} outside [0, {limit - 1}]"
@@ -230,14 +223,7 @@ class _Parser:
 
         self.keyword("CON")
         m = self.count("constraint count")
-        bound_token = self.stream.next("bound-constraint count", ParseErrorKind.BAD_COUNT)
-        if not _INT_RE.match(bound_token.text):
-            raise self.stream.error(
-                bound_token,
-                ParseErrorKind.BAD_COUNT,
-                f"expected bound-constraint count, found {bound_token.text!r}",
-            )
-        bound_count = int(bound_token.text)
+        bound_token, bound_count = self.integer("bound-constraint count", ParseErrorKind.BAD_COUNT)
         if not 0 <= bound_count <= m:
             raise self.stream.error(
                 bound_token,
@@ -296,25 +282,9 @@ class _Parser:
                 f"expected infeas or range, found {token.text!r}",
             )
         lb_token = self.stream.next("lower bound")
-        if lb_token.text == "-inf":
-            lb: Optional[Rational] = None
-        else:
-            try:
-                lb = parse_rational(lb_token.text)
-            except DecimalNotationError as exc:
-                raise self.stream.error(lb_token, ParseErrorKind.DECIMAL_NOTATION, str(exc)) from exc
-            except RationalSyntaxError as exc:
-                raise self.stream.error(lb_token, ParseErrorKind.UNEXPECTED_TOKEN, str(exc)) from exc
+        lb = None if lb_token.text == "-inf" else self.rational_value(lb_token)
         ub_token = self.stream.next("upper bound")
-        if ub_token.text == "inf":
-            ub: Optional[Rational] = None
-        else:
-            try:
-                ub = parse_rational(ub_token.text)
-            except DecimalNotationError as exc:
-                raise self.stream.error(ub_token, ParseErrorKind.DECIMAL_NOTATION, str(exc)) from exc
-            except RationalSyntaxError as exc:
-                raise self.stream.error(ub_token, ParseErrorKind.UNEXPECTED_TOKEN, str(exc)) from exc
+        ub = None if ub_token.text == "inf" else self.rational_value(ub_token)
         return Rtp.make_range(lb, ub)
 
     def solution_point(self, n: int, ordinal: int) -> SolutionPoint:
@@ -372,7 +342,7 @@ class _Parser:
             l2 = self.shifted_index(d, f"{what} unsplit index")
             data = Unsplit(i1, l1, i2, l2)
         self.keyword("}", ParseErrorKind.UNEXPECTED_TOKEN)
-        legacy = self.integer(f"{what} index attribute", ParseErrorKind.UNEXPECTED_TOKEN)
+        _, legacy = self.integer(f"{what} index attribute", ParseErrorKind.UNEXPECTED_TOKEN)
         return DerivedConstraint(constraint=constraint, reason=reason, data=data, legacy_index=legacy)
 
 

@@ -26,7 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .checker import AssumptionSets, EmptyConstraintSystem, RtpFlags
+from .checker import AssumptionSets, RtpFlags
 from .model import (
     Certificate,
     Constraint,
@@ -39,7 +39,7 @@ from .model import (
     constraint_at,
     total_constraints,
 )
-from .rational import ONE, Rational, ZERO
+from .rational import Rational, ZERO
 
 _RZERO = "(/ 0 1)"
 _RONE = "(/ 1 1)"
@@ -185,13 +185,26 @@ def _symbolic_combination(
     return a_exprs, _sum(b_terms), geq, leq
 
 
-def _objective_dot(problem: Problem, coords) -> str:
+def _dot(expr: LinearExpr, coords) -> str:
     terms = []
-    for j, c in problem.objective.items_sorted():
+    for j, c in expr.items_sorted():
         value = coords.get(j, ZERO)
         if value:
             terms.append(f"(* {_rat(c)} {_rat(value)})")
     return _sum(terms)
+
+
+def _satisfied_parts(constraint: Constraint, coords) -> list[str]:
+    """Does the point satisfy the constraint: one comparison per side."""
+    dot = _dot(constraint.lhs, coords)
+    rhs = _rat(constraint.rhs)
+    s = constraint.sign.value
+    parts = []
+    if s >= 0:
+        parts.append(f"(>= {dot} {rhs})")
+    if s <= 0:
+        parts.append(f"(<= {dot} {rhs})")
+    return parts
 
 
 def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> str:
@@ -221,29 +234,9 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
                 roundable.append(f"(is_int {a_exprs[j]})")
             else:
                 roundable.append(f"(= {a_exprs[j]} {_RZERO})")
-        if geq:
-            absurd_tail: Optional[str] = f"(> {b_expr} {_RZERO})"
-        elif leq:
-            absurd_tail = f"(< {b_expr} {_RZERO})"
-        else:
-            absurd_tail = None
-        if absurd_tail is None:
-            absurd = "false"
-        else:
-            zeros = [f"(= {a_exprs[j]} {_RZERO})" for j in sorted(a_exprs)]
-            absurd = _conj(zeros + [absurd_tail])
-        support = sorted(set(a_exprs) | set(target.lhs.terms))
-        same_lhs = [
-            f"(= {a_exprs.get(j, _RZERO)} {_rat(target.lhs.coefficient(j))})" for j in support
-        ]
-        rhs = _rat(target.rhs)
-        if target.sign is Sign.EQ:
-            rounded = "false"
-        elif target.sign is Sign.GEQ:
-            rounded = "false" if not geq else _conj(same_lhs + [f"(>= {_ceil(b_expr)} {rhs})"])
-        else:
-            rounded = "false" if not leq else _conj(same_lhs + [f"(<= {_floor(b_expr)} {rhs})"])
-        return _conj(prv + roundable + [_disj([absurd, rounded])])
+        # rounding keeps the absurdity test: ceil(b) > 0 iff b > 0, floor(b) < 0 iff b < 0
+        rounded = _ceil(b_expr) if geq else _floor(b_expr)
+        return _conj(prv + roundable + [_dom_expr(a_exprs, rounded, False, geq, leq, target)])
 
     if derived.reason is Reason.UNS:
         assert isinstance(derived.data, Unsplit)
@@ -271,7 +264,7 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
     a_exprs = {j: _rat(c) for j, c in problem.objective.terms.items()}
     branches = []
     for point in certificate.sol:
-        b_expr = _objective_dot(problem, point.coords)
+        b_expr = _dot(problem.objective, point.coords)
         branches.append(
             _dom_expr(a_exprs, b_expr, False, not minimize, minimize, target)
         )
@@ -289,27 +282,11 @@ def sol_expr(problem: Problem, certificate: Certificate, flags: RtpFlags) -> str
             if value:
                 parts.append(f"(is_int {_rat(value)})")
         for constraint in problem.constraints:
-            terms = []
-            for j, coefficient in constraint.lhs.items_sorted():
-                value = point.coordinate(j)
-                if value:
-                    terms.append(f"(* {_rat(coefficient)} {_rat(value)})")
-            dot = _sum(terms)
-            rhs = _rat(constraint.rhs)
-            s = constraint.sign.value
-            if s >= 0:
-                parts.append(f"(>= {dot} {rhs})")
-            if s <= 0:
-                parts.append(f"(<= {dot} {rhs})")
-    if flags.minimize and flags.prove_upper:
-        bound = _rat(flags.upper)
+            parts.extend(_satisfied_parts(constraint, point.coords))
+    bound = flags.solution_bound(problem)
+    if bound is not None:
         parts.append(
-            _disj([f"(<= {_objective_dot(problem, p.coords)} {bound})" for p in certificate.sol])
-        )
-    elif not flags.minimize and flags.prove_lower:
-        bound = _rat(flags.lower)
-        parts.append(
-            _disj([f"(>= {_objective_dot(problem, p.coords)} {bound})" for p in certificate.sol])
+            _disj([_conj(_satisfied_parts(bound, p.coords)) for p in certificate.sol])
         )
     return _conj(parts)
 
@@ -318,19 +295,10 @@ def final_expr(
     problem: Problem, certificate: Certificate, asets: AssumptionSets, flags: RtpFlags
 ) -> str:
     """Ground formula for the closing obligation on the last constraint."""
-    if not flags.has_range:
-        target = Constraint("absurdity", LinearExpr({}), Sign.GEQ, ONE)
-    elif flags.minimize and flags.prove_lower:
-        target = Constraint("objective-bound", problem.objective, Sign.GEQ, flags.lower)
-    elif not flags.minimize and flags.prove_upper:
-        target = Constraint("objective-bound", problem.objective, Sign.LEQ, flags.upper)
-    else:
+    target = flags.final_target(problem, certificate)
+    if target is None:
         return "true"
     d = total_constraints(problem, certificate)
-    if d == 0:
-        raise EmptyConstraintSystem(
-            "the relation to prove requires a last constraint, but there are none"
-        )
     last = constraint_at(problem, certificate, d)
     assumption_free = "true" if not asets.at(d) else "false"
     return _conj([_constraint_dom_expr(last, target), assumption_free])

@@ -16,6 +16,15 @@ def run_cli(*argv, capsys=None):
     return code
 
 
+COMMANDS = ("check", "emit", "verify")
+
+
+def command_argv(command, path, tmp_path):
+    """Arguments that run `command` on `path` up to reading and parsing."""
+    extra = ["--out", str(tmp_path / "out")] if command == "emit" else []
+    return [command, str(path), *extra]
+
+
 def test_check_valid_fixture(capsys):
     code = main(["check", str(fixture_path("manipulated1"))])
     out = capsys.readouterr().out
@@ -39,15 +48,17 @@ def test_check_forged2_states_no_solution_was_checked(capsys):
     assert "solutions checked: 0" in out
 
 
-def test_check_missing_file(capsys):
-    assert main(["check", "missing.vipr"]) == 2
+@pytest.mark.parametrize("command", COMMANDS)
+def test_check_missing_file(command, tmp_path, capsys):
+    assert main(command_argv(command, "missing.vipr", tmp_path)) == 2
     assert "missing.vipr" in capsys.readouterr().err
 
 
-def test_check_parse_error_reports_position(tmp_path, capsys):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_check_parse_error_reports_position(command, tmp_path, capsys):
     bad = tmp_path / "bad.vipr"
     bad.write_text("VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0.5\n")
-    assert main(["check", str(bad)]) == 2
+    assert main(command_argv(command, bad, tmp_path)) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
 
@@ -193,8 +204,9 @@ def test_nonpositive_block_size_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_check_empty_constraint_system_is_an_internal_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_check_empty_constraint_system_is_an_internal_error(command, tmp_path, capsys):
     f = tmp_path / "empty.vipr"
     f.write_text("VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 0 0\nRTP infeas\nSOL 0\nDER 0\n")
-    assert main(["check", str(f)]) == 3
+    assert main(command_argv(command, f, tmp_path)) == 3
     assert capsys.readouterr().err

@@ -93,7 +93,6 @@ def test_verdict_invariants_and_locations():
     assert str(verdict.location) == "Der(11)"
     assert str(Location.sol("opt")) == "Sol(opt)"
     assert str(Location.final()) == "Final"
-    assert str(Location.attr(3)) == "Attr(3)"
     assert Verdict.ok().valid
 
 

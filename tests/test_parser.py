@@ -122,6 +122,18 @@ BROKEN = [
         "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 1 0\nC1 G 1/0 0\n",
         ParseErrorKind.UNEXPECTED_TOKEN,  # zero denominator
     ),
+    (
+        "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 0 0\nRTP range 1/2.5 inf\nSOL 0\nDER 0\n",
+        ParseErrorKind.DECIMAL_NOTATION,
+    ),
+    (
+        "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 0 0\nRTP range 0 1/0\nSOL 0\nDER 0\n",
+        ParseErrorKind.UNEXPECTED_TOKEN,
+    ),
+    (
+        "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 1 one\n",
+        ParseErrorKind.BAD_COUNT,  # non-integer bound-constraint count
+    ),
 ]
 
 
