@@ -3,15 +3,18 @@ rounding, split disjunctions.
 
 The domination test is implemented in its fully expanded Boolean form,
 which also covers combination results whose sign is indefinite (neither
-flag set): such a source dominates nothing.  All arithmetic is exact.
+flag set): such a source dominates nothing.  All arithmetic is exact,
+and runs in Python integers over integer-scaled rows (`Constraint.row`):
+a row `(D, {j: a_j}, b)` stands for `sum_j (a_j / D) x_j ~ b / D`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-from .model import Constraint, IndexOutOfRange, LinearExpr, Multipliers, Sign
-from .rational import Rational, ZERO, ceil_int, floor_int, is_integer
+from .model import Constraint, IndexOutOfRange, LinearExpr, Multipliers, Sign, scaled_row
+from .rational import Rational, ZERO
 
 # earlier name of the out-of-range exception, kept importable
 UnresolvableIndex = IndexOutOfRange
@@ -20,6 +23,43 @@ UnresolvableIndex = IndexOutOfRange
 def sign_value(constraint: Constraint) -> int:
     """s(C): Geq -> 1, Eq -> 0, Leq -> -1."""
     return constraint.sign.value
+
+
+def _dominates(
+    scale: int,
+    terms: dict[int, int],
+    bound: int,
+    eq: bool,
+    geq: bool,
+    leq: bool,
+    target: Constraint,
+) -> bool:
+    """Domination of `target` by the source row `terms / scale ~ bound / scale`."""
+    if not terms:
+        if eq:
+            absurd = bound != 0
+        elif geq:
+            absurd = bound > 0
+        elif leq:
+            absurd = bound < 0
+        else:
+            absurd = False
+        if absurd:
+            return True
+    target_scale, target_terms, target_bound = target.row
+    if len(terms) != len(target_terms):
+        return False
+    for j, a in terms.items():
+        t = target_terms.get(j)
+        if t is None or a * target_scale != t * scale:
+            return False
+    source_side = bound * target_scale
+    target_side = target_bound * scale
+    if target.sign is Sign.EQ:
+        return eq and source_side == target_side
+    if target.sign is Sign.GEQ:
+        return geq and source_side >= target_side
+    return leq and source_side <= target_side
 
 
 def dominates(
@@ -37,44 +77,37 @@ def dominates(
     same left-hand side and the target-sign-directed bound comparison
     holds.  With all three flags false the answer is always False.
     """
-    if lhs.is_zero:
-        if eq:
-            absurd = rhs != 0
-        elif geq:
-            absurd = rhs > 0
-        elif leq:
-            absurd = rhs < 0
-        else:
-            absurd = False
-        if absurd:
-            return True
-    if lhs != target.lhs:
-        return False
-    if target.sign is Sign.EQ:
-        return eq and rhs == target.rhs
-    if target.sign is Sign.GEQ:
-        return geq and rhs >= target.rhs
-    return leq and rhs <= target.rhs
+    return _dominates(*scaled_row(lhs.terms, rhs), eq, geq, leq, target)
 
 
 def constraint_dominates(source: Constraint, target: Constraint) -> bool:
     """Domination between two definite-sign constraints."""
     s = source.sign.value
-    return dominates(source.lhs, source.rhs, s == 0, s >= 0, s <= 0, target)
+    return _dominates(*source.row, s == 0, s >= 0, s <= 0, target)
 
 
 class PseudoConstraint:
-    """Result of a linear combination: coefficients, bound, and the two
+    """Result of a linear combination: the integer-scaled row, and the two
     sign flags.  `eq` is by definition the conjunction of the flags, and
-    the combination is suitable iff at least one flag holds."""
+    the combination is suitable iff at least one flag holds.  `lhs` and
+    `rhs` are built as rationals only when read."""
 
-    __slots__ = ("lhs", "rhs", "geq", "leq")
+    __slots__ = ("scale", "terms", "bound", "geq", "leq")
 
-    def __init__(self, lhs: LinearExpr, rhs: Rational, geq: bool, leq: bool):
-        self.lhs = lhs
-        self.rhs = rhs
+    def __init__(self, scale: int, terms: dict[int, int], bound: int, geq: bool, leq: bool):
+        self.scale = scale
+        self.terms = terms
+        self.bound = bound
         self.geq = geq
         self.leq = leq
+
+    @property
+    def lhs(self) -> LinearExpr:
+        return LinearExpr({j: Rational(a, self.scale) for j, a in self.terms.items()})
+
+    @property
+    def rhs(self) -> Rational:
+        return Rational(self.bound, self.scale)
 
     @property
     def eq(self) -> bool:
@@ -85,7 +118,24 @@ class PseudoConstraint:
         return self.geq or self.leq
 
     def dominates(self, target: Constraint) -> bool:
-        return dominates(self.lhs, self.rhs, self.eq, self.geq, self.leq, target)
+        return _dominates(
+            self.scale, self.terms, self.bound, self.eq, self.geq, self.leq, target
+        )
+
+    def roundable(self, int_vars: frozenset[int]) -> bool:
+        """See `roundable_flags`."""
+        scale = self.scale
+        return not self.eq and all(
+            j in int_vars and a % scale == 0 for j, a in self.terms.items()
+        )
+
+    def rounded_dominates(self, target: Constraint) -> bool:
+        """See `rnd_dominance`."""
+        # ceil(bound / scale) for >=, floor for <=, scaled back by `scale`
+        rounded = -(-self.bound // self.scale) if self.geq else self.bound // self.scale
+        return _dominates(
+            self.scale, self.terms, rounded * self.scale, False, self.geq, self.leq, target
+        )
 
     def __repr__(self) -> str:
         return f"PseudoConstraint({self.lhs!r}, {self.rhs!r}, geq={self.geq}, leq={self.leq})"
@@ -97,37 +147,35 @@ def linear_combination(
     """Sum the weighted constraints exactly, tracking the sign flags.
 
     geq holds iff every weight agrees in sign with its constraint
-    (weight * sign >= 0), leq symmetrically.  Exact cancellations are
+    (weight * sign >= 0), leq symmetrically.  With weights p_i / q_i and
+    rows over D_i, the sum is taken over L = lcm(q_i * D_i), each row
+    scaled by the integer p_i * L / (q_i * D_i).  Exact cancellations are
     dropped so a vanished left-hand side is structurally empty.
     """
-    accumulated: dict[int, Rational] = {}
-    rhs = ZERO
+    weighted = [(weight, resolve(i)) for i, weight in multipliers.items_sorted()]
+    scale = math.lcm(*(w.denominator * c.row[0] for w, c in weighted))
+    terms: dict[int, int] = {}
+    bound = 0
     geq = True
     leq = True
-    for i, weight in multipliers.items_sorted():
-        constraint = resolve(i)
-        weighted_sign = weight * constraint.sign.value
+    for weight, constraint in weighted:
+        weighted_sign = weight.numerator * constraint.sign.value
         if weighted_sign < 0:
             geq = False
         if weighted_sign > 0:
             leq = False
-        for j, coefficient in constraint.lhs.terms.items():
-            accumulated[j] = accumulated.get(j, ZERO) + weight * coefficient
-        rhs += weight * constraint.rhs
-    return PseudoConstraint(LinearExpr(accumulated), rhs, geq, leq)
+        row_scale, row_terms, row_bound = constraint.row
+        factor = weight.numerator * (scale // (weight.denominator * row_scale))
+        for j, a in row_terms.items():
+            terms[j] = terms.get(j, 0) + factor * a
+        bound += factor * row_bound
+    return PseudoConstraint(scale, {j: a for j, a in terms.items() if a}, bound, geq, leq)
 
 
 def roundable_flags(lhs: LinearExpr, eq: bool, int_vars: frozenset[int]) -> bool:
     """Roundability: integral coefficients on integer variables, zero
     everywhere else, and not an equality."""
-    if eq:
-        return False
-    for j, coefficient in lhs.terms.items():
-        if j not in int_vars:
-            return False
-        if not is_integer(coefficient):
-            return False
-    return True
+    return PseudoConstraint(*scaled_row(lhs.terms, ZERO), eq, eq).roundable(int_vars)
 
 
 def rnd_dominance(
@@ -137,8 +185,7 @@ def rnd_dominance(
     combination, whose bound is the ceiling for >= and the floor for <=.
     Rounding keeps the absurdity test, since ceil(b) > 0 iff b > 0 and
     floor(b) < 0 iff b < 0; an equality combination is never rounded."""
-    rounded = ceil_int(rhs) if geq else floor_int(rhs)
-    return dominates(lhs, rounded, False, geq, leq, target)
+    return PseudoConstraint(*scaled_row(lhs.terms, rhs), geq, leq).rounded_dominates(target)
 
 
 def is_split_disjunction(ci: Constraint, cj: Constraint, int_vars: frozenset[int]) -> bool:
@@ -148,17 +195,17 @@ def is_split_disjunction(ci: Constraint, cj: Constraint, int_vars: frozenset[int
     variables, integral bounds, strictly opposite signs, and bounds one
     apart in the direction of the >= side.
     """
-    if ci.lhs != cj.lhs:
+    scale_i, terms_i, bound_i = ci.row
+    scale_j, terms_j, bound_j = cj.row
+    # both rows integral (scale 1) and equal on the left-hand side
+    if scale_i != 1 or scale_j != 1 or terms_i != terms_j:
         return False
-    for j, coefficient in ci.lhs.terms.items():
-        if j not in int_vars or not is_integer(coefficient):
-            return False
-    if not is_integer(ci.rhs) or not is_integer(cj.rhs):
+    if not all(j in int_vars for j in terms_i):
         return False
     si = ci.sign.value
     sj = cj.sign.value
     if si == 0 or si + sj != 0:
         return False
     if si == 1:
-        return ci.rhs == cj.rhs + 1
-    return ci.rhs == cj.rhs - 1
+        return bound_i == bound_j + 1
+    return bound_i == bound_j - 1

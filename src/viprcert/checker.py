@@ -17,13 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import (
-    constraint_dominates,
-    is_split_disjunction,
-    linear_combination,
-    rnd_dominance,
-    roundable_flags,
-)
+from .algebra import constraint_dominates, is_split_disjunction, linear_combination
 from .model import (
     Certificate,
     Constraint,
@@ -269,11 +263,9 @@ def der_violation(
             if not combination.dominates(target):
                 return fail("lin-domination", "the linear combination does not dominate")
             return None
-        if not roundable_flags(combination.lhs, combination.eq, problem.int_vars):
+        if not combination.roundable(problem.int_vars):
             return fail("rnd-roundable", "the linear combination is not roundable")
-        if not rnd_dominance(
-            combination.lhs, combination.rhs, combination.geq, combination.leq, target
-        ):
+        if not combination.rounded_dominates(target):
             return fail("rnd-domination", "the rounded combination does not dominate")
         return None
 

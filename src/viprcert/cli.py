@@ -2,8 +2,8 @@
 
 Exit codes: 0 the certificate is valid, 1 it is invalid, 2 the input
 could not be parsed, 3 infrastructure failure (I/O, solver spawn or
-timeout, degenerate empty constraint system).  A verdict is never
-conflated with an infrastructure failure.
+timeout, degenerate empty constraint system, any unexpected internal
+error).  A verdict is never conflated with an infrastructure failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .checker import (
     default_jobs,
 )
 from .parser import ParseError, parse_certificate
+from .rational import unlimited_int_digits
 from .smtgen import Aggregate, EmissionPlan, SolverSpawnError, dispatch, emit
 
 EXIT_VALID = 0
@@ -214,6 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        with unlimited_int_digits():
+            return _run(args)
+    except Exception as exc:  # exit 1 must only ever mean "invalid certificate"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         with open(args.file, "rb") as handle:
             data = handle.read()

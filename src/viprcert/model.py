@@ -9,8 +9,10 @@ derived constraints continue as C_{m+1}..C_d.  The on-disk format uses
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .rational import Rational, ZERO
@@ -88,6 +90,20 @@ class LinearExpr:
         return total
 
 
+# (D, {j: a_j}, b): the constraint sum_j (a_j / D) x_j ~ b / D in integers, D > 0
+IntegerRow = tuple[int, dict[int, int], int]
+
+
+def scaled_row(terms: Mapping[int, Rational], rhs: Rational) -> IntegerRow:
+    """Coefficients and bound over their least common denominator D."""
+    scale = math.lcm(rhs.denominator, *(c.denominator for c in terms.values()))
+    return (
+        scale,
+        {j: c.numerator * (scale // c.denominator) for j, c in terms.items()},
+        rhs.numerator * (scale // rhs.denominator),
+    )
+
+
 @dataclass(frozen=True)
 class Constraint:
     name: str
@@ -98,6 +114,12 @@ class Constraint:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("constraint name must be non-empty")
+
+    @cached_property
+    def row(self) -> IntegerRow:
+        """The integer-scaled row, computed on first use; not a field, so
+        it takes no part in equality, hashing or repr."""
+        return scaled_row(self.lhs.terms, self.rhs)
 
 
 @dataclass(frozen=True)

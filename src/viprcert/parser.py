@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .model import (
     Certificate,
@@ -32,6 +32,7 @@ from .rational import (
     Rational,
     RationalSyntaxError,
     format_rational,
+    is_integer_literal,
     parse_rational,
 )
 
@@ -60,112 +61,134 @@ class ParseError(Exception):
         self.message = message
 
 
-class _Token:
-    __slots__ = ("text", "line", "column")
-
-    def __init__(self, text: str, line: int, column: int):
-        self.text = text
-        self.line = line
-        self.column = column
-
-
 _TOKEN_RE = re.compile(r"\S+")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
 
 
-class _TokenStream:
-    """Whitespace-insensitive token stream with 1-based positions."""
+def _token_position(text: str, index: int) -> tuple[int, int]:
+    """1-based line and column of token `index` of `text.split()`.
 
-    def __init__(self, text: str):
-        self._tokens = list(self._tokenize(text))
-        self._pos = 0
-        if self._tokens:
-            last = self._tokens[-1]
-            self._eof_line = last.line
-            self._eof_column = last.column + len(last.text)
-        else:
-            self._eof_line = 1
-            self._eof_column = 1
-
-    @staticmethod
-    def _tokenize(text: str) -> Iterator[_Token]:
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            for match in _TOKEN_RE.finditer(line):
-                yield _Token(match.group(), lineno, match.start() + 1)
-
-    def peek(self) -> Optional[_Token]:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
-
-    def next(self, context: str, kind: ParseErrorKind = ParseErrorKind.UNEXPECTED_TOKEN) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError(
-                self._eof_line, self._eof_column, kind, f"unexpected end of input, expected {context}"
-            )
-        self._pos += 1
-        return token
-
-    def error(self, token: _Token, kind: ParseErrorKind, message: str) -> ParseError:
-        return ParseError(token.line, token.column, kind, message)
+    Lines end at "\n" only; any other whitespace, "\r" included, is part
+    of a line.  Positions are only needed for an error, so they are found
+    by rescanning the text rather than stored per token.
+    """
+    seen = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        count = len(line.split())
+        if index < seen + count:
+            match = list(_TOKEN_RE.finditer(line))[index - seen]
+            return lineno, match.start() + 1
+        seen += count
+    raise IndexError(f"token {index} outside the text's {seen} tokens")
 
 
 class _Parser:
+    """Recursive descent over the whitespace-separated tokens of the text."""
+
     def __init__(self, text: str):
-        self.stream = _TokenStream(text)
+        self.text = text
+        self.tokens = text.split()
+        self.pos = 0
 
     # --- token-level primitives -------------------------------------------
 
+    def error(self, kind: ParseErrorKind, message: str, index: Optional[int] = None) -> ParseError:
+        """Error located at token `index`, by default the last token read."""
+        line, column = _token_position(self.text, self.pos - 1 if index is None else index)
+        return ParseError(line, column, kind, message)
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, context: str, kind: ParseErrorKind = ParseErrorKind.UNEXPECTED_TOKEN) -> str:
+        if self.pos == len(self.tokens):
+            if self.tokens:  # just past the last token
+                line, column = _token_position(self.text, self.pos - 1)
+                column += len(self.tokens[-1])
+            else:
+                line, column = 1, 1
+            raise ParseError(line, column, kind, f"unexpected end of input, expected {context}")
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
     def keyword(self, expected: str, kind: ParseErrorKind = ParseErrorKind.MISSING_SECTION) -> None:
-        token = self.stream.next(f"{expected!r}", kind)
-        if token.text != expected:
-            raise self.stream.error(token, kind, f"expected {expected!r}, found {token.text!r}")
+        text = self.next(f"{expected!r}", kind)
+        if text != expected:
+            raise self.error(kind, f"expected {expected!r}, found {text!r}")
 
     def name(self, context: str) -> str:
-        return self.stream.next(context).text
+        return self.next(context)
 
-    def integer(self, context: str, kind: ParseErrorKind) -> tuple[_Token, int]:
-        """The next token, which must be an integer, and its value."""
-        token = self.stream.next(context, kind)
-        if not _INT_RE.match(token.text):
-            raise self.stream.error(token, kind, f"expected {context}, found {token.text!r}")
-        return token, int(token.text)
+    def integer(self, context: str, kind: ParseErrorKind) -> int:
+        text = self.next(context, kind)
+        if not is_integer_literal(text):
+            raise self.error(kind, f"expected {context}, found {text!r}")
+        return int(text)
 
     def count(self, context: str) -> int:
-        token, value = self.integer(context, ParseErrorKind.BAD_COUNT)
+        value = self.integer(context, ParseErrorKind.BAD_COUNT)
         if value < 0:
-            raise self.stream.error(token, ParseErrorKind.BAD_COUNT, f"negative {context}: {value}")
+            raise self.error(ParseErrorKind.BAD_COUNT, f"negative {context}: {value}")
         return value
 
     def rational(self, context: str) -> Rational:
-        return self.rational_value(self.stream.next(context))
+        return self.rational_value(self.next(context))
 
-    def rational_value(self, token: _Token) -> Rational:
+    def rational_value(self, text: str) -> Rational:
+        """The last token read, `text`, as a rational."""
         try:
-            return parse_rational(token.text)
+            return parse_rational(text)
         except DecimalNotationError as exc:
-            raise self.stream.error(token, ParseErrorKind.DECIMAL_NOTATION, str(exc)) from exc
+            raise self.error(ParseErrorKind.DECIMAL_NOTATION, str(exc)) from exc
         except RationalSyntaxError as exc:
-            raise self.stream.error(token, ParseErrorKind.UNEXPECTED_TOKEN, str(exc)) from exc
+            raise self.error(ParseErrorKind.UNEXPECTED_TOKEN, str(exc)) from exc
 
     def shifted_index(self, limit: int, context: str) -> int:
         """0-based file index in [0, limit), returned 1-based."""
-        token, value = self.integer(context, ParseErrorKind.BAD_INDEX)
+        value = self.integer(context, ParseErrorKind.BAD_INDEX)
         if not 0 <= value < limit:
-            raise self.stream.error(
-                token, ParseErrorKind.BAD_INDEX, f"{context} {value} outside [0, {limit - 1}]"
+            raise self.error(
+                ParseErrorKind.BAD_INDEX, f"{context} {value} outside [0, {limit - 1}]"
             )
         return value + 1
 
     def sense_letter(self, context: str) -> Sign:
-        token = self.stream.next(context, ParseErrorKind.UNKNOWN_SENSE)
+        text = self.next(context, ParseErrorKind.UNKNOWN_SENSE)
         try:
-            return Sign.from_letter(token.text)
+            return Sign.from_letter(text)
         except ValueError:
-            raise self.stream.error(
-                token, ParseErrorKind.UNKNOWN_SENSE, f"expected E, G or L, found {token.text!r}"
+            raise self.error(
+                ParseErrorKind.UNKNOWN_SENSE, f"expected E, G or L, found {text!r}"
             ) from None
+
+    def index_values(
+        self, count: int, limit: int, what: str, index_kind: str, value_kind: str
+    ) -> dict[int, Rational]:
+        """`count` pairs `i v`: a 0-based index below `limit`, returned
+        1-based and at most once, and a rational value."""
+        values: dict[int, Rational] = {}
+        tokens = self.tokens
+        for _ in range(count):
+            pos = self.pos
+            # common case inline: an in-range, new decimal index and a valid value
+            if pos + 1 < len(tokens) and tokens[pos].isdecimal():
+                i = int(tokens[pos]) + 1
+                if i <= limit and i not in values:
+                    try:
+                        values[i] = parse_rational(tokens[pos + 1])
+                    except RationalSyntaxError:
+                        pass
+                    else:
+                        self.pos = pos + 2
+                        continue
+            # anything else (a signed index, say) goes token by token and
+            # raises the located error, if there is one
+            i = self.shifted_index(limit, f"{what} {index_kind} index")
+            if i in values:
+                raise self.error(
+                    ParseErrorKind.BAD_INDEX, f"duplicate {index_kind} index {i - 1} in {what}"
+                )
+            values[i] = self.rational(f"{what} {value_kind}")
+        return values
 
     def term_list(self, n: int, what: str, objective: Optional[LinearExpr]) -> LinearExpr:
         """`t  j_1 c_1 ... j_t c_t` with 0-based variable indices.
@@ -173,33 +196,21 @@ class _Parser:
         When `objective` is given, the single keyword OBJ may replace the
         whole list, denoting the objective's coefficients.
         """
-        if objective is not None:
-            ahead = self.stream.peek()
-            if ahead is not None and ahead.text == "OBJ":
-                self.stream.next("OBJ")
-                return objective
+        if objective is not None and self.peek() == "OBJ":
+            self.pos += 1
+            return objective
         t = self.count(f"{what} term count")
-        terms: dict[int, Rational] = {}
-        for _ in range(t):
-            token = self.stream.peek()
-            j = self.shifted_index(n, f"{what} variable index")
-            if j in terms:
-                raise self.stream.error(
-                    token, ParseErrorKind.BAD_INDEX, f"duplicate variable index {j - 1} in {what}"
-                )
-            terms[j] = self.rational(f"{what} coefficient")
-        return LinearExpr(terms)
+        return LinearExpr(self.index_values(t, n, what, "variable", "coefficient"))
 
     # --- sections ----------------------------------------------------------
 
     def parse(self) -> tuple[Problem, Certificate]:
         self.keyword("VER")
-        version = self.stream.next("version number")
-        if version.text != VERSION_TOKEN:
-            raise self.stream.error(
-                version,
+        version = self.next("version number")
+        if version != VERSION_TOKEN:
+            raise self.error(
                 ParseErrorKind.UNEXPECTED_TOKEN,
-                f"unsupported version {version.text!r}, expected {VERSION_TOKEN!r}",
+                f"unsupported version {version!r}, expected {VERSION_TOKEN!r}",
             )
 
         self.keyword("VAR")
@@ -211,24 +222,20 @@ class _Parser:
         int_vars = frozenset(self.shifted_index(n, "integer variable index") for _ in range(int_count))
 
         self.keyword("OBJ")
-        sense_token = self.stream.next("objective sense", ParseErrorKind.UNKNOWN_SENSE)
-        if sense_token.text not in ("min", "max"):
-            raise self.stream.error(
-                sense_token,
-                ParseErrorKind.UNKNOWN_SENSE,
-                f"expected min or max, found {sense_token.text!r}",
+        sense_text = self.next("objective sense", ParseErrorKind.UNKNOWN_SENSE)
+        if sense_text not in ("min", "max"):
+            raise self.error(
+                ParseErrorKind.UNKNOWN_SENSE, f"expected min or max, found {sense_text!r}"
             )
-        sense = Sense(sense_token.text)
+        sense = Sense(sense_text)
         objective = self.term_list(n, "objective", objective=None)
 
         self.keyword("CON")
         m = self.count("constraint count")
-        bound_token, bound_count = self.integer("bound-constraint count", ParseErrorKind.BAD_COUNT)
+        bound_count = self.integer("bound-constraint count", ParseErrorKind.BAD_COUNT)
         if not 0 <= bound_count <= m:
-            raise self.stream.error(
-                bound_token,
-                ParseErrorKind.BAD_COUNT,
-                f"bound-constraint count {bound_count} outside [0, {m}]",
+            raise self.error(
+                ParseErrorKind.BAD_COUNT, f"bound-constraint count {bound_count} outside [0, {m}]"
             )
         constraints = tuple(self.constraint_body(n, objective, f"constraint {i}") for i in range(m))
 
@@ -243,12 +250,12 @@ class _Parser:
         d = m + der_count
         der = tuple(self.derived_constraint(n, d, objective, i) for i in range(der_count))
 
-        trailing = self.stream.peek()
+        trailing = self.peek()
         if trailing is not None:
-            raise self.stream.error(
-                trailing,
+            raise self.error(
                 ParseErrorKind.TRAILING_GARBAGE,
-                f"unexpected content after last derivation: {trailing.text!r}",
+                f"unexpected content after last derivation: {trailing!r}",
+                self.pos,
             )
 
         problem = Problem(
@@ -272,35 +279,24 @@ class _Parser:
 
     def parse_rtp(self) -> Rtp:
         self.keyword("RTP")
-        token = self.stream.next("relation to prove")
-        if token.text == "infeas":
+        relation = self.next("relation to prove")
+        if relation == "infeas":
             return Rtp.make_infeasible()
-        if token.text != "range":
-            raise self.stream.error(
-                token,
-                ParseErrorKind.UNEXPECTED_TOKEN,
-                f"expected infeas or range, found {token.text!r}",
+        if relation != "range":
+            raise self.error(
+                ParseErrorKind.UNEXPECTED_TOKEN, f"expected infeas or range, found {relation!r}"
             )
-        lb_token = self.stream.next("lower bound")
-        lb = None if lb_token.text == "-inf" else self.rational_value(lb_token)
-        ub_token = self.stream.next("upper bound")
-        ub = None if ub_token.text == "inf" else self.rational_value(ub_token)
+        lb_text = self.next("lower bound")
+        lb = None if lb_text == "-inf" else self.rational_value(lb_text)
+        ub_text = self.next("upper bound")
+        ub = None if ub_text == "inf" else self.rational_value(ub_text)
         return Rtp.make_range(lb, ub)
 
     def solution_point(self, n: int, ordinal: int) -> SolutionPoint:
         what = f"solution {ordinal}"
         name = self.name(f"{what} name")
         t = self.count(f"{what} term count")
-        coords: dict[int, Rational] = {}
-        for _ in range(t):
-            token = self.stream.peek()
-            j = self.shifted_index(n, f"{what} variable index")
-            if j in coords:
-                raise self.stream.error(
-                    token, ParseErrorKind.BAD_INDEX, f"duplicate variable index {j - 1} in {what}"
-                )
-            coords[j] = self.rational(f"{what} value")
-        return SolutionPoint(name=name, coords=coords)
+        return SolutionPoint(name=name, coords=self.index_values(t, n, what, "variable", "value"))
 
     def derived_constraint(
         self, n: int, d: int, objective: LinearExpr, ordinal: int
@@ -308,14 +304,12 @@ class _Parser:
         what = f"derivation {ordinal}"
         constraint = self.constraint_body(n, objective, what)
         self.keyword("{", ParseErrorKind.UNEXPECTED_TOKEN)
-        reason_token = self.stream.next("reason", ParseErrorKind.UNKNOWN_REASON)
+        reason_text = self.next("reason", ParseErrorKind.UNKNOWN_REASON)
         try:
-            reason = Reason(reason_token.text)
+            reason = Reason(reason_text)
         except ValueError:
-            raise self.stream.error(
-                reason_token,
-                ParseErrorKind.UNKNOWN_REASON,
-                f"unknown reason {reason_token.text!r}",
+            raise self.error(
+                ParseErrorKind.UNKNOWN_REASON, f"unknown reason {reason_text!r}"
             ) from None
 
         data: Union[None, Multipliers, Unsplit]
@@ -323,18 +317,7 @@ class _Parser:
             data = None
         elif reason in (Reason.LIN, Reason.RND):
             c = self.count(f"{what} multiplier count")
-            weights: dict[int, Rational] = {}
-            for _ in range(c):
-                token = self.stream.peek()
-                i = self.shifted_index(d, f"{what} constraint index")
-                if i in weights:
-                    raise self.stream.error(
-                        token,
-                        ParseErrorKind.BAD_INDEX,
-                        f"duplicate constraint index {i - 1} in {what}",
-                    )
-                weights[i] = self.rational(f"{what} multiplier")
-            data = Multipliers(weights)
+            data = Multipliers(self.index_values(c, d, what, "constraint", "multiplier"))
         else:  # uns: exactly four indices, no weights
             i1 = self.shifted_index(d, f"{what} unsplit index")
             l1 = self.shifted_index(d, f"{what} unsplit index")
@@ -342,14 +325,31 @@ class _Parser:
             l2 = self.shifted_index(d, f"{what} unsplit index")
             data = Unsplit(i1, l1, i2, l2)
         self.keyword("}", ParseErrorKind.UNEXPECTED_TOKEN)
-        _, legacy = self.integer(f"{what} index attribute", ParseErrorKind.UNEXPECTED_TOKEN)
+        legacy = self.integer(f"{what} index attribute", ParseErrorKind.UNEXPECTED_TOKEN)
         return DerivedConstraint(constraint=constraint, reason=reason, data=data, legacy_index=legacy)
+
+
+def _decode(data: bytes) -> str:
+    """The bytes as UTF-8 text; an undecodable byte is a parse error
+    located at its line and column."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = len(data[line_start : exc.start].decode("utf-8")) + 1
+        raise ParseError(
+            line,
+            column,
+            ParseErrorKind.UNEXPECTED_TOKEN,
+            f"input is not valid UTF-8 at byte 0x{data[exc.start]:02x}: {exc.reason}",
+        ) from None
 
 
 def parse_certificate(source: Union[str, bytes]) -> tuple[Problem, Certificate]:
     """Parse VIPR 1.0 text into (Problem, Certificate)."""
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = _decode(source)
     return _Parser(source).parse()
 
 

@@ -11,9 +11,11 @@ syntax (`p` or `p/q`, never decimals) used by the certificate format.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import re
+import sys
 from fractions import Fraction
+from typing import Iterator
 
 Rational = Fraction
 
@@ -28,11 +30,13 @@ __all__ = [
     "DecimalNotationError",
     "MalformedNumberError",
     "ZeroDenominatorError",
+    "is_integer_literal",
     "parse_rational",
     "format_rational",
     "floor_int",
     "ceil_int",
     "is_integer",
+    "unlimited_int_digits",
 ]
 
 
@@ -52,31 +56,34 @@ class ZeroDenominatorError(RationalSyntaxError):
     """Fraction literal with denominator zero."""
 
 
-_INTEGER = re.compile(r"[+-]?\d+\Z")
-_FRACTION = re.compile(r"([+-]?\d+)/([+-]?\d+)\Z")
+def is_integer_literal(text: str) -> bool:
+    """`[+-]?` followed by one or more decimal digits (Unicode Nd)."""
+    return text.isdecimal() or (text[:1] in ("+", "-") and text[1:].isdecimal())
 
 
 def parse_rational(token: str) -> Rational:
     """Parse `p` or `p/q` into a canonical Rational.
 
+    `p` and `q` are integer literals: an optional sign and decimal digits.
     Decimal notation raises DecimalNotationError; a zero denominator
     raises ZeroDenominatorError; anything else non-conforming raises
     MalformedNumberError.  A signed denominator is normalized into the
     numerator.
     """
+    numerator, slash, denominator = token.partition("/")
+    if is_integer_literal(numerator):
+        if not slash:
+            return Fraction(int(numerator))
+        if is_integer_literal(denominator):
+            q = int(denominator)
+            if q == 0:
+                raise ZeroDenominatorError(f"zero denominator: {token!r}")
+            return Fraction(int(numerator), q)
     if "." in token:
         raise DecimalNotationError(
             f"decimal notation is not accepted, write a fraction instead: {token!r}"
         )
-    if _INTEGER.match(token):
-        return Fraction(int(token))
-    m = _FRACTION.match(token)
-    if m is None:
-        raise MalformedNumberError(f"not an integer or p/q fraction: {token!r}")
-    denominator = int(m.group(2))
-    if denominator == 0:
-        raise ZeroDenominatorError(f"zero denominator: {token!r}")
-    return Fraction(int(m.group(1)), denominator)
+    raise MalformedNumberError(f"not an integer or p/q fraction: {token!r}")
 
 
 def format_rational(value: Rational) -> str:
@@ -98,3 +105,20 @@ def ceil_int(value: Rational) -> int:
 
 def is_integer(value: Rational) -> bool:
     return value.denominator == 1
+
+
+@contextlib.contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lift CPython's limit on int <-> str conversion digits while the
+    block runs: exact certificates may carry integers of any length.
+    The limit is process-wide, so only command entry points use this."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters from before the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Union
 
+from .rational import unlimited_int_digits
+
 Node = Union[str, list]
 Value = Union[bool, int, Fraction]
 
@@ -247,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"(error \"cannot read {args[0]}: {exc}\")", file=sys.stderr)
         return 2
     try:
-        run_script(text)
+        with unlimited_int_digits():
+            run_script(text)
     except EvalError as exc:
         print(f"(error \"{exc}\")", file=sys.stderr)
         return 1

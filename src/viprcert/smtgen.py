@@ -451,8 +451,9 @@ def dispatch(
     """Run the solver over every file with a bounded subprocess pool.
 
     Work not yet started when some file comes back unsat is cancelled;
-    a timeout or unparseable solver response is recorded as a failure
-    of that file and makes the aggregate an error, never a pass.
+    a timeout, a nonzero exit status or an unparseable solver response
+    is recorded as a failure of that file and makes the aggregate an
+    error, never a pass.
     """
     paths = [f.path if isinstance(f, EmittedFile) else Path(f) for f in files]
     stop = threading.Event()
@@ -476,6 +477,10 @@ def dispatch(
             process.kill()
             process.communicate()
             return FileOutcome(path, "timeout", f"no answer within {timeout_s}s")
+        if process.returncode != 0:
+            output = stderr.strip() or stdout.strip()
+            detail = f"exit {process.returncode}" + (f": {output}" if output else "")
+            return FileOutcome(path, "error", detail[:500])
         answer = _parse_solver_output(stdout)
         if answer == "sat":
             return FileOutcome(path, "sat")

@@ -210,3 +210,46 @@ def test_check_empty_constraint_system_is_an_internal_error(command, tmp_path, c
     f.write_text("VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 0 0\nRTP infeas\nSOL 0\nDER 0\n")
     assert main(command_argv(command, f, tmp_path)) == 3
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_utf8_input_is_a_located_parse_error(command, tmp_path, capsys):
+    bad = tmp_path / "latin1.vipr"
+    bad.write_bytes(b"VER 1.0\nVAR 1\nx\xe9\n")
+    assert main(command_argv(command, bad, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error at line 3, column 2: [UnexpectedToken]")
+    assert "Traceback" not in err
+
+
+def _huge_infeasible_certificate(tmp_path):
+    """x >= N and x <= N - 1 with a 5000-digit N: 0 >= 1 follows.  The
+    digits stay text here, beyond the interpreter's default int limit."""
+    digits = "1" + "0" * 4998
+    text = (
+        "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 2 0\n"
+        f"lo G {digits}7 1 0 1\nhi L {digits}6 1 0 1\n"
+        "RTP infeas\nSOL 0\nDER 1\nabsurd G 1 0 { lin 2 0 1 1 -1 } -1\n"
+    )
+    path = tmp_path / "huge.vipr"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("command", ("check", "verify"))
+def test_huge_literals_keep_the_verdict_exit_code(command, tmp_path, capsys):
+    path = _huge_infeasible_certificate(tmp_path)
+    extra = ["--solver", SOLVER_COMMAND] if command == "verify" else []
+    assert main([command, str(path), *extra]) == 0
+    captured = capsys.readouterr()
+    assert "VALID" in captured.out.splitlines()
+    assert "Traceback" not in captured.err
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("viprcert.cli.check_certificate_report", explode)
+    assert main(["check", str(fixture_path("cert0"))]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

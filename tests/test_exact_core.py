@@ -1,0 +1,359 @@
+"""Differential tests of the exact core against plain references.
+
+- The integer-scaled combination, domination, roundability, rounding and
+  split test of `viprcert.algebra` against the `Fraction` implementation
+  they replaced, kept here as the reference.
+- `parse_rational` against its regular-expression definition.
+- Parse-error positions, which the parser computes only when it raises,
+  against an eager tokenizer that records every token's line and column.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from fractions import Fraction
+from typing import Callable
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import CORPUS, fixture_path
+
+from viprcert import (
+    Constraint,
+    LinearExpr,
+    Multipliers,
+    ParseError,
+    Sign,
+    constraint_dominates,
+    dominates,
+    is_split_disjunction,
+    linear_combination,
+    parse_certificate,
+    rnd_dominance,
+    roundable_flags,
+)
+from viprcert.parser import _token_position
+from viprcert.rational import RationalSyntaxError, parse_rational
+
+# --- Fraction reference for the constraint algebra ----------------------------
+
+
+def reference_dominates(lhs, rhs, eq, geq, leq, target: Constraint) -> bool:
+    if lhs.is_zero:
+        if eq:
+            absurd = rhs != 0
+        elif geq:
+            absurd = rhs > 0
+        elif leq:
+            absurd = rhs < 0
+        else:
+            absurd = False
+        if absurd:
+            return True
+    if lhs != target.lhs:
+        return False
+    if target.sign is Sign.EQ:
+        return eq and rhs == target.rhs
+    if target.sign is Sign.GEQ:
+        return geq and rhs >= target.rhs
+    return leq and rhs <= target.rhs
+
+
+def reference_combination(
+    multipliers: Multipliers, resolve: Callable[[int], Constraint]
+) -> tuple[LinearExpr, Fraction, bool, bool]:
+    accumulated: dict[int, Fraction] = {}
+    rhs = Fraction(0)
+    geq = True
+    leq = True
+    for i, weight in multipliers.items_sorted():
+        constraint = resolve(i)
+        weighted_sign = weight * constraint.sign.value
+        if weighted_sign < 0:
+            geq = False
+        if weighted_sign > 0:
+            leq = False
+        for j, coefficient in constraint.lhs.terms.items():
+            accumulated[j] = accumulated.get(j, Fraction(0)) + weight * coefficient
+        rhs += weight * constraint.rhs
+    return LinearExpr(accumulated), rhs, geq, leq
+
+
+def reference_roundable(lhs: LinearExpr, eq: bool, int_vars) -> bool:
+    if eq:
+        return False
+    return all(j in int_vars and c.denominator == 1 for j, c in lhs.terms.items())
+
+
+def reference_rnd_dominance(lhs, rhs, geq, leq, target) -> bool:
+    rounded = math.ceil(rhs) if geq else math.floor(rhs)
+    return reference_dominates(lhs, Fraction(rounded), False, geq, leq, target)
+
+
+def reference_split(ci: Constraint, cj: Constraint, int_vars) -> bool:
+    if ci.lhs != cj.lhs:
+        return False
+    for j, coefficient in ci.lhs.terms.items():
+        if j not in int_vars or coefficient.denominator != 1:
+            return False
+    if ci.rhs.denominator != 1 or cj.rhs.denominator != 1:
+        return False
+    si = ci.sign.value
+    sj = cj.sign.value
+    if si == 0 or si + sj != 0:
+        return False
+    if si == 1:
+        return ci.rhs == cj.rhs + 1
+    return ci.rhs == cj.rhs - 1
+
+
+# --- random rows: mixed denominators, negative weights, cancellations ---------
+
+N_VARS = 4
+INT_VARS = frozenset({1, 2, 3})
+denominators = st.sampled_from([1, 1, 1, 2, 3, 4, 5, 6, 7, 12])
+rationals = st.builds(Fraction, st.integers(-30, 30), denominators)
+nonzero = rationals.filter(bool)
+signs = st.sampled_from(list(Sign))
+
+
+@st.composite
+def constraints(draw):
+    terms = {j: draw(rationals) for j in range(1, N_VARS + 1) if draw(st.booleans())}
+    return Constraint("r", LinearExpr(terms), draw(signs), draw(rationals))
+
+
+def scaled_copy(c: Constraint, factor: Fraction) -> Constraint:
+    """factor * c, with the relation flipped for a negative factor."""
+    sign = Sign(c.sign.value * (1 if factor > 0 else -1))
+    terms = {j: v * factor for j, v in c.lhs.terms.items()}
+    return Constraint("scaled", LinearExpr(terms), sign, c.rhs * factor)
+
+
+@st.composite
+def combinations(draw):
+    """A pool of constraints and multipliers over it.  A cancelling pair
+    (w on c, -w / f on f * c) is added half the time, so the pair's
+    terms vanish exactly."""
+    pool = draw(st.lists(constraints(), min_size=1, max_size=5))
+    weights = {
+        i + 1: draw(rationals) for i in range(len(pool)) if draw(st.booleans())
+    }
+    if draw(st.booleans()):
+        a = draw(st.integers(1, len(pool)))
+        factor = draw(nonzero)
+        w = draw(nonzero)
+        pool.append(scaled_copy(pool[a - 1], factor))
+        if draw(st.booleans()):
+            weights = {}
+        weights[a] = w
+        weights[len(pool)] = -w / factor
+    return pool, Multipliers(weights)
+
+
+@st.composite
+def targets_near(draw, lhs: LinearExpr, rhs: Fraction):
+    """Usually the combination itself under some relation and a nearby
+    bound, sometimes an unrelated constraint."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(constraints())
+    shift = draw(st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 3)]))
+    return Constraint("t", lhs, draw(signs), rhs + shift)
+
+
+@settings(max_examples=400)
+@given(combinations(), st.data())
+def test_combination_domination_and_rounding_match_the_fraction_reference(case, data):
+    pool, multipliers = case
+    resolve = lambda i: pool[i - 1]  # noqa: E731
+    combo = linear_combination(multipliers, resolve)
+    lhs, rhs, geq, leq = reference_combination(multipliers, resolve)
+    assert (combo.lhs, combo.rhs, combo.geq, combo.leq) == (lhs, rhs, geq, leq)
+    assert combo.eq == (geq and leq) and combo.suitable == (geq or leq)
+
+    target = data.draw(targets_near(lhs, rhs))
+    eq = geq and leq
+    assert combo.dominates(target) == reference_dominates(lhs, rhs, eq, geq, leq, target)
+    assert combo.roundable(INT_VARS) == reference_roundable(lhs, eq, INT_VARS)
+    rounded_target = data.draw(targets_near(lhs, Fraction(math.ceil(rhs))))
+    for t in (target, rounded_target):
+        want = reference_rnd_dominance(lhs, rhs, geq, leq, t)
+        assert combo.rounded_dominates(t) == want
+        assert rnd_dominance(lhs, rhs, geq, leq, t) == want
+
+
+@settings(max_examples=400)
+@given(constraints(), st.booleans(), st.booleans(), st.booleans(), st.data())
+def test_public_domination_and_roundability_match_the_fraction_reference(
+    source, eq, geq, leq, data
+):
+    # the flags are drawn independently, also in combinations no
+    # combination produces
+    target = data.draw(targets_near(source.lhs, source.rhs))
+    lhs, rhs = source.lhs, source.rhs
+    assert dominates(lhs, rhs, eq, geq, leq, target) == reference_dominates(
+        lhs, rhs, eq, geq, leq, target
+    )
+    s = source.sign.value
+    assert constraint_dominates(source, target) == reference_dominates(
+        lhs, rhs, s == 0, s >= 0, s <= 0, target
+    )
+    assert roundable_flags(lhs, eq, INT_VARS) == reference_roundable(lhs, eq, INT_VARS)
+
+
+@st.composite
+def split_pairs(draw):
+    """Mostly near-splits: integral rows with opposite relations and
+    bounds one apart, then perturbed."""
+    base = draw(constraints())
+    if draw(st.booleans()):
+        return base, draw(constraints())
+    terms = {j: Fraction(v.numerator) for j, v in base.lhs.terms.items()}
+    lhs = LinearExpr(terms)
+    b = Fraction(draw(st.integers(-5, 5)))
+    low = Constraint("l", lhs, Sign.LEQ, b + draw(st.sampled_from([0, 0, 1, Fraction(1, 2)])))
+    high = Constraint("h", lhs, Sign.GEQ, b + 1)
+    return (low, high) if draw(st.booleans()) else (high, low)
+
+
+@settings(max_examples=400)
+@given(split_pairs())
+@example((  # 0 <= 0 and 0 >= 1/2: bounds one apart only once scaled
+    Constraint("l", LinearExpr({}), Sign.LEQ, Fraction(0)),
+    Constraint("h", LinearExpr({}), Sign.GEQ, Fraction(1, 2)),
+))
+def test_split_disjunction_matches_the_fraction_reference(pair):
+    ci, cj = pair
+    assert is_split_disjunction(ci, cj, INT_VARS) == reference_split(ci, cj, INT_VARS)
+
+
+# --- parse_rational against its regular-expression definition --------------
+
+_INTEGER = re.compile(r"[+-]?\d+\Z")
+_FRACTION = re.compile(r"([+-]?\d+)/([+-]?\d+)\Z")
+
+
+def reference_parse_rational(token: str) -> Fraction:
+    from viprcert.rational import (
+        DecimalNotationError,
+        MalformedNumberError,
+        ZeroDenominatorError,
+    )
+
+    if "." in token:
+        raise DecimalNotationError(
+            f"decimal notation is not accepted, write a fraction instead: {token!r}"
+        )
+    if _INTEGER.match(token):
+        return Fraction(int(token))
+    m = _FRACTION.match(token)
+    if m is None:
+        raise MalformedNumberError(f"not an integer or p/q fraction: {token!r}")
+    denominator = int(m.group(2))
+    if denominator == 0:
+        raise ZeroDenominatorError(f"zero denominator: {token!r}")
+    return Fraction(int(m.group(1)), denominator)
+
+
+def _outcome(parse, token):
+    try:
+        return parse(token)
+    except RationalSyntaxError as exc:
+        return type(exc), str(exc)
+
+
+EDGE_TOKENS = [
+    "+", "-", "", "1_0", "٣", "1/-2", "-0/5", "3/0", "+-1", "--1", "1/", "/1",
+    "1//2", "²", "½", "-٣/٤", "0x1", "1e3", "1.5", ".", "1/2.0", "+0/-0",
+    "-00/+007", "7", "-7", "+7", "14/3", "-6/4", "1/2/3", "inf", "-inf",
+]
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_parse_rational_matches_the_regex_definition_on_edge_tokens(token):
+    assert _outcome(parse_rational, token) == _outcome(reference_parse_rational, token)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789+-/._x٣²", max_size=8))
+def test_parse_rational_matches_the_regex_definition(token):
+    assert _outcome(parse_rational, token) == _outcome(reference_parse_rational, token)
+
+
+# --- error positions computed on demand against an eager tokenizer ----------
+
+_TOKEN_RE = re.compile(r"\S+")
+
+
+def eager_positions(text: str) -> list[tuple[str, int, int]]:
+    """Every token with its line and column, lines split at "\\n" only."""
+    return [
+        (match.group(), lineno, match.start() + 1)
+        for lineno, line in enumerate(text.split("\n"), start=1)
+        for match in _TOKEN_RE.finditer(line)
+    ]
+
+
+SEPARATORS = [
+    " ", " ", "\t", "\n", "\r\n", "\n\n", " \t\n\r\n", "\x0b", "\x0c",
+    "\xa0", "\x1c", "\x85", "\u2028", "\u3000",
+]
+CORRUPTIONS = ["@", "0.5", "-1", "999", "x", "1/0", "{", "}", "+", "OBJ", None]
+
+
+@st.composite
+def layouts(draw):
+    """A corpus file's tokens, one of them corrupted (None deletes it) or
+    the file cut short, laid out with random whitespace."""
+    tokens = fixture_path(draw(st.sampled_from(CORPUS))).read_text().split()
+    i = draw(st.integers(0, len(tokens) - 1))
+    bad = draw(st.sampled_from(CORRUPTIONS + ["truncate"]))
+    if bad == "truncate":
+        del tokens[i:]
+    elif bad is None:
+        del tokens[i]
+    else:
+        tokens[i] = bad
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1,
+                         max_size=len(tokens) + 1))
+    return tokens, seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+
+
+def _parse_error(text: str):
+    try:
+        parse_certificate(text)
+    except ParseError as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=200)
+@given(layouts())
+def test_lazy_error_positions_match_an_eager_tokenizer(layout):
+    tokens, text = layout
+    eager = eager_positions(text)
+    assert [t for t, _, _ in eager] == tokens
+    for index, (_, line, column) in enumerate(eager):
+        assert _token_position(text, index) == (line, column)
+
+    # the failing token is found from the same tokens on one line, where a
+    # column names a token unambiguously
+    flat = " ".join(tokens)
+    flat_error = _parse_error(flat)
+    error = _parse_error(text)
+    if flat_error is None:
+        assert error is None
+        return
+    assert (error.kind, error.message) == (flat_error.kind, flat_error.message)
+    starts = [m.start() + 1 for m in _TOKEN_RE.finditer(flat)]
+    if flat_error.column in starts:
+        _, line, column = eager[starts.index(flat_error.column)]
+    elif eager:  # end of input, just past the last token
+        last, line, column = eager[-1]
+        column += len(last)
+        assert flat_error.column == len(flat) + 1
+    else:
+        line, column = 1, 1
+    assert (error.line, error.column) == (line, column)

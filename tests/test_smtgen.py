@@ -131,6 +131,17 @@ def test_dispatch_unparseable_output_is_an_error(tmp_path):
     assert result.aggregate is Aggregate.ERROR
 
 
+def test_dispatch_nonzero_exit_is_an_error_even_after_sat(tmp_path):
+    files = _emit_fixture("forged2", tmp_path / "x")
+    import shlex, sys
+
+    liar = f"{shlex.quote(sys.executable)} -c 'print(\"sat\"); raise SystemExit(3)'"
+    result = dispatch(files[:1], liar, jobs=1)
+    assert result.outcomes[0].status == "error"
+    assert result.outcomes[0].detail.startswith("exit 3")
+    assert result.aggregate is Aggregate.ERROR
+
+
 def test_solver_command_placeholder_and_append(tmp_path):
     files = _emit_fixture("forged2", tmp_path / "p")
     with_placeholder = dispatch(files, SOLVER_COMMAND, jobs=1)
