@@ -1,84 +1,8 @@
 """Skeptical verifier for VIPR 1.0 certificates of MILP results.
 
-Two independent verification routes over one parsed model: a native
-exact-rational evaluation of the validity formula, and emission of the
-same formula as ground SMT-LIB files checked by an external solver.
-Both routes must agree.
+The package root exports nothing: import from the module that defines a
+name (`parser`, `checker`, `smtgen`, `smteval`, ...), so a solver child
+that runs `python -m viprcert.smteval` loads only what it uses.
 """
-
-from .algebra import (
-    PseudoConstraint,
-    UnresolvableIndex,
-    constraint_dominates,
-    dominates,
-    is_split_disjunction,
-    linear_combination,
-    rnd_dominance,
-    roundable_flags,
-    sign_value,
-)
-from .checker import (
-    AssumptionSets,
-    CheckReport,
-    EmptyConstraintSystem,
-    RtpFlags,
-    check_certificate,
-    check_certificate_report,
-    compute_assumption_sets,
-    phi_der,
-    phi_der_k,
-    phi_feas,
-    phi_prv,
-    phi_sol,
-)
-from .model import (
-    Certificate,
-    Constraint,
-    DerivedConstraint,
-    IndexOutOfRange,
-    LinearExpr,
-    Location,
-    Multipliers,
-    Problem,
-    Reason,
-    Rtp,
-    Sense,
-    Sign,
-    SolutionPoint,
-    Unsplit,
-    Verdict,
-    constraint_at,
-    nz,
-    total_constraints,
-)
-from .oracle import (
-    BoxBounds,
-    BruteForceResult,
-    EnumerationTooLarge,
-    UnsupportedContinuousVariable,
-    brute_force,
-)
-from .parser import ParseError, ParseErrorKind, parse_certificate, serialize_certificate
-from .rational import (
-    DecimalNotationError,
-    MalformedNumberError,
-    Rational,
-    ZeroDenominatorError,
-    ceil_int,
-    floor_int,
-    format_rational,
-    is_integer,
-    parse_rational,
-)
-from .smtgen import (
-    Aggregate,
-    DispatchResult,
-    EmissionPlan,
-    EmittedFile,
-    FileOutcome,
-    SolverSpawnError,
-    dispatch,
-    emit,
-)
 
 __version__ = "0.1.0"

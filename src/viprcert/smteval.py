@@ -1,240 +1,157 @@
-"""Evaluator for ground (variable-free) SMT-LIB v2 scripts.
+"""Evaluator for the ground SMT-LIB scripts that `viprcert.smtgen` writes.
 
-On scripts with no declared symbols a solver acts purely as a Boolean
-function evaluator, so this small command is a drop-in stand-in where
-no full SMT solver is installed: it reads a script, evaluates every
-`(assert ...)` over exact rationals, and answers `sat` exactly when all
-asserted terms are true.  It understands the core Boolean connectives
-and mixed integer/real arithmetic (`+ - * / to_int to_real is_int`,
-comparisons, `ite`), which covers the emitted certificate formulas and
-the obvious neighborhood around them.
+A script with no declared symbols is a Boolean function of its
+constants, so where no SMT solver is installed this command stands in
+for one: it evaluates every `(assert ...)` over exact rationals and
+answers `sat` exactly when all asserted terms are true.  It decides the
+SMT route's verdict, so it reads the emitter's language and nothing else:
+commands `set-logic`, `assert` and `check-sat`; atoms `true`, `false`
+and numerals (ASCII digit strings); operators
+`and or not = < <= > >= + - * / to_real to_int is_int`.  Anything else,
+an operand of the wrong sort or count, division by zero or nesting
+deeper than `MAX_DEPTH` is an `EvalError`.
 
 Usage: viprcert-smteval FILE  (or `python -m viprcert.smteval FILE`).
+Prints one answer per `(check-sat)` and exits 0; on a rejected script it
+prints one `(error "...")` line and exits 1; an unreadable FILE exits 2.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Union
 
 from .rational import unlimited_int_digits
 
 Node = Union[str, list]
 Value = Union[bool, int, Fraction]
 
+MAX_DEPTH = 100  # emitted files nest at most 14 deep
+
+_TOKEN = re.compile(r"[()]|[^()\s]+")
+
 
 class EvalError(Exception):
-    pass
+    """The script is outside the evaluated language or has no value."""
 
 
-_ATOM_INT = re.compile(r"[0-9]+\Z")
-_ATOM_DECIMAL = re.compile(r"[0-9]+\.[0-9]+\Z")
-
-
-def tokenize(text: str) -> Iterator[str]:
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "() \t\r\n":
-            if ch in "()":
-                yield ch
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise EvalError("unterminated quoted symbol")
-            yield text[i : j + 1]
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise EvalError("unterminated string literal")
-            yield text[i : j + 1]
-            i = j + 1
+def _fold(text: str, close: Callable[[list], object]) -> list:
+    """The script's top-level applications as token lists, in which every
+    nested application is replaced by `close` of it, innermost first."""
+    stack: list[list] = []
+    top: list = []
+    for match in _TOKEN.finditer(text):
+        token = match.group()
+        if token == "(":
+            if len(stack) == MAX_DEPTH:
+                raise EvalError(f"terms nest deeper than {MAX_DEPTH}")
+            stack.append(top)
+            top = []
+        elif token == ")":
+            if not stack:
+                raise EvalError("unbalanced ')'")
+            done, top = top, stack.pop()
+            top.append(close(done) if stack else done)
         else:
-            j = i
-            while j < n and text[j] not in "() \t\r\n;":
-                j += 1
-            yield text[i:j]
-            i = j
+            top.append(token)
+    if stack:
+        raise EvalError("unbalanced '('")
+    return top
 
 
 def parse_script(text: str) -> list[Node]:
-    stack: list[list] = [[]]
-    for token in tokenize(text):
-        if token == "(":
-            stack.append([])
-        elif token == ")":
-            if len(stack) == 1:
-                raise EvalError("unbalanced ')'")
-            done = stack.pop()
-            stack[-1].append(done)
-        else:
-            stack[-1].append(token)
-    if len(stack) != 1:
-        raise EvalError("unbalanced '('")
-    return stack[0]
+    """The script's top-level terms as nested lists of tokens."""
+    return _fold(text, lambda node: node)
 
 
-def _is_number(value: Value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+def _atom(token: str) -> Value:
+    if token.isdigit() and token.isascii():
+        return int(token)
+    if token == "true" or token == "false":
+        return token == "true"
+    raise EvalError(f"unknown symbol {token!r} (script is not ground)")
 
 
-def _number(node: Node) -> Value:
-    value = evaluate(node)
-    if not _is_number(value):
-        raise EvalError(f"expected a number, got {value!r}")
-    return value
+def _chain(compare) -> Callable[[list], bool]:
+    return lambda values: all(map(compare, values, values[1:]))
 
 
-def _boolean(node: Node) -> bool:
-    value = evaluate(node)
-    if not isinstance(value, bool):
-        raise EvalError(f"expected a Boolean, got {value!r}")
-    return value
+def _equal(values: list) -> bool:
+    if len({isinstance(v, bool) for v in values}) > 1:
+        raise EvalError("= applied to mixed Boolean/numeric operands")
+    return all(values[0] == v for v in values[1:])
+
+
+def _divide(values: list) -> Value:
+    dividend, divisor = values[0], math.prod(values[1:])
+    if divisor == 0:
+        raise EvalError("division by zero")
+    if dividend % divisor == 0:  # integral quotients stay Python ints
+        return dividend // divisor
+    return Fraction(dividend, divisor)
+
+
+_BOOL, _NUMBER = frozenset({bool}), frozenset({int, Fraction})
+_MANY = sys.maxsize
+# operator -> (operand sorts, fewest operands, most operands, meaning)
+_OPERATORS = {
+    "not": (_BOOL, 1, 1, lambda v: not v[0]),
+    "and": (_BOOL, 0, _MANY, all),
+    "or": (_BOOL, 0, _MANY, any),
+    "=": (_BOOL | _NUMBER, 2, _MANY, _equal),
+    "<": (_NUMBER, 2, _MANY, _chain(operator.lt)),
+    "<=": (_NUMBER, 2, _MANY, _chain(operator.le)),
+    ">": (_NUMBER, 2, _MANY, _chain(operator.gt)),
+    ">=": (_NUMBER, 2, _MANY, _chain(operator.ge)),
+    "+": (_NUMBER, 0, _MANY, sum),
+    "-": (_NUMBER, 1, _MANY, lambda v: -v[0] if len(v) == 1 else v[0] - sum(v[1:])),
+    "*": (_NUMBER, 0, _MANY, math.prod),
+    "/": (_NUMBER, 2, _MANY, _divide),
+    "to_real": (_NUMBER, 1, 1, lambda v: Fraction(v[0])),
+    "to_int": (_NUMBER, 1, 1, lambda v: math.floor(v[0])),
+    "is_int": (_NUMBER, 1, 1, lambda v: v[0].denominator == 1),
+}
+
+
+def _apply(node: list) -> Value:
+    """Value of an application whose operands are atoms or values."""
+    try:
+        sorts, fewest, most, meaning = _OPERATORS[node[0]]
+    except (IndexError, KeyError, TypeError):
+        raise EvalError(f"unsupported operator in {node[:1]!r}") from None
+    values = [_atom(x) if isinstance(x, str) else x for x in node[1:]]
+    if not fewest <= len(values) <= most:
+        raise EvalError(f"{node[0]} given {len(values)} operands")
+    if not set(map(type, values)) <= sorts:
+        raise EvalError(f"{node[0]} applied to an operand of the wrong sort")
+    return meaning(values)
 
 
 def evaluate(node: Node) -> Value:
+    """Value of a term given as a tree from `parse_script`."""
     if isinstance(node, str):
-        if node == "true":
-            return True
-        if node == "false":
-            return False
-        if _ATOM_INT.match(node):
-            return int(node)
-        if _ATOM_DECIMAL.match(node):
-            return Fraction(node)
-        raise EvalError(f"unknown symbol {node!r} (script is not ground)")
-    if not node:
-        raise EvalError("empty application")
-    head = node[0]
-    if not isinstance(head, str):
-        raise EvalError("higher-order application not supported")
-    args = node[1:]
-
-    if head == "not":
-        if len(args) != 1:
-            raise EvalError("not takes one argument")
-        return not _boolean(args[0])
-    if head == "and":
-        return all(_boolean(a) for a in args)
-    if head == "or":
-        return any(_boolean(a) for a in args)
-    if head == "=>":
-        if not args:
-            raise EvalError("=> needs arguments")
-        values = [_boolean(a) for a in args]
-        result = values[-1]
-        for value in reversed(values[:-1]):
-            result = (not value) or result
-        return result
-    if head == "xor":
-        result = False
-        for a in args:
-            result ^= _boolean(a)
-        return result
-    if head == "ite":
-        if len(args) != 3:
-            raise EvalError("ite takes three arguments")
-        return evaluate(args[1]) if _boolean(args[0]) else evaluate(args[2])
-    if head == "=":
-        values = [evaluate(a) for a in args]
-        if len(values) < 2:
-            raise EvalError("= needs at least two arguments")
-        kinds = {isinstance(v, bool) for v in values}
-        if len(kinds) > 1:
-            raise EvalError("= applied to mixed Boolean/numeric arguments")
-        return all(values[0] == v for v in values[1:])
-    if head == "distinct":
-        values = [evaluate(a) for a in args]
-        return len(set(values)) == len(values)
-    if head in ("<", "<=", ">", ">="):
-        values = [_number(a) for a in args]
-        if len(values) < 2:
-            raise EvalError(f"{head} needs at least two arguments")
-        ops = {
-            "<": lambda x, y: x < y,
-            "<=": lambda x, y: x <= y,
-            ">": lambda x, y: x > y,
-            ">=": lambda x, y: x >= y,
-        }
-        return all(ops[head](x, y) for x, y in zip(values, values[1:]))
-    if head == "+":
-        total: Value = 0
-        for a in args:
-            total = total + _number(a)
-        return total
-    if head == "*":
-        product: Value = 1
-        for a in args:
-            product = product * _number(a)
-        return product
-    if head == "-":
-        if not args:
-            raise EvalError("- needs arguments")
-        if len(args) == 1:
-            return -_number(args[0])
-        result = _number(args[0])
-        for a in args[1:]:
-            result = result - _number(a)
-        return result
-    if head == "/":
-        if len(args) < 2:
-            raise EvalError("/ needs at least two arguments")
-        result = Fraction(_number(args[0]))
-        for a in args[1:]:
-            divisor = _number(a)
-            if divisor == 0:
-                raise EvalError("division by zero")
-            result = result / divisor
-        return result
-    if head == "to_real":
-        return Fraction(_number(args[0]))
-    if head == "to_int":
-        value = _number(args[0])
-        return value if isinstance(value, int) else value.__floor__()
-    if head == "is_int":
-        value = _number(args[0])
-        return isinstance(value, int) or value.denominator == 1
-    if head == "abs":
-        return abs(_number(args[0]))
-    raise EvalError(f"unsupported operator {head!r}")
+        return _atom(node)
+    return _apply(node[:1] + [evaluate(operand) for operand in node[1:]])
 
 
 def run_script(text: str, out=sys.stdout) -> bool:
-    """Execute the script; returns True when every check-sat printed sat."""
+    """Run the script as it is read; True when every check-sat printed sat."""
     assertions_hold = True
     all_sat = True
-    for command in parse_script(text):
-        if not isinstance(command, list) or not command:
-            raise EvalError("top-level commands must be applications")
-        name = command[0]
-        if name in ("set-logic", "set-info", "set-option"):
-            continue
-        if name == "exit":
-            break
-        if name == "echo":
-            continue
-        if name == "assert":
-            if len(command) != 2:
-                raise EvalError("assert takes one term")
-            if not _boolean(command[1]):
-                assertions_hold = False
-            continue
-        if name == "check-sat":
-            answer = "sat" if assertions_hold else "unsat"
+    for command in _fold(text, _apply):
+        name = command[0] if isinstance(command, list) and command else None
+        if name == "assert" and len(command) == 2:
+            value = _apply(["and", command[1]])  # the term, checked Boolean
+            assertions_hold = assertions_hold and value
+        elif name == "check-sat":
             all_sat = all_sat and assertions_hold
-            print(answer, file=out)
-            continue
-        raise EvalError(f"unsupported command {name!r}")
+            print("sat" if assertions_hold else "unsat", file=out)
+        elif name != "set-logic":
+            raise EvalError(f"unsupported command {name!r} or operand count")
     return all_sat
 
 
@@ -244,8 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: viprcert-smteval FILE", file=sys.stderr)
         return 2
     try:
-        text = open(args[0], encoding="utf-8").read()
-    except OSError as exc:
+        with open(args[0], encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"(error \"cannot read {args[0]}: {exc}\")", file=sys.stderr)
         return 2
     try:

@@ -490,9 +490,5 @@ def dispatch(
         detail = answer or (stderr.strip() or stdout.strip() or "no output")
         return FileOutcome(path, "error", detail[:500])
 
-    if jobs > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, paths))
-    else:
-        outcomes = [run_one(path) for path in paths]
-    return DispatchResult(outcomes=tuple(outcomes))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return DispatchResult(outcomes=tuple(pool.map(run_one, paths)))

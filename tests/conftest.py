@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 import shlex
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from viprcert import (
+from viprcert.model import (
     Certificate,
     Constraint,
     DerivedConstraint,
@@ -21,12 +22,18 @@ from viprcert import (
     Sign,
     SolutionPoint,
     Unsplit,
-    parse_certificate,
-    serialize_certificate,
 )
+from viprcert.parser import parse_certificate, serialize_certificate
 from viprcert.rational import Rational
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# Child processes (`python -m viprcert...`, solver commands) import the
+# package from this checkout, also when pytest runs without PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+)
 CORPUS = ("cert0", "forged1", "forged2", "manipulated1")
 
 # Bundled ground-formula evaluator, used wherever tests need an external
@@ -257,8 +264,8 @@ def random_valid_certificate(rng: random.Random):
     over a genuine split pair, and the final obligation is discharged
     by a combination of problem constraints only (empty assumption set).
     """
-    from viprcert import constraint_at, linear_combination
-    from viprcert.algebra import roundable_flags
+    from viprcert.algebra import linear_combination, roundable_flags
+    from viprcert.model import constraint_at
 
     n = rng.randint(1, 3)
     int_vars = frozenset(

@@ -24,34 +24,27 @@ from conftest import (
     mutated_variant,
 )
 
-from viprcert import (
-    Aggregate,
-    BoxBounds,
-    Constraint,
-    EmissionPlan,
-    LinearExpr,
-    Multipliers,
-    ParseError,
-    Sign,
-    brute_force,
+from viprcert.algebra import (
+    constraint_dominates,
+    dominates,
+    is_split_disjunction,
+    linear_combination,
+    rnd_dominance,
+    roundable_flags,
+)
+from viprcert.checker import (
     check_certificate,
     check_certificate_report,
     compute_assumption_sets,
-    constraint_dominates,
-    dispatch,
-    dominates,
-    emit,
-    is_split_disjunction,
-    linear_combination,
-    parse_certificate,
-    rnd_dominance,
-    roundable_flags,
-    serialize_certificate,
+    default_jobs,
 )
-from viprcert.checker import default_jobs
+from viprcert.model import Constraint, LinearExpr, Multipliers, Sign
+from viprcert.oracle import BoxBounds, brute_force
+from viprcert.parser import ParseError, parse_certificate, serialize_certificate
 from viprcert.cli import main as cli_main
 from viprcert.rational import Rational, format_rational, parse_rational
 from viprcert.smteval import run_script
+from viprcert.smtgen import Aggregate, EmissionPlan, dispatch, emit
 
 TABLE_ASSUMPTIONS = {
     4: {4},

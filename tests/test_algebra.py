@@ -5,13 +5,8 @@ from hypothesis import given, strategies as st
 
 from conftest import load_fixture
 
-from viprcert import (
-    Constraint,
-    LinearExpr,
-    Multipliers,
-    Sign,
+from viprcert.algebra import (
     UnresolvableIndex,
-    constraint_at,
     constraint_dominates,
     dominates,
     is_split_disjunction,
@@ -20,6 +15,7 @@ from viprcert import (
     roundable_flags,
     sign_value,
 )
+from viprcert.model import Constraint, LinearExpr, Multipliers, Sign, constraint_at
 from viprcert.rational import Rational
 
 I12 = frozenset({1, 2})

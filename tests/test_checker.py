@@ -4,31 +4,35 @@ import pytest
 
 from conftest import load_fixture
 
-from viprcert import (
-    Certificate,
-    Constraint,
-    DerivedConstraint,
+from viprcert.checker import (
     EmptyConstraintSystem,
-    LinearExpr,
-    Multipliers,
-    Problem,
-    Reason,
-    Rtp,
     RtpFlags,
-    Sense,
-    Sign,
-    SolutionPoint,
-    Unsplit,
     check_certificate,
     check_certificate_report,
     compute_assumption_sets,
+    der_violation,
+    final_violation,
     phi_der,
     phi_der_k,
     phi_feas,
     phi_prv,
     phi_sol,
+    sol_violations,
 )
-from viprcert.checker import der_violation, final_violation, sol_violations
+from viprcert.model import (
+    Certificate,
+    Constraint,
+    DerivedConstraint,
+    LinearExpr,
+    Multipliers,
+    Problem,
+    Reason,
+    Rtp,
+    Sense,
+    Sign,
+    SolutionPoint,
+    Unsplit,
+)
 from viprcert.rational import Rational
 
 # Assumption sets of the running infeasibility example, one row per

@@ -20,21 +20,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS, fixture_path
 
-from viprcert import (
-    Constraint,
-    LinearExpr,
-    Multipliers,
-    ParseError,
-    Sign,
+from viprcert.algebra import (
     constraint_dominates,
     dominates,
     is_split_disjunction,
     linear_combination,
-    parse_certificate,
     rnd_dominance,
     roundable_flags,
 )
-from viprcert.parser import _token_position
+from viprcert.model import Constraint, LinearExpr, Multipliers, Sign
+from viprcert.parser import ParseError, _token_position, parse_certificate
 from viprcert.rational import RationalSyntaxError, parse_rational
 
 # --- Fraction reference for the constraint algebra ----------------------------

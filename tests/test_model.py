@@ -4,7 +4,7 @@ import pytest
 
 from conftest import load_fixture
 
-from viprcert import (
+from viprcert.model import (
     Constraint,
     DerivedConstraint,
     IndexOutOfRange,
@@ -102,7 +102,7 @@ def test_multipliers_drop_zero_weights():
 
 
 def test_problem_rejects_out_of_range_variable_references():
-    from viprcert import Problem, Sense
+    from viprcert.model import Problem, Sense
 
     with pytest.raises(ValueError):
         Problem(

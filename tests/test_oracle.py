@@ -4,14 +4,10 @@ import pytest
 
 from conftest import load_fixture
 
-from viprcert import (
+from viprcert.model import Constraint, LinearExpr, Problem, Sense, Sign
+from viprcert.oracle import (
     BoxBounds,
-    Constraint,
     EnumerationTooLarge,
-    LinearExpr,
-    Problem,
-    Sense,
-    Sign,
     UnsupportedContinuousVariable,
     brute_force,
 )

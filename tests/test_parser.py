@@ -7,12 +7,10 @@ import pytest
 
 from conftest import CORPUS, fixture_path, load_fixture
 
-from viprcert import (
+from viprcert.model import Reason, Sense, Sign
+from viprcert.parser import (
     ParseError,
     ParseErrorKind,
-    Reason,
-    Sense,
-    Sign,
     parse_certificate,
     serialize_certificate,
 )

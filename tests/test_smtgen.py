@@ -6,17 +6,9 @@ import pytest
 
 from conftest import SOLVER_COMMAND, load_fixture, random_certificate
 
-from viprcert import (
-    Aggregate,
-    EmissionPlan,
-    SolverSpawnError,
-    check_certificate,
-    compute_assumption_sets,
-    dispatch,
-    emit,
-)
-from viprcert.checker import RtpFlags, sol_violations
+from viprcert.checker import RtpFlags, check_certificate, compute_assumption_sets, sol_violations
 from viprcert.smteval import run_script
+from viprcert.smtgen import Aggregate, EmissionPlan, SolverSpawnError, dispatch, emit
 import io
 
 
@@ -205,7 +197,7 @@ def test_mutants_of_valid_certificates_keep_routes_in_agreement(tmp_path):
     # perturb correct certificates right at the validity boundary; the
     # native verdict and the evaluated formula must flip together
     from conftest import mutate_model, random_valid_certificate
-    from viprcert import parse_certificate, serialize_certificate
+    from viprcert.parser import parse_certificate, serialize_certificate
 
     rng = random.Random(8888)
     flipped = 0
