@@ -100,6 +100,11 @@ def _emit_files(problem, certificate, out_dir, block_size: Optional[int], jobs: 
     return emit(problem, certificate, asets, plan, out_dir)
 
 
+def _total_bytes(files) -> int:
+    """Bytes written across all emitted files."""
+    return sum(emitted.path.stat().st_size for emitted in files)
+
+
 def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
     problem, certificate = parse_certificate(data)
     try:
@@ -117,7 +122,8 @@ def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
                     "last_k": f.last_k,
                 }
                 for f in files
-            ]
+            ],
+            "bytes": _total_bytes(files),
         }
         print(json.dumps(payload))
     else:
@@ -155,6 +161,7 @@ def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
                     }
                     for o in result.outcomes
                 ],
+                "bytes": _total_bytes(files),
                 "timings": {"verify_s": elapsed},
             }
             print(json.dumps(payload))

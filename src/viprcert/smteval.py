@@ -7,9 +7,10 @@ answers `sat` exactly when all asserted terms are true.  It decides the
 SMT route's verdict, so it reads the emitter's language and nothing else:
 commands `set-logic`, `assert` and `check-sat`; atoms `true`, `false`
 and numerals (ASCII digit strings); operators
-`and or not = < <= > >= + - * / to_real to_int is_int`.  Anything else,
-an operand of the wrong sort or count, division by zero or nesting
-deeper than `MAX_DEPTH` is an `EvalError`.
+`and or not = < <= > >= + - * / to_real to_int is_int`; and the flat
+`(let ((name term) ...) body)`, with distinct names that are not bound
+already.  Anything else, an operand of the wrong sort or count, division
+by zero or nesting deeper than `MAX_DEPTH` is an `EvalError`.
 
 Usage: viprcert-smteval FILE  (or `python -m viprcert.smteval FILE`).
 Prints one answer per `(check-sat)` and exits 0; on a rejected script it
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import sys
 from fractions import Fraction
 from typing import Callable, Union
@@ -30,22 +30,29 @@ from .rational import unlimited_int_digits
 Node = Union[str, list]
 Value = Union[bool, int, Fraction]
 
-MAX_DEPTH = 100  # emitted files nest at most 14 deep
-
-_TOKEN = re.compile(r"[()]|[^()\s]+")
+MAX_DEPTH = 100  # emitted files nest at most 11 deep
 
 
 class EvalError(Exception):
     """The script is outside the evaluated language or has no value."""
 
 
-def _fold(text: str, close: Callable[[list], object]) -> list:
-    """The script's top-level applications as token lists, in which every
-    nested application is replaced by `close` of it, innermost first."""
-    stack: list[list] = []
+def _tokens(text: str) -> list[str]:
+    r"""The tokens of `[()]|[^()\s]+`: `str.split` and `re`'s `\s` agree
+    on what is whitespace."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
+def _fold(
+    tokens: list[str], known: dict, unknown: Callable, close: Callable, stack: list
+) -> list:
+    """The script's top-level applications as lists, one frame per open
+    parenthesis.  An operand token is read as its value in `known`, else
+    as `unknown(token, frame)`; a nested application becomes `close` of
+    it, innermost first, called while its enclosing frames are still on
+    `stack`."""
     top: list = []
-    for match in _TOKEN.finditer(text):
-        token = match.group()
+    for token in tokens:
         if token == "(":
             if len(stack) == MAX_DEPTH:
                 raise EvalError(f"terms nest deeper than {MAX_DEPTH}")
@@ -54,10 +61,14 @@ def _fold(text: str, close: Callable[[list], object]) -> list:
         elif token == ")":
             if not stack:
                 raise EvalError("unbalanced ')'")
-            done, top = top, stack.pop()
-            top.append(close(done) if stack else done)
+            done = close(top) if len(stack) > 1 else top
+            top = stack.pop()
+            top.append(done)
+        elif top:
+            value = known.get(token)
+            top.append(unknown(token, top) if value is None else value)
         else:
-            top.append(token)
+            top.append(token)  # the head: an operator, a command or a name to bind
     if stack:
         raise EvalError("unbalanced '('")
     return top
@@ -65,15 +76,7 @@ def _fold(text: str, close: Callable[[list], object]) -> list:
 
 def parse_script(text: str) -> list[Node]:
     """The script's top-level terms as nested lists of tokens."""
-    return _fold(text, lambda node: node)
-
-
-def _atom(token: str) -> Value:
-    if token.isdigit() and token.isascii():
-        return int(token)
-    if token == "true" or token == "false":
-        return token == "true"
-    raise EvalError(f"unknown symbol {token!r} (script is not ground)")
+    return _fold(_tokens(text), {}, lambda token, frame: token, lambda node: node, [])
 
 
 def _chain(compare) -> Callable[[list], bool]:
@@ -81,9 +84,10 @@ def _chain(compare) -> Callable[[list], bool]:
 
 
 def _equal(values: list) -> bool:
-    if len({isinstance(v, bool) for v in values}) > 1:
+    sorts = set(map(type, values))
+    if bool in sorts and len(sorts) > 1:
         raise EvalError("= applied to mixed Boolean/numeric operands")
-    return all(values[0] == v for v in values[1:])
+    return values.count(values[0]) == len(values)
 
 
 def _divide(values: list) -> Value:
@@ -117,36 +121,106 @@ _OPERATORS = {
 }
 
 
-def _apply(node: list) -> Value:
-    """Value of an application whose operands are atoms or values."""
-    try:
-        sorts, fewest, most, meaning = _OPERATORS[node[0]]
-    except (IndexError, KeyError, TypeError):
-        raise EvalError(f"unsupported operator in {node[:1]!r}") from None
-    values = [_atom(x) if isinstance(x, str) else x for x in node[1:]]
-    if not fewest <= len(values) <= most:
-        raise EvalError(f"{node[0]} given {len(values)} operands")
-    if not set(map(type, values)) <= sorts:
-        raise EvalError(f"{node[0]} applied to an operand of the wrong sort")
-    return meaning(values)
+class _Binding(tuple):
+    """`(name value)` read inside a let's binding list."""
+
+
+class _Scope(tuple):
+    """The names a let's binding list has put in scope."""
+
+
+class _Evaluator:
+    """Reads a script in one pass: operands are resolved as they are read,
+    and each application is applied as its `)` is read, so no tree is kept.
+
+    `let` is the flat form `smtgen` writes: a non-empty list of distinct
+    `(name term)` bindings, in which the terms see no name of that list,
+    and one body term, in which the names are in scope until the let
+    closes.  A let inside another let is rejected, so no name is ever
+    shadowed."""
+
+    def __init__(self) -> None:
+        self.stack: list[list] = []
+        self.known: dict[str, Value] = {"true": True, "false": False}
+
+    def commands(self, tokens: list[str]) -> list:
+        return _fold(tokens, self.known, self._unknown, self._close, self.stack)
+
+    def _unknown(self, token: str, frame: list):
+        if token.isdigit() and token.isascii():
+            value = self.known[token] = int(token)
+            return value
+        if len(self.stack) == 1 and frame[0] == "set-logic":
+            return token  # the logic's name, which is not evaluated
+        raise EvalError(f"unknown symbol {token!r} (script is not ground)")
+
+    def _close(self, node: list) -> Value:
+        try:
+            sorts, fewest, most, meaning = _OPERATORS[node[0]]
+        except (IndexError, KeyError):
+            return self._let_part(node)
+        values = node[1:]
+        if not fewest <= len(values) <= most:
+            raise EvalError(f"{node[0]} given {len(values)} operands")
+        if not set(map(type, values)) <= sorts:
+            raise EvalError(f"{node[0]} applied to an operand of the wrong sort")
+        return meaning(values)
+
+    def _let_part(self, node: list):
+        """A let, its binding list, or one of its bindings; anything else
+        is an unsupported operator."""
+        parent, grandparent = self.stack[-1], self.stack[-2]
+        if node[:1] == ["let"]:
+            if len(node) != 3 or type(node[1]) is not _Scope:
+                raise EvalError("let takes one binding list and one body term")
+            for name in node[1]:
+                del self.known[name]
+            return node[2]
+        if parent == ["let"]:
+            if not node or not all(type(b) is _Binding for b in node):
+                raise EvalError("let bindings must be a non-empty list of (symbol term)")
+            names = [name for name, _ in node]
+            if len(set(names)) != len(names):
+                raise EvalError("let binds a name twice")
+            if sum(frame[:1] == ["let"] for frame in self.stack) > 1:
+                raise EvalError("let inside another let")
+            self.known.update(node)
+            return _Scope(names)
+        if grandparent == ["let"]:
+            if len(node) != 2:
+                raise EvalError("let binding is not (symbol term)")
+            # an operator or `let` in the name's place was read as an application
+            name = node[0]
+            if not (isinstance(name, str) and name.isascii() and name.isidentifier()) or (
+                name in ("true", "false")
+            ):
+                raise EvalError(f"let cannot bind {name!r}")
+            return _Binding(node)
+        raise EvalError(f"unsupported operator in {node[:1]!r}")
+
+
+def _flatten(node: Node) -> list[str]:
+    if isinstance(node, str):
+        return [node]
+    return ["(", *(token for operand in node for token in _flatten(operand)), ")"]
 
 
 def evaluate(node: Node) -> Value:
     """Value of a term given as a tree from `parse_script`."""
-    if isinstance(node, str):
-        return _atom(node)
-    return _apply(node[:1] + [evaluate(operand) for operand in node[1:]])
+    ((_, value),) = _Evaluator().commands(["(", "assert", *_flatten(node), ")"])
+    return value
 
 
 def run_script(text: str, out=sys.stdout) -> bool:
     """Run the script as it is read; True when every check-sat printed sat."""
     assertions_hold = True
     all_sat = True
-    for command in _fold(text, _apply):
+    for command in _Evaluator().commands(_tokens(text)):
         name = command[0] if isinstance(command, list) and command else None
         if name == "assert" and len(command) == 2:
-            value = _apply(["and", command[1]])  # the term, checked Boolean
-            assertions_hold = assertions_hold and value
+            if type(command[1]) is not bool:
+                raise EvalError("assert applied to a term that is not Boolean")
+            assertions_hold = assertions_hold and command[1]
         elif name == "check-sat":
             all_sat = all_sat and assertions_hold
             print("sat" if assertions_hold else "unsat", file=out)

@@ -9,6 +9,11 @@ re-derive.  Each file is a ground script: one `(set-logic ALL)`, one
 `(assert ...)` with no declared symbols, one `(check-sat)`, so `sat`
 means "this slice of the formula holds".
 
+Integral values are written as numerals (`7`, `(- 7)`), others as
+`(/ p q)` or `(- (/ p q))`.  A `lin` or `rnd` conjunct writes each
+combined coefficient sum and its bound sum once, in one flat
+`(let ((a<j> S_j) ... (b B)) ...)`, and its tests refer to the names.
+
 Files partition the formula as: one solution-side file, consecutive
 blocks of per-derivation conjuncts, and one file for the closing
 obligation on the last constraint.  The aggregate over all files is
@@ -41,14 +46,17 @@ from .model import (
 )
 from .rational import Rational, ZERO
 
-_RZERO = "(/ 0 1)"
-_RONE = "(/ 1 1)"
+_RZERO = "0"
+_RONE = "1"
 
 
 def _rat(value: Rational) -> str:
-    if value < 0:
-        return f"(- (/ {-value.numerator} {value.denominator}))"
-    return f"(/ {value.numerator} {value.denominator})"
+    """An integral value as a numeral, any other as `(/ p q)`; a negative
+    value as the negation of its magnitude."""
+    numerator, denominator = value.numerator, value.denominator
+    magnitude = abs(numerator)
+    text = str(magnitude) if denominator == 1 else f"(/ {magnitude} {denominator})"
+    return f"(- {text})" if numerator < 0 else text
 
 
 def _conj(parts: Sequence[str]) -> str:
@@ -79,6 +87,14 @@ def _sum(terms: Sequence[str]) -> str:
     if len(terms) == 1:
         return terms[0]
     return "(+ " + " ".join(terms) + ")"
+
+
+def _let(bindings: Sequence[tuple[str, str]], body: str) -> str:
+    """One flat `let` over `body`; a constant body needs none."""
+    if body in ("true", "false"):
+        return body
+    pairs = " ".join(f"({name} {term})" for name, term in bindings)
+    return f"(let ({pairs}) {body})"
 
 
 def _ceil(expr: str) -> str:
@@ -223,9 +239,13 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
         if any(not 1 <= i <= d for i in indices):
             return "false"
         prv = [f"(< {i} {k})" for i in indices]
-        a_exprs, b_expr, geq, leq = _symbolic_combination(problem, certificate, derived.data)
+        a_sums, b_sum, geq, leq = _symbolic_combination(problem, certificate, derived.data)
+        # each sum is written once, bound to a name the tests below refer to
+        a_exprs = {j: f"a{j}" for j in a_sums}
+        bindings = [(a_exprs[j], a_sums[j]) for j in sorted(a_sums)] + [("b", b_sum)]
         if derived.reason is Reason.LIN:
-            return _conj(prv + [_dom_expr(a_exprs, b_expr, geq and leq, geq, leq, target)])
+            dom = _dom_expr(a_exprs, "b", geq and leq, geq, leq, target)
+            return _let(bindings, _conj(prv + [dom]))
         if geq and leq:  # an equality combination is never roundable
             return "false"
         roundable = []
@@ -235,8 +255,9 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
             else:
                 roundable.append(f"(= {a_exprs[j]} {_RZERO})")
         # rounding keeps the absurdity test: ceil(b) > 0 iff b > 0, floor(b) < 0 iff b < 0
-        rounded = _ceil(b_expr) if geq else _floor(b_expr)
-        return _conj(prv + roundable + [_dom_expr(a_exprs, rounded, False, geq, leq, target)])
+        rounded = _ceil("b") if geq else _floor("b")
+        dom = _dom_expr(a_exprs, rounded, False, geq, leq, target)
+        return _let(bindings, _conj(prv + roundable + [dom]))
 
     if derived.reason is Reason.UNS:
         assert isinstance(derived.data, Unsplit)

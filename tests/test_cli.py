@@ -164,6 +164,18 @@ def test_verify_json(capsys):
     assert statuses["final"] == "unsat"
 
 
+def test_emit_and_verify_json_report_the_bytes_written(tmp_path, capsys):
+    sizing = ["--block-size", "2", "--jobs", "1", "--format", "json"]
+    out = tmp_path / "out"
+    assert main(["emit", str(fixture_path("cert0")), "--out", str(out), *sizing]) == 0
+    emitted = json.loads(capsys.readouterr().out)
+    on_disk = sum(path.stat().st_size for path in out.iterdir())
+    assert emitted["bytes"] == on_disk > 0
+    assert main(["verify", str(fixture_path("cert0")), "--solver", SOLVER_COMMAND, *sizing]) == 0
+    verified = json.loads(capsys.readouterr().out)
+    assert verified["bytes"] == on_disk
+
+
 def test_verify_uses_env_solver_by_default(monkeypatch, capsys):
     monkeypatch.setenv("VIPRCERT_SOLVER", SOLVER_COMMAND)
     assert main(["verify", str(fixture_path("forged2"))]) == 1

@@ -1,4 +1,5 @@
-"""Native/SMT agreement on generated certificates of about 150 derivations.
+"""Native/SMT agreement on generated certificates of about 150 and about
+2000 derivations.
 
 The certificates come from the benchmark's generator (`perfbench/gen.py`),
 which builds them without this package and knows in advance where a forged
@@ -68,3 +69,29 @@ def test_native_and_smt_routes_agree_at_scale(kind, seed, tmp_path):
         assert failed.kind == expected.area, label
         if failed.kind == "block":
             assert failed.first_k <= expected.k <= failed.last_k, label
+
+
+@pytest.mark.parametrize("forgery", [None, "rnd"])
+def test_native_and_smt_routes_agree_at_benchmark_scale(forgery, tmp_path):
+    # the shape of the benchmark's smt-medium certificates
+    spec = gen.Spec(n=50, m=150, derivations=2000, kind="optimal", split_depth=8)
+    seed = 1
+    text, expected = gen.render(gen.build(spec, seed), forgery, seed)
+    problem, certificate = parse_certificate(text)
+    assert len(certificate.der) >= 2000
+
+    verdict = check_certificate(problem, certificate)
+    assert verdict.valid == expected.valid
+    if not expected.valid:
+        assert str(verdict.location) == expected.location
+        assert verdict.predicate_id == expected.predicate
+
+    asets = compute_assumption_sets(problem, certificate)
+    plan = EmissionPlan.create(problem, certificate, block_size=250)
+    files = emit(problem, certificate, asets, plan, tmp_path)
+    unsat = [f for f in files if not run_script(f.path.read_text(), out=io.StringIO())]
+    if expected.valid:
+        assert unsat == []
+        return
+    assert [f.kind for f in unsat] == ["block"]
+    assert unsat[0].first_k <= expected.k <= unsat[0].last_k

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import io
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SOLVER_COMMAND
 
 from viprcert.rational import Rational
-from viprcert.smteval import EvalError, evaluate, main, parse_script, run_script
+from viprcert.smteval import MAX_DEPTH, EvalError, _tokens, evaluate, main, parse_script, run_script
 from viprcert.smtgen import dispatch
 
 
@@ -197,3 +199,108 @@ def test_solver_child_loads_only_the_evaluator():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_let_binds_names_in_its_body():
+    assert evaluate(term("(let ((a 2) (b (/ 1 2))) (= (* a b) 1))")) is True
+    assert evaluate(term("(let ((a1 (+ 1 2)) (b (- 3))) (and (is_int a1) (< b 0 a1)))")) is True
+    assert evaluate(term("(let ((b (/ 7 2))) (to_real (to_int b)))")) == 3
+
+
+def test_a_bare_symbol_has_no_value():
+    with pytest.raises(EvalError):
+        evaluate("x")
+
+
+def test_sibling_lets_do_not_share_names():
+    siblings = "(and (let ((a 1)) (= a 1)) (let ((a 2)) (= a 2)) (let ((b 3)) (= b 3)))"
+    assert evaluate(term(siblings)) is True
+    with pytest.raises(EvalError):
+        evaluate(term("(and (let ((a true)) a) (let ((b true)) a))"))
+
+
+# `let` outside the flat form `smtgen` writes; each must be rejected.
+LET_FAIL_CLOSED = {
+    "empty-bindings": "(let () true)",
+    "binding-without-term": "(let ((a)) true)",
+    "binding-with-two-terms": "(let ((a 1 2)) true)",
+    "bindings-not-a-list": "(let (a 1) true)",
+    "binding-name-parenthesized": "(let (((a) 1)) true)",
+    "binding-name-a-term": "(let (((and) 1)) true)",
+    "binding-term-not-a-value": "(let ((a (b 1))) true)",
+    "binding-atom-not-a-binding": "(let ((a 1) b) true)",
+    "duplicate-name": "(let ((a 1) (a 1)) (= a 1))",
+    "name-numeral": "(let ((1 2)) true)",
+    "name-true": "(let ((true false)) true)",
+    "name-false": "(let ((false true)) false)",
+    "name-operator": "(let ((and true)) true)",
+    "name-arithmetic": "(let ((+ 1)) true)",
+    "name-let": "(let ((let 1)) true)",
+    "name-not-ascii": "(let ((á 1)) true)",
+    "name-symbol-chars": "(let ((a-b 1)) true)",
+    "term-sees-own-list": "(let ((a 1) (b a)) (= b 1))",
+    "reference-after-close": "(and (let ((a true)) a) a)",
+    "body-missing": "(let ((a true)))",
+    "body-two-terms": "(let ((a true)) a a)",
+    "body-not-a-term": "(let ((a true)) (c 1))",
+    "bindings-an-atom": "(let true true)",
+    "bindings-a-term": "(let (and) true)",
+    "body-before-bindings": "(let true ((a true)))",
+    "nested-in-body": "(let ((a 1)) (let ((b 2)) (= a b)))",
+    "nested-in-binding": "(let ((a (let ((b 2)) b))) (= a 2))",
+    "shadowing": "(let ((a 1)) (let ((a 2)) (= a 2)))",
+    "deep-through-let": "(let ((a " + "(not " * (MAX_DEPTH - 2) + "true" + ")" * (MAX_DEPTH - 2)
+    + ")) a)",
+}
+
+
+@pytest.mark.parametrize("case", LET_FAIL_CLOSED)
+def test_let_fails_closed(case, tmp_path):
+    script = f"(set-logic ALL)\n(assert {LET_FAIL_CLOSED[case]})\n(check-sat)\n"
+    with pytest.raises(EvalError):
+        run_script(script, out=io.StringIO())
+    path = tmp_path / "script.smt2"
+    path.write_text(script)
+    (outcome,) = dispatch([path], SOLVER_COMMAND, jobs=1, timeout_s=120).outcomes
+    assert outcome.status == "error", outcome
+
+
+def test_let_levels_count_toward_the_depth_limit():
+    # the same term is within the limit outside a let
+    deep = "(not " * (MAX_DEPTH - 2) + "true" + ")" * (MAX_DEPTH - 2)
+    assert run_script(f"(assert (or {deep} true))(check-sat)", out=io.StringIO())
+
+
+# --- tokenizer ----------------------------------------------------------------
+
+_REGEX_TOKEN = re.compile(r"[()]|[^()\s]+")
+
+
+def regex_tokens(text: str) -> list[str]:
+    """The tokens as the evaluator once read them."""
+    return [match.group() for match in _REGEX_TOKEN.finditer(text)]
+
+
+PIECES = ["(", ")", "(let", "and", "a12", "b", "(/", "14", "3)", "-", "to_int", "á", "x.y"]
+SEPARATORS = ["", " ", "  ", "\t", "\n", "\r\n", "\n\n", "\r\n\r\n", " ", " ",
+              "　", "\x0b\x0c", "\x1c", "\x85", " "]
+
+
+@st.composite
+def layouts(draw):
+    """Script-like text: emitter tokens, glued or split by any whitespace."""
+    pieces = draw(st.lists(st.sampled_from(PIECES), max_size=40))
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(pieces) + 1,
+                         max_size=len(pieces) + 1))
+    return seps[0] + "".join(p + s for p, s in zip(pieces, seps[1:]))
+
+
+@settings(max_examples=300)
+@given(layouts())
+def test_split_tokens_match_the_regex_tokens(text):
+    assert _tokens(text) == regex_tokens(text)
+
+
+def test_split_and_regex_agree_on_every_code_point():
+    text = "x".join(map(chr, range(0x110000)))
+    assert _tokens(text) == regex_tokens(text)

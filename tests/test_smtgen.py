@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from conftest import SOLVER_COMMAND, load_fixture, random_certificate
+from conftest import CORPUS, SOLVER_COMMAND, load_fixture, random_certificate
 
 from viprcert.checker import RtpFlags, check_certificate, compute_assumption_sets, sol_violations
-from viprcert.smteval import run_script
-from viprcert.smtgen import Aggregate, EmissionPlan, SolverSpawnError, dispatch, emit
+from viprcert.model import Reason, constraint_at
+from viprcert.smteval import parse_script, run_script
+from viprcert.smtgen import (
+    Aggregate,
+    EmissionPlan,
+    SolverSpawnError,
+    der_constraint_expr,
+    dispatch,
+    emit,
+)
 import io
 
 
@@ -58,7 +67,7 @@ def test_emitted_files_are_ground_and_exact(tmp_path):
             assert text.startswith("(set-logic ALL)\n(assert ")
             assert text.endswith("\n(check-sat)\n")
             assert text.count("(assert ") == 1
-            # rationals appear only as (/ p q), never in decimal notation
+            # rationals appear as numerals or (/ p q), never in decimal notation
             assert "." not in text
 
 
@@ -66,9 +75,45 @@ def test_negative_rationals_use_the_negated_form(tmp_path):
     files = _emit_fixture("cert0", tmp_path / "neg", block_size=1)
     text = "".join(f.path.read_text() for f in files)
     assert "(- (/ 1 4))" in text  # the -1/4 multiplier
-    assert "(- (/ 4 1))" in text  # the -4 coefficient
+    assert "(- 4)" in text  # the -4 coefficient
     assert "(/ 14 3)" in text
-    assert "-1" not in text  # negative literals never appear bare
+    assert re.search(r"-\d", text) is None  # negative literals never appear bare
+
+
+def _atoms(node) -> list[str]:
+    if isinstance(node, str):
+        return [node]
+    return [atom for operand in node for atom in _atoms(operand)]
+
+
+def test_each_combined_sum_is_bound_once():
+    from conftest import random_valid_certificate
+
+    rng = random.Random(2718)
+    models = [load_fixture(name) for name in CORPUS]
+    models += [random_valid_certificate(rng) for _ in range(60)]
+    checked = 0
+    for problem, certificate in models:
+        for k, derived in enumerate(certificate.der, start=problem.m + 1):
+            if derived.reason not in (Reason.LIN, Reason.RND):
+                continue
+            expression = der_constraint_expr(problem, certificate, k)
+            if expression in ("true", "false"):
+                continue
+            (node,) = parse_script(expression)
+            assert node[0] == "let" and len(node) == 3, expression
+            _, bindings, body = node
+            support = set()
+            for i in derived.data.weights:
+                support |= set(constraint_at(problem, certificate, i).lhs.terms)
+            names = [name for name, _ in bindings]
+            assert names == [f"a{j}" for j in sorted(support)] + ["b"], expression
+            body_atoms = _atoms(body)
+            # the body refers to every sum by name and writes none out again
+            assert set(names) <= set(body_atoms), expression
+            assert "let" not in body_atoms and "*" not in body_atoms, expression
+            checked += 1
+    assert checked > 100
 
 
 def test_emission_is_deterministic(tmp_path):
