@@ -4,8 +4,8 @@ rounding, split disjunctions.
 The domination test is implemented in its fully expanded Boolean form,
 which also covers combination results whose sign is indefinite (neither
 flag set): such a source dominates nothing.  All arithmetic is exact,
-and runs in Python integers over integer-scaled rows (`Constraint.row`):
-a row `(D, {j: a_j}, b)` stands for `sum_j (a_j / D) x_j ~ b / D`.
+and runs in Python integers over the integer rows constraints are
+stored as: a row `(D, {j: a_j}, b)` stands for `sum_j (a_j / D) x_j ~ b / D`.
 """
 
 from __future__ import annotations
@@ -13,11 +13,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .model import Constraint, IndexOutOfRange, LinearExpr, Multipliers, Sign, scaled_row
-from .rational import Rational, ZERO
-
-# earlier name of the out-of-range exception, kept importable
-UnresolvableIndex = IndexOutOfRange
+from .model import Constraint, LinearExpr, Multipliers, Sign
+from .rational import Rational
 
 
 def sign_value(constraint: Constraint) -> int:
@@ -34,7 +31,15 @@ def _dominates(
     leq: bool,
     target: Constraint,
 ) -> bool:
-    """Domination of `target` by the source row `terms / scale ~ bound / scale`."""
+    """Does the source row `terms / scale ~ bound / scale`, of possibly
+    indefinite sign, dominate `target`?
+
+    Either the source is an absurdity (zero left-hand side with a
+    sign-directed impossible right-hand side), or both sides have the
+    same left-hand side and the target-sign-directed bound comparison
+    holds.  With all three flags false the answer is always False.  The
+    source row need not be over its least scale.
+    """
     if not terms:
         if eq:
             absurd = bound != 0
@@ -46,7 +51,8 @@ def _dominates(
             absurd = False
         if absurd:
             return True
-    target_scale, target_terms, target_bound = target.row
+    target_scale = target.scale
+    target_terms = target.terms
     if len(terms) != len(target_terms):
         return False
     for j, a in terms.items():
@@ -54,7 +60,7 @@ def _dominates(
         if t is None or a * target_scale != t * scale:
             return False
     source_side = bound * target_scale
-    target_side = target_bound * scale
+    target_side = target.bound * scale
     if target.sign is Sign.EQ:
         return eq and source_side == target_side
     if target.sign is Sign.GEQ:
@@ -62,28 +68,10 @@ def _dominates(
     return leq and source_side <= target_side
 
 
-def dominates(
-    lhs: LinearExpr,
-    rhs: Rational,
-    eq: bool,
-    geq: bool,
-    leq: bool,
-    target: Constraint,
-) -> bool:
-    """Does the (possibly indefinite-sign) source constraint dominate target?
-
-    Either the source is an absurdity (zero left-hand side with a
-    sign-directed impossible right-hand side), or both sides have the
-    same left-hand side and the target-sign-directed bound comparison
-    holds.  With all three flags false the answer is always False.
-    """
-    return _dominates(*scaled_row(lhs.terms, rhs), eq, geq, leq, target)
-
-
 def constraint_dominates(source: Constraint, target: Constraint) -> bool:
     """Domination between two definite-sign constraints."""
     s = source.sign.value
-    return _dominates(*source.row, s == 0, s >= 0, s <= 0, target)
+    return _dominates(source.scale, source.terms, source.bound, s == 0, s >= 0, s <= 0, target)
 
 
 class PseudoConstraint:
@@ -123,14 +111,18 @@ class PseudoConstraint:
         )
 
     def roundable(self, int_vars: frozenset[int]) -> bool:
-        """See `roundable_flags`."""
+        """Integral coefficients on integer variables, zero everywhere
+        else, and not an equality."""
         scale = self.scale
         return not self.eq and all(
             j in int_vars and a % scale == 0 for j, a in self.terms.items()
         )
 
     def rounded_dominates(self, target: Constraint) -> bool:
-        """See `rnd_dominance`."""
+        """Bound test of the rounding rule: plain domination by the rounded
+        combination, whose bound is the ceiling for >= and the floor for <=.
+        Rounding keeps the absurdity test, since ceil(b) > 0 iff b > 0 and
+        floor(b) < 0 iff b < 0; an equality combination is never rounded."""
         # ceil(bound / scale) for >=, floor for <=, scaled back by `scale`
         rounded = -(-self.bound // self.scale) if self.geq else self.bound // self.scale
         return _dominates(
@@ -153,7 +145,7 @@ def linear_combination(
     dropped so a vanished left-hand side is structurally empty.
     """
     weighted = [(weight, resolve(i)) for i, weight in multipliers.items_sorted()]
-    scale = math.lcm(*(w.denominator * c.row[0] for w, c in weighted))
+    scale = math.lcm(*(w.denominator * c.scale for w, c in weighted))
     terms: dict[int, int] = {}
     bound = 0
     geq = True
@@ -164,28 +156,11 @@ def linear_combination(
             geq = False
         if weighted_sign > 0:
             leq = False
-        row_scale, row_terms, row_bound = constraint.row
-        factor = weight.numerator * (scale // (weight.denominator * row_scale))
-        for j, a in row_terms.items():
+        factor = weight.numerator * (scale // (weight.denominator * constraint.scale))
+        for j, a in constraint.terms.items():
             terms[j] = terms.get(j, 0) + factor * a
-        bound += factor * row_bound
+        bound += factor * constraint.bound
     return PseudoConstraint(scale, {j: a for j, a in terms.items() if a}, bound, geq, leq)
-
-
-def roundable_flags(lhs: LinearExpr, eq: bool, int_vars: frozenset[int]) -> bool:
-    """Roundability: integral coefficients on integer variables, zero
-    everywhere else, and not an equality."""
-    return PseudoConstraint(*scaled_row(lhs.terms, ZERO), eq, eq).roundable(int_vars)
-
-
-def rnd_dominance(
-    lhs: LinearExpr, rhs: Rational, geq: bool, leq: bool, target: Constraint
-) -> bool:
-    """Bound test of the rounding rule: plain domination by the rounded
-    combination, whose bound is the ceiling for >= and the floor for <=.
-    Rounding keeps the absurdity test, since ceil(b) > 0 iff b > 0 and
-    floor(b) < 0 iff b < 0; an equality combination is never rounded."""
-    return PseudoConstraint(*scaled_row(lhs.terms, rhs), geq, leq).rounded_dominates(target)
 
 
 def is_split_disjunction(ci: Constraint, cj: Constraint, int_vars: frozenset[int]) -> bool:
@@ -195,17 +170,15 @@ def is_split_disjunction(ci: Constraint, cj: Constraint, int_vars: frozenset[int
     variables, integral bounds, strictly opposite signs, and bounds one
     apart in the direction of the >= side.
     """
-    scale_i, terms_i, bound_i = ci.row
-    scale_j, terms_j, bound_j = cj.row
     # both rows integral (scale 1) and equal on the left-hand side
-    if scale_i != 1 or scale_j != 1 or terms_i != terms_j:
+    if ci.scale != 1 or cj.scale != 1 or ci.terms != cj.terms:
         return False
-    if not all(j in int_vars for j in terms_i):
+    if not all(j in int_vars for j in ci.terms):
         return False
     si = ci.sign.value
     sj = cj.sign.value
     if si == 0 or si + sj != 0:
         return False
     if si == 1:
-        return bound_i == bound_j + 1
-    return bound_i == bound_j - 1
+        return ci.bound == cj.bound + 1
+    return ci.bound == cj.bound - 1

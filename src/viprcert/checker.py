@@ -22,7 +22,6 @@ from .model import (
     Certificate,
     Constraint,
     DerivedConstraint,
-    LinearExpr,
     Location,
     Multipliers,
     Problem,
@@ -33,10 +32,11 @@ from .model import (
     Unsplit,
     Verdict,
     constraint_at,
+    dot,
     nz,
     total_constraints,
 )
-from .rational import ONE, Rational, ZERO, format_rational, is_integer
+from .rational import Rational, ZERO, format_rational, is_integer
 
 
 class EmptyConstraintSystem(Exception):
@@ -49,7 +49,8 @@ def _objective_bound_constraint(problem: Problem, sign: Sign, bound: Rational) -
 
 def _relation(bound: Constraint) -> str:
     """`>= b` or `<= b` for a one-sided bound constraint."""
-    return f"{'>=' if bound.sign is Sign.GEQ else '<='} {format_rational(bound.rhs)}"
+    value = format_rational(Rational(bound.bound, bound.scale))
+    return f"{'>=' if bound.sign is Sign.GEQ else '<='} {value}"
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class RtpFlags:
         unified constraint array is empty.
         """
         if not self.has_range:
-            target = Constraint("absurdity", LinearExpr({}), Sign.GEQ, ONE)
+            target = Constraint.from_row("absurdity", Sign.GEQ, 1, {}, 1)
         elif self.minimize and self.prove_lower:
             target = _objective_bound_constraint(problem, Sign.GEQ, self.lower)
         elif not self.minimize and self.prove_upper:
@@ -171,9 +172,11 @@ def compute_assumption_sets(problem: Problem, certificate: Certificate) -> Assum
 
 
 def _satisfies(constraint: Constraint, coords) -> bool:
-    value = constraint.lhs.evaluate(coords)
+    # both sides scaled by the row's scale, which is positive
+    value = dot(constraint.terms, coords)
+    bound = constraint.bound
     s = constraint.sign.value
-    return (s < 0 or value >= constraint.rhs) and (s > 0 or value <= constraint.rhs)
+    return (s < 0 or value >= bound) and (s > 0 or value <= bound)
 
 
 def phi_feas(problem: Problem, point: SolutionPoint) -> bool:
@@ -219,10 +222,6 @@ def sol_violations(
             )
         )
     return failures
-
-
-def phi_sol(problem: Problem, certificate: Certificate, flags: RtpFlags) -> bool:
-    return not sol_violations(problem, certificate, flags)
 
 
 def phi_prv(k: int, multipliers: Multipliers) -> bool:
@@ -301,10 +300,6 @@ def der_violation(
     return fail("sol-domination", "no listed solution's objective bound dominates")
 
 
-def phi_der_k(problem: Problem, certificate: Certificate, asets: AssumptionSets, k: int) -> bool:
-    return der_violation(problem, certificate, asets, k) is None
-
-
 def final_violation(
     problem: Problem,
     certificate: Certificate,
@@ -360,15 +355,6 @@ def der_violations(
     return failures
 
 
-def phi_der(
-    problem: Problem,
-    certificate: Certificate,
-    asets: AssumptionSets,
-    flags: RtpFlags,
-) -> bool:
-    return not der_violations(problem, certificate, asets, flags)
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Verdict plus every individual failure, for diagnosis output."""
@@ -379,11 +365,8 @@ class CheckReport:
     derivations_checked: int
 
 
-def check_certificate_report(
-    problem: Problem, certificate: Certificate, jobs: int = 1
-) -> CheckReport:
-    """Verdict and every failure.  The check is sequential; `jobs` is
-    accepted for compatibility and has no effect."""
+def check_certificate_report(problem: Problem, certificate: Certificate) -> CheckReport:
+    """Verdict and every failure."""
     flags = RtpFlags.of(problem, certificate)
     asets = compute_assumption_sets(problem, certificate)
     failures = sol_violations(problem, certificate, flags)
@@ -397,10 +380,10 @@ def check_certificate_report(
     )
 
 
-def check_certificate(problem: Problem, certificate: Certificate, jobs: int = 1) -> Verdict:
+def check_certificate(problem: Problem, certificate: Certificate) -> Verdict:
     """Valid iff the solution side and the derivation side both hold;
-    otherwise the deterministic first failure.  `jobs` has no effect."""
-    return check_certificate_report(problem, certificate, jobs=jobs).verdict
+    otherwise the deterministic first failure."""
+    return check_certificate_report(problem, certificate).verdict
 
 
 def default_jobs() -> int:

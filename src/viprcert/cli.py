@@ -9,6 +9,7 @@ error).  A verdict is never conflated with an infrastructure failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import shlex
@@ -43,9 +44,21 @@ def default_solver_command() -> str:
     return f"{shlex.quote(sys.executable)} -m viprcert.smteval {{}}"
 
 
+def _parse(data: bytes):
+    """Parse with cyclic garbage collection paused: the parse frees no
+    cycles, so collections during it only cost time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_certificate(data)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def cmd_check(args: argparse.Namespace, data: bytes) -> int:
     started = time.perf_counter()
-    problem, certificate = parse_certificate(data)
+    problem, certificate = _parse(data)
     parse_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -106,7 +119,7 @@ def _total_bytes(files) -> int:
 
 
 def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
-    problem, certificate = parse_certificate(data)
+    problem, certificate = _parse(data)
     try:
         files = _emit_files(problem, certificate, args.out, args.block_size, args.jobs)
     except OSError as exc:
@@ -133,7 +146,7 @@ def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
-    problem, certificate = parse_certificate(data)
+    problem, certificate = _parse(data)
     solver = args.solver or default_solver_command()
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="viprcert-") as scratch:
@@ -186,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="evaluate the certificate natively")
     check.add_argument("file")
-    check.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=default_jobs(),
-        help="accepted for uniformity with emit and verify; the check is sequential",
-    )
     check.add_argument("--diagnose", action="store_true", help="report every failure")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.set_defaults(handler=cmd_check)

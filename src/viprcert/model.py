@@ -10,9 +10,9 @@ derived constraints continue as C_{m+1}..C_d.  The on-disk format uses
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .rational import Rational, ZERO
@@ -82,12 +82,17 @@ class LinearExpr:
         return sorted(self.terms.items())
 
     def evaluate(self, coords: Mapping[int, Rational]) -> Rational:
-        total = ZERO
-        for j, c in self.terms.items():
-            value = coords.get(j, ZERO)
-            if value:
-                total += c * value
-        return total
+        return dot(self.terms, coords)
+
+
+def dot(terms: Mapping[int, Union[int, Rational]], coords: Mapping[int, Rational]) -> Rational:
+    """sum_j terms[j] * coords[j], absent coordinates being zero."""
+    total = ZERO
+    for j, c in terms.items():
+        value = coords.get(j)
+        if value:
+            total += c * value
+    return total
 
 
 # (D, {j: a_j}, b): the constraint sum_j (a_j / D) x_j ~ b / D in integers, D > 0
@@ -104,22 +109,41 @@ def scaled_row(terms: Mapping[int, Rational], rhs: Rational) -> IntegerRow:
     )
 
 
-@dataclass(frozen=True)
-class Constraint:
-    name: str
-    lhs: LinearExpr
-    sign: Sign
-    rhs: Rational
+class Constraint(namedtuple("Constraint", "name sign scale terms bound")):
+    """A named constraint, stored as its sign and its integer row
+    `sum_j (terms[j] / scale) x_j ~ bound / scale` over the least scale > 0,
+    with no zero coefficient, so equal rows are equal constraints.  `lhs`
+    and `rhs` are rational views, built each time they are read.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    __slots__ = ()
+
+    def __new__(cls, name: str, lhs: LinearExpr, sign: Sign, rhs: Rational) -> "Constraint":
+        if not name:
             raise ValueError("constraint name must be non-empty")
+        return cls.from_row(name, sign, *scaled_row(lhs.terms, rhs))
 
-    @cached_property
-    def row(self) -> IntegerRow:
-        """The integer-scaled row, computed on first use; not a field, so
-        it takes no part in equality, hashing or repr."""
-        return scaled_row(self.lhs.terms, self.rhs)
+    @classmethod
+    def from_row(
+        cls, name: str, sign: Sign, scale: int, terms: dict[int, int], bound: int
+    ) -> "Constraint":
+        """The constraint of any row with scale > 0 and no zero coefficient."""
+        g = math.gcd(scale, bound, *terms.values())
+        if g > 1:
+            scale, bound = scale // g, bound // g
+            terms = {j: a // g for j, a in terms.items()}
+        return tuple.__new__(cls, (name, sign, scale, terms, bound))
+
+    def __reduce__(self):  # copy and pickle rebuild from the row
+        return self.from_row, tuple(self)
+
+    @property
+    def lhs(self) -> LinearExpr:
+        return LinearExpr({j: Rational(a, self.scale) for j, a in self.terms.items()})
+
+    @property
+    def rhs(self) -> Rational:
+        return Rational(self.bound, self.scale)
 
 
 @dataclass(frozen=True)
@@ -143,8 +167,8 @@ class Problem:
             raise ValueError("var_names length must equal n")
         if not all(1 <= j <= self.n for j in self.int_vars):
             raise ValueError("integer variable index outside [1, n]")
-        for expr in (self.objective, *(c.lhs for c in self.constraints)):
-            if any(not 1 <= j <= self.n for j in expr.terms):
+        for terms in (self.objective.terms, *(c.terms for c in self.constraints)):
+            if any(not 1 <= j <= self.n for j in terms):
                 raise ValueError("expression references a variable outside [1, n]")
 
     @property

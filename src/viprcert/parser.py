@@ -9,6 +9,7 @@ business, strictly separated from this module.
 
 from __future__ import annotations
 
+import math
 import re
 from enum import Enum
 from typing import Optional, Union
@@ -17,6 +18,7 @@ from .model import (
     Certificate,
     Constraint,
     DerivedConstraint,
+    IntegerRow,
     LinearExpr,
     Multipliers,
     Problem,
@@ -63,6 +65,11 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(r"\S+")
 
+# the `p` and `p/q` values of one row, joined by single spaces: `\d` is
+# exactly the Unicode Nd digits `str.isdecimal` accepts
+_VALUE = r"[+-]?\d+(?:/[+-]?\d+)?"
+_VALUES = re.compile(f"{_VALUE}(?: {_VALUE})*")
+
 
 def _token_position(text: str, index: int) -> tuple[int, int]:
     """1-based line and column of token `index` of `text.split()`.
@@ -79,6 +86,27 @@ def _token_position(text: str, index: int) -> tuple[int, int]:
             return lineno, match.start() + 1
         seen += count
     raise IndexError(f"token {index} outside the text's {seen} tokens")
+
+
+def _ratios(values: list[str]) -> Optional[tuple[int, list[int]]]:
+    """Valid `p` or `p/q` values over their least common denominator D:
+    (D, [p * D / q, ...]).  None if any value is not valid."""
+    joined = " ".join(values)
+    if _VALUES.fullmatch(joined) is None:
+        return None
+    if "/" not in joined:
+        return 1, list(map(int, values))
+    numerators = []
+    denominators = []
+    for value in values:
+        p, _, q = value.partition("/")
+        denominator = int(q) if q else 1
+        if not denominator:
+            return None
+        numerators.append(int(p))
+        denominators.append(denominator)
+    scale = math.lcm(*denominators)  # positive; exact for a negative q too
+    return scale, [p * (scale // q) for p, q in zip(numerators, denominators)]
 
 
 class _Parser:
@@ -160,28 +188,38 @@ class _Parser:
                 ParseErrorKind.UNKNOWN_SENSE, f"expected E, G or L, found {text!r}"
             ) from None
 
+    def pairs(self, count: int, limit: int) -> Optional[tuple[list[int], list[str]]]:
+        """The common case of `count` pairs `i v` from the current token:
+        decimal, distinct indices below `limit`, returned 1-based, and the
+        value tokens, none of them consumed.  None for anything else."""
+        start = self.pos
+        end = start + 2 * count
+        indices = self.tokens[start:end:2]
+        if end > len(self.tokens) or not all(map(str.isdecimal, indices)):
+            return None
+        keys = list(map((1).__add__, map(int, indices)))
+        if count and (max(keys) > limit or len(set(keys)) < count):
+            return None
+        return keys, self.tokens[start + 1 : end : 2]
+
     def index_values(
         self, count: int, limit: int, what: str, index_kind: str, value_kind: str
     ) -> dict[int, Rational]:
         """`count` pairs `i v`: a 0-based index below `limit`, returned
         1-based and at most once, and a rational value."""
+        common = self.pairs(count, limit)
+        if common is not None:
+            try:
+                parsed = dict(zip(common[0], map(parse_rational, common[1])))
+            except RationalSyntaxError:
+                pass
+            else:
+                self.pos += 2 * count
+                return parsed
+        # anything else (a signed index, say) goes token by token and
+        # raises the located error, if there is one
         values: dict[int, Rational] = {}
-        tokens = self.tokens
         for _ in range(count):
-            pos = self.pos
-            # common case inline: an in-range, new decimal index and a valid value
-            if pos + 1 < len(tokens) and tokens[pos].isdecimal():
-                i = int(tokens[pos]) + 1
-                if i <= limit and i not in values:
-                    try:
-                        values[i] = parse_rational(tokens[pos + 1])
-                    except RationalSyntaxError:
-                        pass
-                    else:
-                        self.pos = pos + 2
-                        continue
-            # anything else (a signed index, say) goes token by token and
-            # raises the located error, if there is one
             i = self.shifted_index(limit, f"{what} {index_kind} index")
             if i in values:
                 raise self.error(
@@ -189,6 +227,28 @@ class _Parser:
                 )
             values[i] = self.rational(f"{what} {value_kind}")
         return values
+
+    def row(self, n: int) -> Optional[IntegerRow]:
+        """The common case of `rhs t j_1 c_1 ... j_t c_t`, as `pairs` and
+        with valid values, read as ints straight into a row.  None, with no
+        token consumed, for anything else, which `constraint_body` reads
+        token by token."""
+        head = self.tokens[self.pos : self.pos + 2]
+        if len(head) < 2 or not head[1].isdecimal():
+            return None
+        t = int(head[1])
+        self.pos += 2
+        common = self.pairs(t, n)
+        ratios = None if common is None else _ratios([head[0], *common[1]])
+        if ratios is None:
+            self.pos -= 2
+            return None
+        self.pos += 2 * t
+        scale, numbers = ratios
+        terms = dict(zip(common[0], numbers[1:]))
+        if 0 in terms.values():
+            terms = {j: a for j, a in terms.items() if a}
+        return scale, terms, numbers[0]
 
     def term_list(self, n: int, what: str, objective: Optional[LinearExpr]) -> LinearExpr:
         """`t  j_1 c_1 ... j_t c_t` with 0-based variable indices.
@@ -273,6 +333,9 @@ class _Parser:
     def constraint_body(self, n: int, objective: LinearExpr, what: str) -> Constraint:
         name = self.name(f"{what} name")
         sign = self.sense_letter(f"{what} sense")
+        row = self.row(n)
+        if row is not None:
+            return Constraint.from_row(name, sign, *row)
         rhs = self.rational(f"{what} right-hand side")
         lhs = self.term_list(n, what, objective)
         return Constraint(name=name, lhs=lhs, sign=sign, rhs=rhs)

@@ -20,12 +20,10 @@ from typing import Iterator
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 __all__ = [
     "Rational",
     "ZERO",
-    "ONE",
     "RationalSyntaxError",
     "DecimalNotationError",
     "MalformedNumberError",

@@ -22,6 +22,7 @@ therefore exactly the whole-certificate verdict.
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import threading
@@ -35,13 +36,13 @@ from .checker import AssumptionSets, RtpFlags
 from .model import (
     Certificate,
     Constraint,
-    LinearExpr,
     Multipliers,
     Problem,
     Reason,
     Sign,
     Unsplit,
     constraint_at,
+    scaled_row,
     total_constraints,
 )
 from .rational import Rational, ZERO
@@ -50,13 +51,21 @@ _RZERO = "0"
 _RONE = "1"
 
 
-def _rat(value: Rational) -> str:
-    """An integral value as a numeral, any other as `(/ p q)`; a negative
-    value as the negation of its magnitude."""
-    numerator, denominator = value.numerator, value.denominator
+def _frac(numerator: int, denominator: int) -> str:
+    """numerator / denominator, denominator > 0, in lowest terms: an
+    integral value as a numeral, any other as `(/ p q)`; a negative value
+    as the negation of its magnitude."""
+    if denominator != 1:
+        g = math.gcd(numerator, denominator)
+        numerator //= g
+        denominator //= g
     magnitude = abs(numerator)
     text = str(magnitude) if denominator == 1 else f"(/ {magnitude} {denominator})"
     return f"(- {text})" if numerator < 0 else text
+
+
+def _rat(value: Rational) -> str:
+    return _frac(value.numerator, value.denominator)
 
 
 def _conj(parts: Sequence[str]) -> str:
@@ -129,11 +138,12 @@ def _dom_expr(
         zeros = [f"(= {a_exprs[j]} {_RZERO})" for j in sorted(a_exprs)]
         absurd = _conj(zeros + [absurd_tail])
 
-    support = sorted(set(a_exprs) | set(target.lhs.terms))
+    scale, terms = target.scale, target.terms
+    support = sorted(set(a_exprs) | set(terms))
     same_lhs = [
-        f"(= {a_exprs.get(j, _RZERO)} {_rat(target.lhs.coefficient(j))})" for j in support
+        f"(= {a_exprs.get(j, _RZERO)} {_frac(terms.get(j, 0), scale)})" for j in support
     ]
-    rhs = _rat(target.rhs)
+    rhs = _frac(target.bound, scale)
     if target.sign is Sign.EQ:
         direct = "false" if not eq else _conj(same_lhs + [f"(= {b_expr} {rhs})"])
     elif target.sign is Sign.GEQ:
@@ -144,8 +154,9 @@ def _dom_expr(
 
 
 def _literal_exprs(constraint: Constraint) -> tuple[dict[int, str], str]:
-    a_exprs = {j: _rat(c) for j, c in constraint.lhs.terms.items()}
-    return a_exprs, _rat(constraint.rhs)
+    scale = constraint.scale
+    a_exprs = {j: _frac(a, scale) for j, a in constraint.terms.items()}
+    return a_exprs, _frac(constraint.bound, scale)
 
 
 def _constraint_dom_expr(source: Constraint, target: Constraint) -> str:
@@ -158,21 +169,21 @@ def _dis_expr(ci: Constraint, cj: Constraint, int_vars: frozenset[int]) -> str:
     si, sj = ci.sign.value, cj.sign.value
     if si == 0 or si + sj != 0:
         return "false"
-    support = sorted(set(ci.lhs.terms) | set(cj.lhs.terms))
-    parts = [
-        f"(= {_rat(ci.lhs.coefficient(j))} {_rat(cj.lhs.coefficient(j))})" for j in support
-    ]
-    for j, coefficient in ci.lhs.items_sorted():
+    ai, bi = _literal_exprs(ci)
+    aj, bj = _literal_exprs(cj)
+    support = sorted(set(ai) | set(aj))
+    parts = [f"(= {ai.get(j, _RZERO)} {aj.get(j, _RZERO)})" for j in support]
+    for j in sorted(ai):
         if j in int_vars:
-            parts.append(f"(is_int {_rat(coefficient)})")
+            parts.append(f"(is_int {ai[j]})")
         else:
-            parts.append(f"(= {_rat(coefficient)} {_RZERO})")
-    parts.append(f"(is_int {_rat(ci.rhs)})")
-    parts.append(f"(is_int {_rat(cj.rhs)})")
+            parts.append(f"(= {ai[j]} {_RZERO})")
+    parts.append(f"(is_int {bi})")
+    parts.append(f"(is_int {bj})")
     if si == 1:
-        parts.append(f"(= {_rat(ci.rhs)} (+ {_rat(cj.rhs)} {_RONE}))")
+        parts.append(f"(= {bi} (+ {bj} {_RONE}))")
     else:
-        parts.append(f"(= {_rat(ci.rhs)} (- {_rat(cj.rhs)} {_RONE}))")
+        parts.append(f"(= {bi} (- {bj} {_RONE}))")
     return _conj(parts)
 
 
@@ -193,27 +204,29 @@ def _symbolic_combination(
         if weighted_sign > 0:
             leq = False
         w = _rat(weight)
-        for j, coefficient in constraint.lhs.items_sorted():
-            a_terms.setdefault(j, []).append(f"(* {w} {_rat(coefficient)})")
-        if constraint.rhs != 0:
-            b_terms.append(f"(* {w} {_rat(constraint.rhs)})")
+        scale = constraint.scale
+        for j, a in sorted(constraint.terms.items()):
+            a_terms.setdefault(j, []).append(f"(* {w} {_frac(a, scale)})")
+        if constraint.bound:
+            b_terms.append(f"(* {w} {_frac(constraint.bound, scale)})")
     a_exprs = {j: _sum(terms) for j, terms in a_terms.items()}
     return a_exprs, _sum(b_terms), geq, leq
 
 
-def _dot(expr: LinearExpr, coords) -> str:
-    terms = []
-    for j, c in expr.items_sorted():
+def _dot(terms: dict[int, int], scale: int, coords) -> str:
+    """sum_j (terms[j] / scale) * coords[j] over the nonzero coordinates."""
+    products = []
+    for j, a in sorted(terms.items()):
         value = coords.get(j, ZERO)
         if value:
-            terms.append(f"(* {_rat(c)} {_rat(value)})")
-    return _sum(terms)
+            products.append(f"(* {_frac(a, scale)} {_rat(value)})")
+    return _sum(products)
 
 
 def _satisfied_parts(constraint: Constraint, coords) -> list[str]:
     """Does the point satisfy the constraint: one comparison per side."""
-    dot = _dot(constraint.lhs, coords)
-    rhs = _rat(constraint.rhs)
+    dot = _dot(constraint.terms, constraint.scale, coords)
+    rhs = _frac(constraint.bound, constraint.scale)
     s = constraint.sign.value
     parts = []
     if s >= 0:
@@ -282,10 +295,11 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
 
     # sol reasoning
     minimize = problem.sense.value == "min"
-    a_exprs = {j: _rat(c) for j, c in problem.objective.terms.items()}
+    scale, terms, _ = scaled_row(problem.objective.terms, ZERO)
+    a_exprs = {j: _frac(a, scale) for j, a in terms.items()}
     branches = []
     for point in certificate.sol:
-        b_expr = _dot(problem.objective, point.coords)
+        b_expr = _dot(terms, scale, point.coords)
         branches.append(
             _dom_expr(a_exprs, b_expr, False, not minimize, minimize, target)
         )
@@ -345,7 +359,7 @@ class EmissionPlan:
     ) -> "EmissionPlan":
         count = len(certificate.der)
         if block_size is None:
-            block_size = max(1, count // max(1, workers))
+            block_size = max(1, -(-count // max(1, workers)))
         if block_size < 1:
             raise ValueError("block size must be positive")
         m = problem.m

@@ -85,13 +85,16 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
         if kind == "rhs" and d:
             k = rng.randint(1, d)
             target = _constraint_at(problem, certificate, k)
-            mutated = replace(target, rhs=_mutate_rational(rng, target.rhs))
+            mutated = Constraint(
+                target.name, target.lhs, target.sign, _mutate_rational(rng, target.rhs)
+            )
             return _replace_constraint(problem, certificate, k, mutated)
         if kind == "sign" and d:
             k = rng.randint(1, d)
             target = _constraint_at(problem, certificate, k)
             other = rng.choice([s for s in Sign if s is not target.sign])
-            return _replace_constraint(problem, certificate, k, replace(target, sign=other))
+            mutated = Constraint(target.name, target.lhs, other, target.rhs)
+            return _replace_constraint(problem, certificate, k, mutated)
         if kind == "coefficient" and d:
             k = rng.randint(1, d)
             target = _constraint_at(problem, certificate, k)
@@ -100,9 +103,8 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
             j = rng.choice(sorted(target.lhs.terms))
             terms = dict(target.lhs.terms)
             terms[j] = _mutate_rational(rng, terms[j])
-            return _replace_constraint(
-                problem, certificate, k, replace(target, lhs=LinearExpr(terms))
-            )
+            mutated = Constraint(target.name, LinearExpr(terms), target.sign, target.rhs)
+            return _replace_constraint(problem, certificate, k, mutated)
         if kind in ("multiplier", "mult-index"):
             candidates = [
                 i
@@ -264,7 +266,7 @@ def random_valid_certificate(rng: random.Random):
     over a genuine split pair, and the final obligation is discharged
     by a combination of problem constraints only (empty assumption set).
     """
-    from viprcert.algebra import linear_combination, roundable_flags
+    from viprcert.algebra import linear_combination
     from viprcert.model import constraint_at
 
     n = rng.randint(1, 3)
@@ -406,7 +408,7 @@ def random_valid_certificate(rng: random.Random):
         elif op == "rnd":
             multipliers = suitable_multipliers(k - 1)
             combo = linear_combination(multipliers, resolve)
-            if not roundable_flags(combo.lhs, combo.eq, int_vars):
+            if not combo.roundable(int_vars):
                 der.append(derived_from_combination(f"L{step}", multipliers))
                 continue
             if combo.geq:

@@ -25,16 +25,13 @@ from conftest import (
 )
 
 from viprcert.algebra import (
+    PseudoConstraint,
     constraint_dominates,
-    dominates,
     is_split_disjunction,
     linear_combination,
-    rnd_dominance,
-    roundable_flags,
 )
 from viprcert.checker import (
     check_certificate,
-    check_certificate_report,
     compute_assumption_sets,
     default_jobs,
 )
@@ -219,7 +216,7 @@ def test_criterion_4_randomized_law_suites(capsys):
         absurd = Constraint("a", LinearExpr({}), Sign.GEQ, Rational(rng.randint(1, 9)))
         assert constraint_dominates(absurd, t)
         # with no flag set, nothing is dominated
-        assert not dominates(c.lhs, c.rhs, False, False, False, t)
+        assert not PseudoConstraint(c.scale, c.terms, c.bound, False, False).dominates(t)
         # and the expanded evaluation agrees with the definition's case list
         assert constraint_dominates(c, t) == _reference_dominates(c, t)
 
@@ -234,9 +231,8 @@ def test_criterion_4_randomized_law_suites(capsys):
         c = _random_constraint(rng, n=2)
         t = _random_constraint(rng, n=2)
         s = c.sign.value
-        ours = roundable_flags(c.lhs, s == 0, ints) and rnd_dominance(
-            c.lhs, c.rhs, s >= 0, s <= 0, t
-        )
+        combination = PseudoConstraint(c.scale, c.terms, c.bound, s >= 0, s <= 0)
+        ours = combination.roundable(ints) and combination.rounded_dominates(t)
         reference = _reference_roundable(c, ints) and _reference_dominates(
             _reference_rounding(c), t
         )
@@ -420,19 +416,23 @@ def test_criterion_7_round_trip(capsys):
 # --- 8: determinism under parallelism --------------------------------------------
 
 
-def test_criterion_8_determinism_under_parallelism(capsys):
+def test_criterion_8_determinism_under_parallelism(tmp_path, capsys):
     for name in CORPUS:
-        problem, certificate = load_fixture(name)
-        reports = [check_certificate_report(problem, certificate, jobs=j) for j in (1, 4, 8)]
-        assert reports[0].verdict == reports[1].verdict == reports[2].verdict
-        assert reports[0].failures == reports[1].failures == reports[2].failures
+        path = str(fixture_path(name))
+        emitted = []
         codes = set()
         for jobs in (1, 4, 8):
-            codes.add(cli_main(["check", str(fixture_path(name)), "--jobs", str(jobs)]))
+            out = tmp_path / name / str(jobs)
+            code = cli_main(["emit", path, "--out", str(out), "--block-size", "3", "--jobs", str(jobs)])
+            assert code == 0
+            emitted.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+            codes.add(cli_main(["verify", path, "--jobs", str(jobs), "--solver", SOLVER_COMMAND]))
         capsys.readouterr()
-        assert len(codes) == 1, name
+        assert emitted[0] == emitted[1] == emitted[2], name
+        problem, certificate = load_fixture(name)
+        assert codes == {0 if check_certificate(problem, certificate).valid else 1}, name
     with capsys.disabled():
-        _passed(8, "verdict, failure list, and exit code identical for jobs in {1, 4, 8}")
+        _passed(8, "emitted files and verify exit code identical for jobs in {1, 4, 8}")
 
 
 # --- 9: optional extended benchmark run ------------------------------------------

@@ -6,16 +6,21 @@ from hypothesis import given, strategies as st
 from conftest import load_fixture
 
 from viprcert.algebra import (
-    UnresolvableIndex,
+    PseudoConstraint,
     constraint_dominates,
-    dominates,
     is_split_disjunction,
     linear_combination,
-    rnd_dominance,
-    roundable_flags,
     sign_value,
 )
-from viprcert.model import Constraint, LinearExpr, Multipliers, Sign, constraint_at
+from viprcert.model import (
+    Constraint,
+    IndexOutOfRange,
+    LinearExpr,
+    Multipliers,
+    Sign,
+    constraint_at,
+    scaled_row,
+)
 from viprcert.rational import Rational
 
 I12 = frozenset({1, 2})
@@ -36,6 +41,11 @@ def leq(name, rhs, **coeffs):
 ABSURDITY = geq("absurd", 1)
 
 
+def pseudo(lhs: LinearExpr, rhs, geq: bool, leq: bool) -> PseudoConstraint:
+    """A combination result with the given row and sign flags."""
+    return PseudoConstraint(*scaled_row(lhs.terms, Rational(rhs)), geq, leq)
+
+
 def test_sign_value():
     assert sign_value(geq("c", 1, x1=2, x2=3)) == 1
     assert sign_value(leq("c", 0, x1=1)) == -1
@@ -52,8 +62,8 @@ def test_dominates_examples():
 
 def test_dominates_with_all_flags_false_is_false():
     target = geq("t", 0, x1=1)
-    assert not dominates(expr(x1=1), Rational(5), False, False, False, target)
-    assert not dominates(LinearExpr({}), Rational(5), False, False, False, target)
+    assert not pseudo(expr(x1=1), 5, False, False).dominates(target)
+    assert not pseudo(LinearExpr({}), 5, False, False).dominates(target)
 
 
 def test_dominates_direction():
@@ -106,29 +116,30 @@ def test_linear_combination_row9_yields_absurdity(cert0_resolver):
 
 def test_linear_combination_unresolvable():
     def resolve(i):
-        raise UnresolvableIndex(i)
+        raise IndexOutOfRange(i)
 
-    with pytest.raises(UnresolvableIndex):
+    with pytest.raises(IndexOutOfRange):
         linear_combination(Multipliers({3: Rational(1)}), resolve)
 
 
 def test_roundable_flags_examples():
-    assert roundable_flags(expr(x2=1), False, I12)
-    assert not roundable_flags(LinearExpr({2: Rational(1, 2)}), False, I12)
-    assert not roundable_flags(expr(x2=1), True, I12)
-    assert not roundable_flags(expr(x3=1), False, I12)  # nonzero off the integer set
-    assert roundable_flags(LinearExpr({}), False, I12)
+    assert pseudo(expr(x2=1), 0, True, False).roundable(I12)
+    assert not pseudo(LinearExpr({2: Rational(1, 2)}), 0, True, False).roundable(I12)
+    assert not pseudo(expr(x2=1), 0, True, True).roundable(I12)  # an equality
+    assert not pseudo(expr(x3=1), 0, True, False).roundable(I12)  # nonzero off the integer set
+    assert pseudo(LinearExpr({}), 0, True, False).roundable(I12)
 
 
 def test_rnd_dominance_examples():
     target = geq("t", 1, x2=1)
-    assert rnd_dominance(expr(x2=1), Rational(1, 4), True, False, target)
+    assert pseudo(expr(x2=1), Rational(1, 4), True, False).rounded_dominates(target)
     eq_target = Constraint("t", expr(x2=1), Sign.EQ, Rational(1))
-    assert not rnd_dominance(expr(x2=1), Rational(1, 4), True, False, eq_target)
-    assert rnd_dominance(LinearExpr({}), Rational(1, 2), True, False, ABSURDITY)
+    assert not pseudo(expr(x2=1), Rational(1, 4), True, False).rounded_dominates(eq_target)
+    assert pseudo(LinearExpr({}), Rational(1, 2), True, False).rounded_dominates(ABSURDITY)
     # floor direction for <= targets
-    assert rnd_dominance(expr(x2=1), Rational(7, 4), False, True, leq("t", 1, x2=1))
-    assert not rnd_dominance(expr(x2=1), Rational(9, 4), False, True, leq("t", 1, x2=1))
+    le_target = leq("t", 1, x2=1)
+    assert pseudo(expr(x2=1), Rational(7, 4), False, True).rounded_dominates(le_target)
+    assert not pseudo(expr(x2=1), Rational(9, 4), False, True).rounded_dominates(le_target)
 
 
 def test_split_disjunction_examples():

@@ -4,8 +4,11 @@
   split test of `viprcert.algebra` against the `Fraction` implementation
   they replaced, kept here as the reference.
 - `parse_rational` against its regular-expression definition.
+- The parser's row reader against the token-by-token path and against
+  `parse_rational` plus `scaled_row`.
 - Parse-error positions, which the parser computes only when it raises,
   against an eager tokenizer that records every token's line and column.
+- The check and the emitter never build a constraint's rational views.
 """
 
 from __future__ import annotations
@@ -14,23 +17,31 @@ import math
 import re
 from fractions import Fraction
 from typing import Callable
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import CORPUS, fixture_path
+from conftest import CORPUS, fixture_path, load_fixture
+from test_scale_agreement import gen
 
 from viprcert.algebra import (
+    PseudoConstraint,
     constraint_dominates,
-    dominates,
     is_split_disjunction,
     linear_combination,
-    rnd_dominance,
-    roundable_flags,
 )
-from viprcert.model import Constraint, LinearExpr, Multipliers, Sign
-from viprcert.parser import ParseError, _token_position, parse_certificate
-from viprcert.rational import RationalSyntaxError, parse_rational
+from viprcert.checker import check_certificate_report, compute_assumption_sets
+from viprcert.model import Constraint, LinearExpr, Multipliers, Sign, scaled_row
+from viprcert.parser import (
+    ParseError,
+    ParseErrorKind,
+    _Parser,
+    _token_position,
+    parse_certificate,
+)
+from viprcert.rational import RationalSyntaxError, parse_rational, unlimited_int_digits
+from viprcert.smtgen import EmissionPlan, emit
 
 # --- Fraction reference for the constraint algebra ----------------------------
 
@@ -176,26 +187,27 @@ def test_combination_domination_and_rounding_match_the_fraction_reference(case, 
     for t in (target, rounded_target):
         want = reference_rnd_dominance(lhs, rhs, geq, leq, t)
         assert combo.rounded_dominates(t) == want
-        assert rnd_dominance(lhs, rhs, geq, leq, t) == want
+        # the same over the least scale
+        canonical = PseudoConstraint(*scaled_row(lhs.terms, rhs), geq, leq)
+        assert canonical.rounded_dominates(t) == want
 
 
 @settings(max_examples=400)
-@given(constraints(), st.booleans(), st.booleans(), st.booleans(), st.data())
+@given(constraints(), st.booleans(), st.booleans(), st.data())
 def test_public_domination_and_roundability_match_the_fraction_reference(
-    source, eq, geq, leq, data
+    source, geq, leq, data
 ):
-    # the flags are drawn independently, also in combinations no
-    # combination produces
+    # the flags are drawn independently of the source's sign
     target = data.draw(targets_near(source.lhs, source.rhs))
     lhs, rhs = source.lhs, source.rhs
-    assert dominates(lhs, rhs, eq, geq, leq, target) == reference_dominates(
-        lhs, rhs, eq, geq, leq, target
-    )
+    eq = geq and leq
+    pseudo = PseudoConstraint(source.scale, source.terms, source.bound, geq, leq)
+    assert pseudo.dominates(target) == reference_dominates(lhs, rhs, eq, geq, leq, target)
     s = source.sign.value
     assert constraint_dominates(source, target) == reference_dominates(
         lhs, rhs, s == 0, s >= 0, s <= 0, target
     )
-    assert roundable_flags(lhs, eq, INT_VARS) == reference_roundable(lhs, eq, INT_VARS)
+    assert pseudo.roundable(INT_VARS) == reference_roundable(lhs, eq, INT_VARS)
 
 
 @st.composite
@@ -277,6 +289,118 @@ def test_parse_rational_matches_the_regex_definition(token):
     assert _outcome(parse_rational, token) == _outcome(reference_parse_rational, token)
 
 
+# --- the row reader against the token-by-token path and the reference --------
+
+ROW_HEAD = "VER 1.0\nVAR 3\nx y z\nINT 0\nOBJ min\n2 0 1/2 2 -3\nCON 1 0\nC1 G "
+ROW_TAIL = "\nRTP infeas\nSOL 0\nDER 0\n"
+
+
+def _row_outcome(body: str, token_path: bool = False):
+    """The parsed row of `C1 G <body>`, or the error's kind, position and
+    message; with `token_path`, the row reader is off and every body is
+    read token by token."""
+    reader = (lambda self, n: None) if token_path else _Parser.row
+    with unlimited_int_digits(), mock.patch.object(_Parser, "row", reader):
+        try:
+            problem, _ = parse_certificate(ROW_HEAD + body + ROW_TAIL)
+        except ParseError as exc:
+            return exc.kind, exc.line, exc.column, exc.message
+    constraint = problem.constraints[0]
+    return constraint.scale, constraint.terms, constraint.bound
+
+
+def reference_row(rhs: str, pairs: list[tuple[str, str]]):
+    """`parse_rational` and `scaled_row` over a body known to be valid."""
+    values = {int(j) + 1: parse_rational(v) for j, v in pairs}
+    return scaled_row({j: v for j, v in values.items() if v}, parse_rational(rhs))
+
+
+BIG = "7" * 5000  # past CPython's default int <-> str digit limit
+BIG_INT = 7 * (10**5000 - 1) // 9
+ROW_CASES = [
+    # (rhs, pairs, expected row or error kind)
+    ("+0", [("0", "-0/5"), ("2", "+0")], (1, {}, 0)),
+    ("-0/5", [], (1, {}, 0)),
+    ("0", [("0", "0"), ("1", "0/7")], (1, {}, 0)),
+    ("3/-4", [("0", "-3/-4")], (4, {1: 3}, -3)),
+    ("2/2", [("0", "2/2"), ("1", "-4/2")], (1, {1: 1, 2: -2}, 1)),
+    ("6/4", [("0", "3/2"), ("2", "9/6")], (2, {1: 3, 3: 3}, 3)),
+    ("٣", [("٠", "٣/٤"), ("٢", "-١")], (4, {1: 3, 3: -4}, 12)),
+    (BIG, [("0", f"-{BIG}/3"), ("1", "1/3")], (3, {1: -BIG_INT, 2: 1}, 3 * BIG_INT)),
+    ("1", [("+1", "2")], (1, {2: 2}, 1)),  # a signed index is valid
+    ("1_000", [], ParseErrorKind.UNEXPECTED_TOKEN),
+    ("1", [("0", "1_000")], ParseErrorKind.UNEXPECTED_TOKEN),
+    ("1", [("0", "1/0")], ParseErrorKind.UNEXPECTED_TOKEN),
+    ("1", [("0", "2"), ("1", "0/0")], ParseErrorKind.UNEXPECTED_TOKEN),
+    ("1.5", [("0", "1")], ParseErrorKind.DECIMAL_NOTATION),
+    ("1", [("0", "1"), ("1", "-0.5")], ParseErrorKind.DECIMAL_NOTATION),
+    ("1", [("0", "½")], ParseErrorKind.UNEXPECTED_TOKEN),
+    ("1", [("0", "1"), ("0", "2")], ParseErrorKind.BAD_INDEX),  # repeated
+    ("1", [("3", "1")], ParseErrorKind.BAD_INDEX),  # out of range
+    ("1", [("1_0", "1")], ParseErrorKind.BAD_INDEX),
+]
+
+
+@pytest.mark.parametrize("rhs, pairs, expected", ROW_CASES, ids=range(len(ROW_CASES)))
+def test_row_reader_edge_tokens(rhs, pairs, expected):
+    body = " ".join([rhs, str(len(pairs)), *(f"{j} {v}" for j, v in pairs)])
+    outcome = _row_outcome(body)
+    assert outcome == _row_outcome(body, token_path=True)
+    if isinstance(expected, ParseErrorKind):
+        assert outcome[0] is expected
+    else:
+        assert outcome == expected
+        with unlimited_int_digits():
+            assert outcome == reference_row(rhs, [(str(int(j)), v) for j, v in pairs])
+
+
+def test_row_reader_objective_keyword():
+    # the objective is 1/2 x + (-3) z: over 2 with a bound of 1/3, over 6
+    assert _row_outcome("1/3 OBJ") == (6, {1: 3, 3: -18}, 2)
+    assert _row_outcome("-4 OBJ") == (2, {1: 1, 3: -6}, -8)
+    for body in ("1/3 OBJ", "1.5 OBJ", "1/0 OBJ", "+2 OBJ"):
+        assert _row_outcome(body) == _row_outcome(body, token_path=True), body
+
+
+def _digits(draw, text: str) -> str:
+    """`text` with its ASCII digits sometimes written as Arabic-Indic ones."""
+    if draw(st.integers(0, 5)) == 0:
+        return text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    return text
+
+
+@st.composite
+def value_tokens(draw):
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.sampled_from(EDGE_TOKENS + ["1/0", "0/0", "-0", "1_000"]))
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    numerator = _digits(draw, str(draw(st.integers(0, 10**draw(st.integers(1, 30))))))
+    if kind < 5:
+        return sign + numerator
+    den_sign = draw(st.sampled_from(["", "", "", "-", "+"]))
+    denominator = _digits(draw, str(draw(st.integers(0, 40))))
+    return f"{sign}{numerator}/{den_sign}{denominator}"
+
+
+index_tokens = st.sampled_from(["0", "1", "2", "0", "1", "2", "3", "+1", "-0", "٢", "x", "1.0"])
+
+
+@settings(max_examples=500)
+@given(value_tokens(), st.lists(st.tuples(index_tokens, value_tokens()), max_size=4), st.data())
+def test_row_reader_matches_the_token_path_and_the_reference(rhs, pairs, data):
+    count = str(len(pairs))
+    if data.draw(st.integers(0, 9)) == 0:
+        count = data.draw(st.sampled_from(["+" + count, str(len(pairs) + 1), "-1", "OBJ"]))
+    body = " ".join([rhs, count, *(f"{j} {v}" for j, v in pairs)])
+    outcome = _row_outcome(body)
+    assert outcome == _row_outcome(body, token_path=True)
+    if isinstance(outcome[0], ParseErrorKind) or count != str(len(pairs)):
+        return
+    with unlimited_int_digits():
+        assert outcome == reference_row(rhs, [(str(int(j)), v) for j, v in pairs])
+
+
 # --- error positions computed on demand against an eager tokenizer ----------
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -352,3 +476,24 @@ def test_lazy_error_positions_match_an_eager_tokenizer(layout):
     else:
         line, column = 1, 1
     assert (error.line, error.column) == (line, column)
+
+
+# --- the hot paths read rows only -------------------------------------------
+
+
+def test_check_and_emit_never_build_the_rational_views(tmp_path, monkeypatch):
+    def view(constraint):
+        raise AssertionError(f"rational view of {constraint.name} built")
+
+    spec = gen.Spec(n=8, m=16, derivations=150, kind="optimal", split_depth=3)
+    model = gen.build(spec, 1)
+    texts = [fixture_path(name).read_bytes() for name in CORPUS]
+    texts += [gen.render(model, forgery, 1)[0] for forgery in (None, "soldom", "feas")]
+    monkeypatch.setattr(Constraint, "lhs", property(view))
+    monkeypatch.setattr(Constraint, "rhs", property(view))
+    for index, text in enumerate(texts):
+        problem, certificate = parse_certificate(text)
+        check_certificate_report(problem, certificate)
+        asets = compute_assumption_sets(problem, certificate)
+        plan = EmissionPlan.create(problem, certificate, block_size=40)
+        emit(problem, certificate, asets, plan, tmp_path / str(index))

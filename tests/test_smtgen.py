@@ -33,11 +33,14 @@ def test_plan_block_partition():
     plan = EmissionPlan.create(problem, certificate, block_size=3)
     assert plan.blocks == ((4, 6), (7, 9), (10, 12), (13, 14))
     default = EmissionPlan.create(problem, certificate, workers=4)
-    assert default.block_size == 2  # floor(11 / 4)
-    assert default.blocks[0] == (4, 5) and default.blocks[-1] == (14, 14)
+    assert default.block_size == 3  # ceil(11 / 4)
+    assert default.blocks[0] == (4, 6) and default.blocks[-1] == (13, 14)
     # blocks are consecutive and cover [m+1, d]
     flattened = [k for first, last in default.blocks for k in range(first, last + 1)]
     assert flattened == list(range(4, 15))
+    # one block per worker, no one-derivation remainder block
+    halves = EmissionPlan.create(problem, certificate, workers=2)
+    assert halves.blocks == ((4, 9), (10, 14))
     # more workers than derivations: block size clamps at 1
     tiny = EmissionPlan.create(problem, certificate, workers=64)
     assert tiny.block_size == 1 and len(tiny.blocks) == 11
