@@ -392,10 +392,17 @@ def test_row_reader_matches_the_token_path_and_the_reference(rhs, pairs, data):
     count = str(len(pairs))
     if data.draw(st.integers(0, 9)) == 0:
         count = data.draw(st.sampled_from(["+" + count, str(len(pairs) + 1), "-1", "OBJ"]))
-    body = " ".join([rhs, count, *(f"{j} {v}" for j, v in pairs)])
+    tokens = [rhs, count, *(token for pair in pairs for token in pair)]
+    body = " ".join(tokens)
     outcome = _row_outcome(body)
     assert outcome == _row_outcome(body, token_path=True)
-    if isinstance(outcome[0], ParseErrorKind) or count != str(len(pairs)):
+    # an empty token vanishes from the body and shifts the rest, so the
+    # reference only applies when the body reads back as the drawn tokens
+    if (
+        isinstance(outcome[0], ParseErrorKind)
+        or count != str(len(pairs))
+        or body.split() != tokens
+    ):
         return
     with unlimited_int_digits():
         assert outcome == reference_row(rhs, [(str(int(j)), v) for j, v in pairs])
