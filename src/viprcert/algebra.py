@@ -17,11 +17,6 @@ from .model import Constraint, LinearExpr, Multipliers, Sign
 from .rational import Rational
 
 
-def sign_value(constraint: Constraint) -> int:
-    """s(C): Geq -> 1, Eq -> 0, Leq -> -1."""
-    return constraint.sign.value
-
-
 def _dominates(
     scale: int,
     terms: dict[int, int],
@@ -100,10 +95,6 @@ class PseudoConstraint:
     @property
     def eq(self) -> bool:
         return self.geq and self.leq
-
-    @property
-    def suitable(self) -> bool:
-        return self.geq or self.leq
 
     def dominates(self, target: Constraint) -> bool:
         return _dominates(

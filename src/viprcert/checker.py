@@ -22,7 +22,6 @@ from .model import (
     Certificate,
     Constraint,
     DerivedConstraint,
-    Location,
     Multipliers,
     Problem,
     Reason,
@@ -36,7 +35,7 @@ from .model import (
     nz,
     total_constraints,
 )
-from .rational import Rational, ZERO, format_rational, is_integer
+from .rational import Rational, ZERO, format_rational, is_integer, unlimited_int_digits
 
 
 class EmptyConstraintSystem(Exception):
@@ -118,7 +117,7 @@ class RtpFlags:
 
 @dataclass(frozen=True)
 class AssumptionSets:
-    """A(k) for every k in [1, d], plus the set S of assumption indices.
+    """A(k) for every k in [1, d].
 
     Problem constraints have empty sets.  An unsplit derivation whose
     source indices are not strictly earlier gets an empty set recorded
@@ -126,7 +125,6 @@ class AssumptionSets:
     consumes (the certificate is then invalid at that index)."""
 
     sets: tuple[frozenset[int], ...]
-    assumption_indices: frozenset[int]
     unsplit_violations: frozenset[int]
 
     def at(self, k: int) -> frozenset[int]:
@@ -138,11 +136,9 @@ def compute_assumption_sets(problem: Problem, certificate: Certificate) -> Assum
     m = problem.m
     sets: list[frozenset[int]] = [frozenset()] * m
     violations: set[int] = set()
-    assumption_indices: set[int] = set()
     for offset, derived in enumerate(certificate.der):
         k = m + 1 + offset
         if derived.reason is Reason.ASM:
-            assumption_indices.add(k)
             current = frozenset((k,))
         elif derived.reason in (Reason.LIN, Reason.RND):
             assert isinstance(derived.data, Multipliers)
@@ -164,11 +160,7 @@ def compute_assumption_sets(problem: Problem, certificate: Certificate) -> Assum
         else:  # sol
             current = frozenset()
         sets.append(current)
-    return AssumptionSets(
-        sets=tuple(sets),
-        assumption_indices=frozenset(assumption_indices),
-        unsplit_violations=frozenset(violations),
-    )
+    return AssumptionSets(sets=tuple(sets), unsplit_violations=frozenset(violations))
 
 
 def _satisfies(constraint: Constraint, coords) -> bool:
@@ -197,7 +189,7 @@ def sol_violations(
         if certificate.sol:
             failures.append(
                 Verdict.invalid(
-                    Location.sol(certificate.sol[0].name),
+                    f"Sol({certificate.sol[0].name})",
                     "sol-nonempty",
                     "relation to prove is infeasibility but the solution list is non-empty",
                 )
@@ -207,7 +199,7 @@ def sol_violations(
         if not phi_feas(problem, point):
             failures.append(
                 Verdict.invalid(
-                    Location.sol(point.name),
+                    f"Sol({point.name})",
                     "feas",
                     f"solution point {point.name} is not feasible",
                 )
@@ -216,7 +208,7 @@ def sol_violations(
     if bound is not None and not any(_satisfies(bound, p.coords) for p in certificate.sol):
         failures.append(
             Verdict.invalid(
-                Location.final(),
+                "Final",
                 "sol-bound",
                 f"no listed solution achieves objective value {_relation(bound)}",
             )
@@ -244,7 +236,7 @@ def der_violation(
     target = derived.constraint
 
     def fail(predicate_id: str, message: str) -> Verdict:
-        return Verdict.invalid(Location.der(k), predicate_id, f"{target.name}: {message}")
+        return Verdict.invalid(f"Der({k})", predicate_id, f"{target.name}: {message}")
 
     if derived.reason is Reason.ASM:
         return None
@@ -324,13 +316,11 @@ def final_violation(
     d = total_constraints(problem, certificate)
     last = constraint_at(problem, certificate, d)
     if not constraint_dominates(last, target):
-        return Verdict.invalid(
-            Location.final(), "der-final", f"{last.name}: {label}"
-        )
+        return Verdict.invalid("Final", "der-final", f"{last.name}: {label}")
     if asets.at(d):
         remaining = ", ".join(str(i) for i in sorted(asets.at(d)))
         return Verdict.invalid(
-            Location.final(),
+            "Final",
             "der-final",
             f"{last.name}: the last constraint still depends on assumptions {{{remaining}}}",
         )
@@ -365,8 +355,11 @@ class CheckReport:
     derivations_checked: int
 
 
+@unlimited_int_digits()
 def check_certificate_report(problem: Problem, certificate: Certificate) -> CheckReport:
-    """Verdict and every failure."""
+    """Verdict and every failure.  Messages print integers of any length,
+    with the interpreter's digit limit lifted process-wide while this runs
+    (`unlimited_int_digits`)."""
     flags = RtpFlags.of(problem, certificate)
     asets = compute_assumption_sets(problem, certificate)
     failures = sol_violations(problem, certificate, flags)

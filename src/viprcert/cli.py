@@ -9,7 +9,6 @@ error).  A verdict is never conflated with an infrastructure failure.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import shlex
@@ -25,7 +24,6 @@ from .checker import (
     default_jobs,
 )
 from .parser import ParseError, parse_certificate
-from .rational import unlimited_int_digits
 from .smtgen import Aggregate, EmissionPlan, SolverSpawnError, dispatch, emit
 
 EXIT_VALID = 0
@@ -44,21 +42,9 @@ def default_solver_command() -> str:
     return f"{shlex.quote(sys.executable)} -m viprcert.smteval {{}}"
 
 
-def _parse(data: bytes):
-    """Parse with cyclic garbage collection paused: the parse frees no
-    cycles, so collections during it only cost time."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return parse_certificate(data)
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def cmd_check(args: argparse.Namespace, data: bytes) -> int:
     started = time.perf_counter()
-    problem, certificate = _parse(data)
+    problem, certificate = parse_certificate(data)
     parse_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -119,7 +105,7 @@ def _total_bytes(files) -> int:
 
 
 def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
-    problem, certificate = _parse(data)
+    problem, certificate = parse_certificate(data)
     try:
         files = _emit_files(problem, certificate, args.out, args.block_size, args.jobs)
     except OSError as exc:
@@ -146,7 +132,7 @@ def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
-    problem, certificate = _parse(data)
+    problem, certificate = parse_certificate(data)
     solver = args.solver or default_solver_command()
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="viprcert-") as scratch:
@@ -230,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with unlimited_int_digits():
-            return _run(args)
+        return _run(args)
     except Exception as exc:  # exit 1 must only ever mean "invalid certificate"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

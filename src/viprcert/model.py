@@ -295,37 +295,11 @@ def nz(multipliers: Multipliers) -> frozenset[int]:
 
 
 @dataclass(frozen=True)
-class Location:
-    """Where a verdict failure was localized."""
-
-    kind: str  # "sol" | "der" | "final"
-    point: Optional[str] = None
-    k: Optional[int] = None
-
-    @classmethod
-    def sol(cls, point_name: str) -> "Location":
-        return cls(kind="sol", point=point_name)
-
-    @classmethod
-    def der(cls, k: int) -> "Location":
-        return cls(kind="der", k=k)
-
-    @classmethod
-    def final(cls) -> "Location":
-        return cls(kind="final")
-
-    def __str__(self) -> str:
-        if self.kind == "sol":
-            return f"Sol({self.point})"
-        if self.kind == "der":
-            return f"Der({self.k})"
-        return "Final"
-
-
-@dataclass(frozen=True)
 class Verdict:
+    """A failure's location is `Sol(<point name>)`, `Der(<k>)` or `Final`."""
+
     valid: bool
-    location: Optional[Location] = None
+    location: Optional[str] = None
     predicate_id: Optional[str] = None
     message: str = ""
 
@@ -338,5 +312,5 @@ class Verdict:
         return cls(valid=True)
 
     @classmethod
-    def invalid(cls, location: Location, predicate_id: str, message: str) -> "Verdict":
+    def invalid(cls, location: str, predicate_id: str, message: str) -> "Verdict":
         return cls(valid=False, location=location, predicate_id=predicate_id, message=message)

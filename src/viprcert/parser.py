@@ -9,6 +9,7 @@ business, strictly separated from this module.
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 from enum import Enum
@@ -18,7 +19,6 @@ from .model import (
     Certificate,
     Constraint,
     DerivedConstraint,
-    IntegerRow,
     LinearExpr,
     Multipliers,
     Problem,
@@ -36,6 +36,7 @@ from .rational import (
     format_rational,
     is_integer_literal,
     parse_rational,
+    unlimited_int_digits,
 )
 
 VERSION_TOKEN = "1.0"
@@ -65,9 +66,11 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(r"\S+")
 
-# the `p` and `p/q` values of one row, joined by single spaces: `\d` is
-# exactly the Unicode Nd digits `str.isdecimal` accepts
-_VALUE = r"[+-]?\d+(?:/[+-]?\d+)?"
+# valid `p` and `p/q` values joined by single spaces: `\d` is exactly the
+# Unicode Nd digits `str.isdecimal` accepts, and a denominator needs an
+# ASCII digit 1-9, so it is not zero; any other value is checked by
+# `parse_rational`
+_VALUE = r"[+-]?\d+(?:/[+-]?\d*[1-9]\d*)?"
 _VALUES = re.compile(f"{_VALUE}(?: {_VALUE})*")
 
 
@@ -88,25 +91,15 @@ def _token_position(text: str, index: int) -> tuple[int, int]:
     raise IndexError(f"token {index} outside the text's {seen} tokens")
 
 
-def _ratios(values: list[str]) -> Optional[tuple[int, list[int]]]:
+def _ratios(values: list[str]) -> tuple[int, list[int]]:
     """Valid `p` or `p/q` values over their least common denominator D:
-    (D, [p * D / q, ...]).  None if any value is not valid."""
-    joined = " ".join(values)
-    if _VALUES.fullmatch(joined) is None:
-        return None
-    if "/" not in joined:
+    (D, [p * D / q, ...])."""
+    if "/" not in "".join(values):
         return 1, list(map(int, values))
-    numerators = []
-    denominators = []
-    for value in values:
-        p, _, q = value.partition("/")
-        denominator = int(q) if q else 1
-        if not denominator:
-            return None
-        numerators.append(int(p))
-        denominators.append(denominator)
+    parts = [value.partition("/") for value in values]
+    denominators = [int(q) if q else 1 for _, _, q in parts]
     scale = math.lcm(*denominators)  # positive; exact for a negative q too
-    return scale, [p * (scale // q) for p, q in zip(numerators, denominators)]
+    return scale, [int(p) * (scale // q) for (p, _, _), q in zip(parts, denominators)]
 
 
 class _Parser:
@@ -158,9 +151,6 @@ class _Parser:
             raise self.error(ParseErrorKind.BAD_COUNT, f"negative {context}: {value}")
         return value
 
-    def rational(self, context: str) -> Rational:
-        return self.rational_value(self.next(context))
-
     def rational_value(self, text: str) -> Rational:
         """The last token read, `text`, as a rational."""
         try:
@@ -188,79 +178,40 @@ class _Parser:
                 ParseErrorKind.UNKNOWN_SENSE, f"expected E, G or L, found {text!r}"
             ) from None
 
-    def pairs(self, count: int, limit: int) -> Optional[tuple[list[int], list[str]]]:
-        """The common case of `count` pairs `i v` from the current token:
-        decimal, distinct indices below `limit`, returned 1-based, and the
-        value tokens, none of them consumed.  None for anything else."""
+    def pairs(
+        self, count: int, limit: int, what: str, index_kind: str, value_kind: str
+    ) -> tuple[list[int], list[str]]:
+        """`count` pairs `i v`: a 0-based index below `limit`, returned
+        1-based and at most once, and the token of a valid rational value."""
         start = self.pos
         end = start + 2 * count
         indices = self.tokens[start:end:2]
-        if end > len(self.tokens) or not all(map(str.isdecimal, indices)):
-            return None
-        keys = list(map((1).__add__, map(int, indices)))
-        if count and (max(keys) > limit or len(set(keys)) < count):
-            return None
-        return keys, self.tokens[start + 1 : end : 2]
-
-    def index_values(
-        self, count: int, limit: int, what: str, index_kind: str, value_kind: str
-    ) -> dict[int, Rational]:
-        """`count` pairs `i v`: a 0-based index below `limit`, returned
-        1-based and at most once, and a rational value."""
-        common = self.pairs(count, limit)
-        if common is not None:
-            try:
-                parsed = dict(zip(common[0], map(parse_rational, common[1])))
-            except RationalSyntaxError:
-                pass
-            else:
-                self.pos += 2 * count
-                return parsed
+        values = self.tokens[start + 1 : end : 2]
+        if len(values) == count and all(map(str.isdecimal, indices)):
+            keys = list(map((1).__add__, map(int, indices)))
+            distinct = not count or (max(keys) <= limit and len(set(keys)) == count)
+            if distinct and _VALUES.fullmatch(" ".join(values)):
+                self.pos = end
+                return keys, values
         # anything else (a signed index, say) goes token by token and
         # raises the located error, if there is one
-        values: dict[int, Rational] = {}
+        checked: dict[int, str] = {}
         for _ in range(count):
             i = self.shifted_index(limit, f"{what} {index_kind} index")
-            if i in values:
+            if i in checked:
                 raise self.error(
                     ParseErrorKind.BAD_INDEX, f"duplicate {index_kind} index {i - 1} in {what}"
                 )
-            values[i] = self.rational(f"{what} {value_kind}")
-        return values
+            checked[i] = self.next(f"{what} {value_kind}")
+            self.rational_value(checked[i])
+        return list(checked), list(checked.values())
 
-    def row(self, n: int) -> Optional[IntegerRow]:
-        """The common case of `rhs t j_1 c_1 ... j_t c_t`, as `pairs` and
-        with valid values, read as ints straight into a row.  None, with no
-        token consumed, for anything else, which `constraint_body` reads
-        token by token."""
-        head = self.tokens[self.pos : self.pos + 2]
-        if len(head) < 2 or not head[1].isdecimal():
-            return None
-        t = int(head[1])
-        self.pos += 2
-        common = self.pairs(t, n)
-        ratios = None if common is None else _ratios([head[0], *common[1]])
-        if ratios is None:
-            self.pos -= 2
-            return None
-        self.pos += 2 * t
-        scale, numbers = ratios
-        terms = dict(zip(common[0], numbers[1:]))
-        if 0 in terms.values():
-            terms = {j: a for j, a in terms.items() if a}
-        return scale, terms, numbers[0]
-
-    def term_list(self, n: int, what: str, objective: Optional[LinearExpr]) -> LinearExpr:
-        """`t  j_1 c_1 ... j_t c_t` with 0-based variable indices.
-
-        When `objective` is given, the single keyword OBJ may replace the
-        whole list, denoting the objective's coefficients.
-        """
-        if objective is not None and self.peek() == "OBJ":
-            self.pos += 1
-            return objective
-        t = self.count(f"{what} term count")
-        return LinearExpr(self.index_values(t, n, what, "variable", "coefficient"))
+    def rationals(
+        self, count: int, limit: int, what: str, index_kind: str, value_kind: str
+    ) -> dict[int, Rational]:
+        """`pairs` with the values read as rationals."""
+        keys, values = self.pairs(count, limit, what, index_kind, value_kind)
+        return dict(zip(keys, map(parse_rational, values)))
 
     # --- sections ----------------------------------------------------------
 
@@ -288,7 +239,8 @@ class _Parser:
                 ParseErrorKind.UNKNOWN_SENSE, f"expected min or max, found {sense_text!r}"
             )
         sense = Sense(sense_text)
-        objective = self.term_list(n, "objective", objective=None)
+        t = self.count("objective term count")
+        objective = LinearExpr(self.rationals(t, n, "objective", "variable", "coefficient"))
 
         self.keyword("CON")
         m = self.count("constraint count")
@@ -331,14 +283,24 @@ class _Parser:
         return problem, certificate
 
     def constraint_body(self, n: int, objective: LinearExpr, what: str) -> Constraint:
+        """`name sense rhs` and then `t j_1 c_1 ... j_t c_t` with 0-based
+        variable indices, or the single keyword OBJ for the objective's
+        coefficients."""
         name = self.name(f"{what} name")
         sign = self.sense_letter(f"{what} sense")
-        row = self.row(n)
-        if row is not None:
-            return Constraint.from_row(name, sign, *row)
-        rhs = self.rational(f"{what} right-hand side")
-        lhs = self.term_list(n, what, objective)
-        return Constraint(name=name, lhs=lhs, sign=sign, rhs=rhs)
+        rhs = self.next(f"{what} right-hand side")
+        if _VALUES.fullmatch(rhs) is None:
+            self.rational_value(rhs)  # raises the located error, if there is one
+        if self.peek() == "OBJ":
+            self.pos += 1
+            return Constraint(name, objective, sign, parse_rational(rhs))
+        t = self.count(f"{what} term count")
+        keys, values = self.pairs(t, n, what, "variable", "coefficient")
+        scale, numbers = _ratios([rhs, *values])
+        terms = dict(zip(keys, numbers[1:]))
+        if 0 in terms.values():
+            terms = {j: a for j, a in terms.items() if a}
+        return Constraint.from_row(name, sign, scale, terms, numbers[0])
 
     def parse_rtp(self) -> Rtp:
         self.keyword("RTP")
@@ -359,7 +321,7 @@ class _Parser:
         what = f"solution {ordinal}"
         name = self.name(f"{what} name")
         t = self.count(f"{what} term count")
-        return SolutionPoint(name=name, coords=self.index_values(t, n, what, "variable", "value"))
+        return SolutionPoint(name=name, coords=self.rationals(t, n, what, "variable", "value"))
 
     def derived_constraint(
         self, n: int, d: int, objective: LinearExpr, ordinal: int
@@ -380,7 +342,7 @@ class _Parser:
             data = None
         elif reason in (Reason.LIN, Reason.RND):
             c = self.count(f"{what} multiplier count")
-            data = Multipliers(self.index_values(c, d, what, "constraint", "multiplier"))
+            data = Multipliers(self.rationals(c, d, what, "constraint", "multiplier"))
         else:  # uns: exactly four indices, no weights
             i1 = self.shifted_index(d, f"{what} unsplit index")
             l1 = self.shifted_index(d, f"{what} unsplit index")
@@ -409,11 +371,24 @@ def _decode(data: bytes) -> str:
         ) from None
 
 
+@unlimited_int_digits()
 def parse_certificate(source: Union[str, bytes]) -> tuple[Problem, Certificate]:
-    """Parse VIPR 1.0 text into (Problem, Certificate)."""
+    """Parse VIPR 1.0 text into (Problem, Certificate).
+
+    Literals of any length are read, with the interpreter's digit limit
+    lifted process-wide while this runs (`unlimited_int_digits`).  Cyclic
+    garbage collection is paused too: the parse frees no cycles, so
+    collections during it only cost time.
+    """
     if isinstance(source, bytes):
         source = _decode(source)
-    return _Parser(source).parse()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Parser(source).parse()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- serialization ----------------------------------------------------------

@@ -12,7 +12,6 @@ syntax (`p` or `p/q`, never decimals) used by the certificate format.
 from __future__ import annotations
 
 import contextlib
-import math
 import sys
 from fractions import Fraction
 from typing import Iterator
@@ -31,8 +30,6 @@ __all__ = [
     "is_integer_literal",
     "parse_rational",
     "format_rational",
-    "floor_int",
-    "ceil_int",
     "is_integer",
     "unlimited_int_digits",
 ]
@@ -91,16 +88,6 @@ def format_rational(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def floor_int(value: Rational) -> int:
-    """Largest integer <= value, exactly."""
-    return math.floor(value)
-
-
-def ceil_int(value: Rational) -> int:
-    """Smallest integer >= value, exactly."""
-    return math.ceil(value)
-
-
 def is_integer(value: Rational) -> bool:
     return value.denominator == 1
 
@@ -109,7 +96,9 @@ def is_integer(value: Rational) -> bool:
 def unlimited_int_digits() -> Iterator[None]:
     """Lift CPython's limit on int <-> str conversion digits while the
     block runs: exact certificates may carry integers of any length.
-    The limit is process-wide, so only command entry points use this."""
+    The limit is process-wide, so every thread sees it lifted meanwhile.
+    Also a decorator: `parse_certificate`, `check_certificate_report`
+    and `emit` run under it."""
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:  # interpreters from before the limit
         yield

@@ -45,7 +45,7 @@ from .model import (
     scaled_row,
     total_constraints,
 )
-from .rational import Rational, ZERO
+from .rational import Rational, ZERO, unlimited_int_digits
 
 _RZERO = "0"
 _RONE = "1"
@@ -388,6 +388,7 @@ def _write_script(path: Path, expression: str) -> None:
     path.write_text(f"(set-logic ALL)\n(assert {expression})\n(check-sat)\n", encoding="utf-8")
 
 
+@unlimited_int_digits()
 def emit(
     problem: Problem,
     certificate: Certificate,
@@ -398,7 +399,9 @@ def emit(
     """Write the solution file, one file per block, and the final file.
 
     Emission is deterministic: identical inputs and plan produce
-    byte-identical files.
+    byte-identical files.  Integers of any length are written, with
+    the interpreter's digit limit lifted process-wide while this runs
+    (`unlimited_int_digits`).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,6 @@ from viprcert.algebra import (
     constraint_dominates,
     is_split_disjunction,
     linear_combination,
-    sign_value,
 )
 from viprcert.model import (
     Constraint,
@@ -44,12 +43,6 @@ ABSURDITY = geq("absurd", 1)
 def pseudo(lhs: LinearExpr, rhs, geq: bool, leq: bool) -> PseudoConstraint:
     """A combination result with the given row and sign flags."""
     return PseudoConstraint(*scaled_row(lhs.terms, Rational(rhs)), geq, leq)
-
-
-def test_sign_value():
-    assert sign_value(geq("c", 1, x1=2, x2=3)) == 1
-    assert sign_value(leq("c", 0, x1=1)) == -1
-    assert sign_value(Constraint("c", expr(x1=1), Sign.EQ, Rational(0))) == 0
 
 
 def test_dominates_examples():
@@ -187,7 +180,7 @@ def test_singleton_combination_mirrors_the_constraint(c):
     combo = linear_combination(Multipliers({1: Rational(1)}), lambda i: c)
     assert combo.lhs == c.lhs
     assert combo.rhs == c.rhs
-    s = sign_value(c)
+    s = c.sign.value
     assert combo.geq == (s >= 0)
     assert combo.leq == (s <= 0)
 

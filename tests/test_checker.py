@@ -71,7 +71,6 @@ def test_assumption_sets_match_the_worked_example():
         assert asets.at(k) == frozenset()
     for k, expected in CERT0_ASSUMPTIONS.items():
         assert asets.at(k) == frozenset(expected), f"A({k})"
-    assert asets.assumption_indices == {4, 5, 6, 8}
     assert asets.unsplit_violations == frozenset()
 
 

@@ -8,7 +8,10 @@ import pytest
 
 from conftest import SOLVER_COMMAND, fixture_path
 
+from viprcert.checker import check_certificate_report, compute_assumption_sets
 from viprcert.cli import main
+from viprcert.parser import parse_certificate
+from viprcert.smtgen import EmissionPlan, emit
 
 
 def run_cli(*argv, capsys=None):
@@ -256,6 +259,25 @@ def test_huge_literals_keep_the_verdict_exit_code(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "VALID" in captured.out.splitlines()
     assert "Traceback" not in captured.err
+
+
+def test_library_calls_accept_huge_literals_on_their_own(tmp_path):
+    """The library reads, prints and writes the 5000-digit literals the
+    command line accepts, and leaves the interpreter's limit as it was."""
+    limit = sys.get_int_max_str_digits()
+    text = _huge_infeasible_certificate(tmp_path).read_text()
+    problem, certificate = parse_certificate(text)
+    assert check_certificate_report(problem, certificate).verdict.valid
+    asets = compute_assumption_sets(problem, certificate)
+    plan = EmissionPlan.create(problem, certificate)
+    files = emit(problem, certificate, asets, plan, tmp_path / "smt")
+    huge = "1" + "0" * 4998 + "7"
+    assert any(huge in emitted.path.read_text() for emitted in files)
+    # no derivation and a 5000-digit lower bound: the message prints it
+    text = text[: text.index("RTP")] + f"RTP range {huge} inf\nSOL 0\nDER 0\n"
+    verdict = check_certificate_report(*parse_certificate(text)).verdict
+    assert verdict.location == "Final" and f">= {huge})" in verdict.message
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):

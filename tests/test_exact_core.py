@@ -4,8 +4,9 @@
   split test of `viprcert.algebra` against the `Fraction` implementation
   they replaced, kept here as the reference.
 - `parse_rational` against its regular-expression definition.
-- The parser's row reader against the token-by-token path and against
-  `parse_rational` plus `scaled_row`.
+- The parser's list reader against its token-by-token path on all four
+  list kinds, and constraint bodies against `parse_rational` plus
+  `scaled_row`.
 - Parse-error positions, which the parser computes only when it raises,
   against an eager tokenizer that records every token's line and column.
 - The check and the emitter never build a constraint's rational views.
@@ -33,13 +34,8 @@ from viprcert.algebra import (
 )
 from viprcert.checker import check_certificate_report, compute_assumption_sets
 from viprcert.model import Constraint, LinearExpr, Multipliers, Sign, scaled_row
-from viprcert.parser import (
-    ParseError,
-    ParseErrorKind,
-    _Parser,
-    _token_position,
-    parse_certificate,
-)
+from viprcert import parser
+from viprcert.parser import ParseError, ParseErrorKind, _token_position, parse_certificate
 from viprcert.rational import RationalSyntaxError, parse_rational, unlimited_int_digits
 from viprcert.smtgen import EmissionPlan, emit
 
@@ -177,7 +173,7 @@ def test_combination_domination_and_rounding_match_the_fraction_reference(case, 
     combo = linear_combination(multipliers, resolve)
     lhs, rhs, geq, leq = reference_combination(multipliers, resolve)
     assert (combo.lhs, combo.rhs, combo.geq, combo.leq) == (lhs, rhs, geq, leq)
-    assert combo.eq == (geq and leq) and combo.suitable == (geq or leq)
+    assert combo.eq == (geq and leq)
 
     target = data.draw(targets_near(lhs, rhs))
     eq = geq and leq
@@ -289,23 +285,47 @@ def test_parse_rational_matches_the_regex_definition(token):
     assert _outcome(parse_rational, token) == _outcome(reference_parse_rational, token)
 
 
-# --- the row reader against the token-by-token path and the reference --------
+# --- the list reader against the token-by-token path and the reference -------
 
-ROW_HEAD = "VER 1.0\nVAR 3\nx y z\nINT 0\nOBJ min\n2 0 1/2 2 -3\nCON 1 0\nC1 G "
-ROW_TAIL = "\nRTP infeas\nSOL 0\nDER 0\n"
+# each list kind: the text before it, and a valid list for its place
+LISTS = {
+    "objective": ("VER 1.0\nVAR 3\nx y z\nINT 0\nOBJ min\n", "2 0 1/2 2 -3"),
+    "constraint": ("\nCON 1 0\nC1 G ", "1 1 0 1"),
+    "solution": ("\nRTP range -inf inf\nSOL 1\npt ", "0"),
+    "multipliers": ("\nDER 1\nD1 G 0 0 { lin ", "1 0 1"),
+}
+
+
+def list_certificate(kind: str, tokens: str, cut: bool = False) -> str:
+    """A certificate whose list of `kind` is `tokens`: `rhs t j c ...` for
+    a constraint body, `t i v ...` otherwise.  With `cut`, the text ends
+    right after it."""
+    text = ""
+    for name, (before, valid) in LISTS.items():
+        text += before + (tokens if name == kind else valid)
+        if cut and name == kind:
+            return text
+    return text + " } -1\n"
+
+
+def _parse_outcome(text: str, token_path: bool = False):
+    """The parsed model, or the error's kind, position and message; with
+    `token_path` the values pattern never matches, so every list is read
+    token by token."""
+    values = re.compile("(?!)") if token_path else parser._VALUES
+    with mock.patch.object(parser, "_VALUES", values):
+        try:
+            return parse_certificate(text)
+        except ParseError as exc:
+            return exc.kind, exc.line, exc.column, exc.message
 
 
 def _row_outcome(body: str, token_path: bool = False):
-    """The parsed row of `C1 G <body>`, or the error's kind, position and
-    message; with `token_path`, the row reader is off and every body is
-    read token by token."""
-    reader = (lambda self, n: None) if token_path else _Parser.row
-    with unlimited_int_digits(), mock.patch.object(_Parser, "row", reader):
-        try:
-            problem, _ = parse_certificate(ROW_HEAD + body + ROW_TAIL)
-        except ParseError as exc:
-            return exc.kind, exc.line, exc.column, exc.message
-    constraint = problem.constraints[0]
+    """The parsed row of `C1 G <body>`, or the error's outcome."""
+    outcome = _parse_outcome(list_certificate("constraint", body), token_path)
+    if isinstance(outcome[0], ParseErrorKind):
+        return outcome
+    constraint = outcome[0].constraints[0]
     return constraint.scale, constraint.terms, constraint.bound
 
 
@@ -338,6 +358,8 @@ ROW_CASES = [
     ("1", [("0", "1"), ("0", "2")], ParseErrorKind.BAD_INDEX),  # repeated
     ("1", [("3", "1")], ParseErrorKind.BAD_INDEX),  # out of range
     ("1", [("1_0", "1")], ParseErrorKind.BAD_INDEX),
+    ("1", [("0", "1/٣")], (3, {1: 1}, 3)),  # valid, but missed by the pattern
+    ("0/00", [], ParseErrorKind.UNEXPECTED_TOKEN),
 ]
 
 
@@ -389,23 +411,35 @@ index_tokens = st.sampled_from(["0", "1", "2", "0", "1", "2", "3", "+1", "-0", "
 @settings(max_examples=500)
 @given(value_tokens(), st.lists(st.tuples(index_tokens, value_tokens()), max_size=4), st.data())
 def test_row_reader_matches_the_token_path_and_the_reference(rhs, pairs, data):
+    """Every list kind reads the same with and without the one-slice case;
+    a constraint body that reads back also matches the reference row."""
+    kind = data.draw(st.sampled_from(list(LISTS)))
     count = str(len(pairs))
     if data.draw(st.integers(0, 9)) == 0:
         count = data.draw(st.sampled_from(["+" + count, str(len(pairs) + 1), "-1", "OBJ"]))
-    tokens = [rhs, count, *(token for pair in pairs for token in pair)]
-    body = " ".join(tokens)
-    outcome = _row_outcome(body)
-    assert outcome == _row_outcome(body, token_path=True)
+    tokens = [count, *(token for pair in pairs for token in pair)]
+    if kind == "constraint":
+        tokens.insert(0, rhs)
+    short = data.draw(st.integers(0, 4)) == 0  # cut short at the last value
+    cut = data.draw(st.integers(0, 3)) == 0
+    listed = " ".join(tokens[:-1] if short else tokens)
+    text = list_certificate(kind, listed, cut)
+    outcome = _parse_outcome(text)
+    assert outcome == _parse_outcome(text, token_path=True)
     # an empty token vanishes from the body and shifts the rest, so the
     # reference only applies when the body reads back as the drawn tokens
     if (
-        isinstance(outcome[0], ParseErrorKind)
+        kind != "constraint"
+        or isinstance(outcome[0], ParseErrorKind)
         or count != str(len(pairs))
-        or body.split() != tokens
+        or listed.split() != tokens
     ):
         return
+    constraint = outcome[0].constraints[0]
     with unlimited_int_digits():
-        assert outcome == reference_row(rhs, [(str(int(j)), v) for j, v in pairs])
+        assert (constraint.scale, constraint.terms, constraint.bound) == reference_row(
+            rhs, [(str(int(j)), v) for j, v in pairs]
+        )
 
 
 # --- error positions computed on demand against an eager tokenizer ----------

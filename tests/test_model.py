@@ -9,7 +9,6 @@ from viprcert.model import (
     DerivedConstraint,
     IndexOutOfRange,
     LinearExpr,
-    Location,
     Multipliers,
     Reason,
     Sign,
@@ -89,10 +88,8 @@ def test_derived_constraint_data_invariants():
 def test_verdict_invariants_and_locations():
     with pytest.raises(ValueError):
         Verdict(valid=False)
-    verdict = Verdict.invalid(Location.der(11), "prv", "boom")
-    assert str(verdict.location) == "Der(11)"
-    assert str(Location.sol("opt")) == "Sol(opt)"
-    assert str(Location.final()) == "Final"
+    verdict = Verdict.invalid("Der(11)", "prv", "boom")
+    assert verdict.location == "Der(11)"
     assert Verdict.ok().valid
 
 
