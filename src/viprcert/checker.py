@@ -180,6 +180,7 @@ def phi_feas(problem: Problem, point: SolutionPoint) -> bool:
     return all(_satisfies(c, point.coords) for c in problem.constraints)
 
 
+@unlimited_int_digits()
 def sol_violations(
     problem: Problem, certificate: Certificate, flags: RtpFlags
 ) -> list[Verdict]:
@@ -292,6 +293,7 @@ def der_violation(
     return fail("sol-domination", "no listed solution's objective bound dominates")
 
 
+@unlimited_int_digits()
 def final_violation(
     problem: Problem,
     certificate: Certificate,

@@ -5,6 +5,10 @@ indices are range-checked against the declared counts and shifted from
 the file's 0-based convention to the model's 1-based one, and that is
 all.  Whether the certificate actually proves anything is the checker's
 business, strictly separated from this module.
+
+The text is split a chunk of about `CHUNK` characters at a time, so a
+parse holds a bounded window of tokens, never those of the whole file;
+a token's position is its global index in `text.split()`.
 """
 
 from __future__ import annotations
@@ -66,6 +70,11 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(r"\S+")
 
+# text enters the token window this many characters at a time, up to and
+# including the next whitespace character, so no token is cut
+CHUNK = 1 << 16
+_SPACE = re.compile(r"\s")
+
 # valid `p` and `p/q` values joined by single spaces: `\d` is exactly the
 # Unicode Nd digits `str.isdecimal` accepts, and a denominator needs an
 # ASCII digit 1-9, so it is not zero; any other value is checked by
@@ -103,14 +112,30 @@ def _ratios(values: list[str]) -> tuple[int, list[int]]:
 
 
 class _Parser:
-    """Recursive descent over the whitespace-separated tokens of the text."""
+    """Recursive descent over the text's tokens through a bounded window:
+    `tokens` holds them from global index `base` on, `pos` is the global
+    index of the next one, and `text[:offset]` has entered the window."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = text.split()
-        self.pos = 0
+        self.tokens: list[str] = []
+        self.base = self.pos = self.offset = 0
 
     # --- token-level primitives -------------------------------------------
+
+    def _fill(self, need: int) -> None:
+        """Make the window hold `need` tokens from `pos` on, or all that
+        the text has left, dropping the tokens already read."""
+        read = self.pos - self.base
+        if read + need <= len(self.tokens):
+            return
+        del self.tokens[:read]
+        self.base = self.pos
+        while len(self.tokens) < need and self.offset < len(self.text):
+            cut = _SPACE.search(self.text, self.offset + CHUNK)
+            end = cut.end() if cut else len(self.text)
+            self.tokens += self.text[self.offset : end].split()
+            self.offset = end
 
     def error(self, kind: ParseErrorKind, message: str, index: Optional[int] = None) -> ParseError:
         """Error located at token `index`, by default the last token read."""
@@ -118,18 +143,21 @@ class _Parser:
         return ParseError(line, column, kind, message)
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        self._fill(1)
+        i = self.pos - self.base
+        return self.tokens[i] if i < len(self.tokens) else None
 
     def next(self, context: str, kind: ParseErrorKind = ParseErrorKind.UNEXPECTED_TOKEN) -> str:
-        if self.pos == len(self.tokens):
-            if self.tokens:  # just past the last token
-                line, column = _token_position(self.text, self.pos - 1)
-                column += len(self.tokens[-1])
-            else:
-                line, column = 1, 1
-            raise ParseError(line, column, kind, f"unexpected end of input, expected {context}")
+        i = self.pos - self.base
+        if i == len(self.tokens):
+            self._fill(1)
+            i = 0
+            if not self.tokens:  # just past the text's last token, if any
+                end = self.text.rstrip()
+                line, column = end.count("\n") + 1, len(end) - end.rfind("\n")
+                raise ParseError(line, column, kind, f"unexpected end of input, expected {context}")
         self.pos += 1
-        return self.tokens[self.pos - 1]
+        return self.tokens[i]
 
     def keyword(self, expected: str, kind: ParseErrorKind = ParseErrorKind.MISSING_SECTION) -> None:
         text = self.next(f"{expected!r}", kind)
@@ -183,7 +211,8 @@ class _Parser:
     ) -> tuple[list[int], list[str]]:
         """`count` pairs `i v`: a 0-based index below `limit`, returned
         1-based and at most once, and the token of a valid rational value."""
-        start = self.pos
+        self._fill(2 * count)
+        start = self.pos - self.base
         end = start + 2 * count
         indices = self.tokens[start:end:2]
         values = self.tokens[start + 1 : end : 2]
@@ -191,7 +220,7 @@ class _Parser:
             keys = list(map((1).__add__, map(int, indices)))
             distinct = not count or (max(keys) <= limit and len(set(keys)) == count)
             if distinct and _VALUES.fullmatch(" ".join(values)):
-                self.pos = end
+                self.pos += 2 * count
                 return keys, values
         # anything else (a signed index, say) goes token by token and
         # raises the located error, if there is one

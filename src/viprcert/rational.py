@@ -97,8 +97,8 @@ def unlimited_int_digits() -> Iterator[None]:
     """Lift CPython's limit on int <-> str conversion digits while the
     block runs: exact certificates may carry integers of any length.
     The limit is process-wide, so every thread sees it lifted meanwhile.
-    Also a decorator: `parse_certificate`, `check_certificate_report`
-    and `emit` run under it."""
+    Also a decorator on every public entry point that reads or prints
+    literals: the parser, the checker's and the SMT route's."""
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:  # interpreters from before the limit
         yield

@@ -236,6 +236,7 @@ def _satisfied_parts(constraint: Constraint, coords) -> list[str]:
     return parts
 
 
+@unlimited_int_digits()
 def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> str:
     """Ground formula for the validity of derived constraint C_k; the
     assumption predicate is discharged at emission time."""
@@ -306,6 +307,7 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
     return _disj(branches)
 
 
+@unlimited_int_digits()
 def sol_expr(problem: Problem, certificate: Certificate, flags: RtpFlags) -> str:
     """Ground formula for the solution side."""
     if not flags.has_range:
@@ -326,6 +328,7 @@ def sol_expr(problem: Problem, certificate: Certificate, flags: RtpFlags) -> str
     return _conj(parts)
 
 
+@unlimited_int_digits()
 def final_expr(
     problem: Problem, certificate: Certificate, asets: AssumptionSets, flags: RtpFlags
 ) -> str:

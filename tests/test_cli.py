@@ -8,10 +8,16 @@ import pytest
 
 from conftest import SOLVER_COMMAND, fixture_path
 
-from viprcert.checker import check_certificate_report, compute_assumption_sets
+from viprcert.checker import (
+    RtpFlags,
+    check_certificate_report,
+    compute_assumption_sets,
+    final_violation,
+    sol_violations,
+)
 from viprcert.cli import main
 from viprcert.parser import parse_certificate
-from viprcert.smtgen import EmissionPlan, emit
+from viprcert.smtgen import EmissionPlan, der_constraint_expr, emit, final_expr, sol_expr
 
 
 def run_cli(*argv, capsys=None):
@@ -277,6 +283,27 @@ def test_library_calls_accept_huge_literals_on_their_own(tmp_path):
     text = text[: text.index("RTP")] + f"RTP range {huge} inf\nSOL 0\nDER 0\n"
     verdict = check_certificate_report(*parse_certificate(text)).verdict
     assert verdict.location == "Final" and f">= {huge})" in verdict.message
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_check_and_emit_parts_print_huge_literals_on_their_own():
+    """The per-part helpers the benchmark's tracer calls directly print a
+    5000-digit bound and coordinate without a caller lifting the limit."""
+    huge = "1" + "0" * 4998 + "7"
+    text = (
+        "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n1 0 1\nCON 1 0\nc G 0 1 0 1\n"
+        f"RTP range {huge} {huge}\nSOL 1\npt 1 0 {huge}1\nDER 1\nd G 0 OBJ {{ sol }} -1\n"
+    )
+    limit = sys.get_int_max_str_digits()
+    problem, certificate = parse_certificate(text)
+    flags = RtpFlags.of(problem, certificate)
+    asets = compute_assumption_sets(problem, certificate)
+    (bound,) = sol_violations(problem, certificate, flags)
+    assert bound.message == f"no listed solution achieves objective value <= {huge}"
+    assert f"(>= {huge})" in final_violation(problem, certificate, asets, flags).message
+    assert f"{huge}1" in sol_expr(problem, certificate, flags)
+    assert huge in final_expr(problem, certificate, asets, flags)
+    assert f"{huge}1" in der_constraint_expr(problem, certificate, 2)
     assert sys.get_int_max_str_digits() == limit
 
 

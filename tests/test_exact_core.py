@@ -9,6 +9,8 @@
   `scaled_row`.
 - Parse-error positions, which the parser computes only when it raises,
   against an eager tokenizer that records every token's line and column.
+- The parser's bounded token window, at several chunk sizes, against a
+  reader that holds every token of the text in one list.
 - The check and the emitter never build a constraint's rational views.
 """
 
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS, fixture_path, load_fixture
+from test_parser import BROKEN
 from test_scale_agreement import gen
 
 from viprcert.algebra import (
@@ -517,6 +520,106 @@ def test_lazy_error_positions_match_an_eager_tokenizer(layout):
     else:
         line, column = 1, 1
     assert (error.line, error.column) == (line, column)
+
+
+# --- the token window against a whole-list reader ----------------------------
+
+
+class WholeListParser(parser._Parser):
+    """The reference reader: every token of the text in one list, read
+    as the parser read them before it had a window."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.tokens = text.split()
+
+    def _fill(self, need: int) -> None:
+        pass
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, context, kind=ParseErrorKind.UNEXPECTED_TOKEN):
+        if self.pos == len(self.tokens):
+            if self.tokens:  # just past the last token
+                line, column = _token_position(self.text, self.pos - 1)
+                column += len(self.tokens[-1])
+            else:
+                line, column = 1, 1
+            raise ParseError(line, column, kind, f"unexpected end of input, expected {context}")
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+
+WINDOW_CHUNKS = (1, 2, 7, parser.CHUNK)
+
+
+def assert_window_matches_the_whole_list(text: str, chunk: int) -> None:
+    """The same model, or the same error kind, position and message."""
+    try:
+        with unlimited_int_digits():
+            expected = WholeListParser(text).parse()
+    except ParseError as exc:
+        expected = exc.kind, exc.line, exc.column, exc.message
+    with mock.patch.object(parser, "CHUNK", chunk):
+        assert _parse_outcome(text) == expected
+
+
+def _generated(derivations: int, n: int, m: int, kind: str, forgery=None) -> str:
+    spec = gen.Spec(n=n, m=m, derivations=derivations, kind=kind, split_depth=3)
+    return gen.render(gen.build(spec, 1), forgery, 1)[0].decode()
+
+
+# small certificates to mutate: the fixtures and two generated ones
+WINDOW_BASES = [fixture_path(name).read_text() for name in CORPUS] + [
+    _generated(20, 4, 8, "optimal"),
+    _generated(20, 4, 8, "infeas"),
+]
+
+
+@pytest.mark.parametrize("chunk", WINDOW_CHUNKS)
+def test_window_matches_the_whole_list_reader(chunk):
+    texts = WINDOW_BASES + [text for text, _ in BROKEN]
+    # one over 64 KiB, so the default chunk has an edge too
+    texts += [_generated(150, 8, 16, "optimal", forgery) for forgery in (None, "rnd", "feas")]
+    texts.append(_generated(500, 100, 300, "optimal"))
+    for text in texts:
+        assert_window_matches_the_whole_list(text, chunk)
+
+
+@st.composite
+def window_mutants(draw):
+    """A small certificate with CRLF, tab, single-line or its own layout,
+    perhaps with one token corrupted or deleted, then perhaps cut inside
+    a token or at the end of a line, which ends a list."""
+    text = draw(st.sampled_from(WINDOW_BASES))
+    tokens = text.split()
+    bad = draw(st.sampled_from(CORRUPTIONS + ["keep"]))
+    if bad != "keep":
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i : i + 1] = [] if bad is None else [bad]
+        text = "\n".join(" ".join(tokens[j : j + 4]) for j in range(0, len(tokens), 4))
+    layout = draw(st.sampled_from(["own", "crlf", "tabs", "one line"]))
+    if layout == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif layout == "tabs":
+        text = text.replace(" ", "\t")
+    elif layout == "one line":
+        text = " ".join(text.split())
+    cut = draw(st.sampled_from(["none", "character", "line"]))
+    if cut == "character":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif cut == "line":
+        lines = text.split("\n")
+        text = "\n".join(lines[: draw(st.integers(0, len(lines)))])
+        text += draw(st.sampled_from(["", "\n", " "]))
+    return text
+
+
+@settings(max_examples=300)
+@given(window_mutants(), st.sampled_from(WINDOW_CHUNKS))
+def test_window_matches_the_whole_list_reader_on_mutants(text, chunk):
+    assert_window_matches_the_whole_list(text, chunk)
 
 
 # --- the hot paths read rows only -------------------------------------------

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 
 import pytest
 
 from conftest import CORPUS, fixture_path, load_fixture
+from test_scale_agreement import gen
 
 from viprcert.model import Reason, Sense, Sign
 from viprcert.parser import (
@@ -142,6 +144,29 @@ def test_errors_carry_kind_and_position(text, kind):
     assert info.value.kind is kind
     assert info.value.line >= 1
     assert info.value.column >= 1
+
+
+def _parse_excess(text: str) -> int:
+    """Bytes the parse allocated at its peak beyond the model it returns."""
+    tracemalloc.start()
+    try:
+        model = parse_certificate(text)  # a live local, so it counts as retained
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - retained
+
+
+def test_parse_memory_beyond_the_model_does_not_grow_with_the_file():
+    """The parser reads through a bounded window of tokens: on a
+    certificate four times longer (95 KB and 362 KB, the benchmark's
+    native-large shape), the peak above the returned model stays within
+    1 MB of the shorter one's.  A list of every token adds about 4 MB."""
+    excess = []
+    for derivations in (500, 2000):
+        spec = gen.Spec(n=100, m=300, derivations=derivations, kind="optimal", split_depth=12)
+        excess.append(_parse_excess(gen.render(gen.build(spec, 1))[0].decode()))
+    assert excess[1] - excess[0] < 1_000_000
 
 
 def test_error_points_at_offending_token():
