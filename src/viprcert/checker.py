@@ -25,7 +25,6 @@ from .model import (
     Multipliers,
     Problem,
     Reason,
-    Sense,
     Sign,
     SolutionPoint,
     Unsplit,
@@ -35,7 +34,7 @@ from .model import (
     nz,
     total_constraints,
 )
-from .rational import Rational, ZERO, format_rational, is_integer, unlimited_int_digits
+from .rational import Rational, format_rational, is_integer, unlimited_int_digits
 
 
 class EmptyConstraintSystem(Exception):
@@ -54,65 +53,38 @@ def _relation(bound: Constraint) -> str:
 
 @dataclass(frozen=True)
 class RtpFlags:
-    """Constants derived from the problem sense and the relation to prove.
+    """What the relation to prove asks, decided once per certificate.
 
-    `upper`/`lower` default to zero when the corresponding bound is not
-    being proven; they are only ever read behind their prove_* guard.
+    `solution_bound` is the objective bound some listed solution must
+    satisfy: the upper bound of a min problem or the lower bound of a
+    max problem.  `final_target` is the constraint the last constraint
+    C_d must dominate: 0 >= 1 for infeasibility, else the other bound.
+    Each is None when its bound is infinite.
     """
 
-    minimize: bool          # problem sense is min
-    has_range: bool         # relation to prove is not infeasibility
-    prove_upper: bool       # has_range and ub finite
-    prove_lower: bool       # has_range and lb finite
-    upper: Rational
-    lower: Rational
+    has_range: bool  # relation to prove is not infeasibility
+    solution_bound: Optional[Constraint]
+    final_target: Optional[Constraint]
 
     @classmethod
     def of(cls, problem: Problem, certificate: Certificate) -> "RtpFlags":
+        """Raises EmptyConstraintSystem when a final target applies but
+        the unified constraint array is empty."""
         rtp = certificate.rtp
-        has_range = not rtp.infeasible
-        prove_upper = has_range and rtp.ub is not None
-        prove_lower = has_range and rtp.lb is not None
-        return cls(
-            minimize=problem.sense is Sense.MIN,
-            has_range=has_range,
-            prove_upper=prove_upper,
-            prove_lower=prove_lower,
-            upper=rtp.ub if prove_upper else ZERO,
-            lower=rtp.lb if prove_lower else ZERO,
-        )
-
-    def solution_bound(self, problem: Problem) -> Optional[Constraint]:
-        """The objective bound some listed solution must satisfy: the
-        upper bound of a min problem or the lower bound of a max problem;
-        None when that bound is not being proven."""
-        if self.minimize and self.prove_upper:
-            return _objective_bound_constraint(problem, Sign.LEQ, self.upper)
-        if not self.minimize and self.prove_lower:
-            return _objective_bound_constraint(problem, Sign.GEQ, self.lower)
-        return None
-
-    def final_target(self, problem: Problem, certificate: Certificate) -> Optional[Constraint]:
-        """The constraint the last constraint C_d must dominate: 0 >= 1
-        for infeasibility, else the lower bound of a min problem or the
-        upper bound of a max problem; None when no obligation applies.
-
-        Raises EmptyConstraintSystem when an obligation applies but the
-        unified constraint array is empty.
-        """
-        if not self.has_range:
-            target = Constraint.from_row("absurdity", Sign.GEQ, 1, {}, 1)
-        elif self.minimize and self.prove_lower:
-            target = _objective_bound_constraint(problem, Sign.GEQ, self.lower)
-        elif not self.minimize and self.prove_upper:
-            target = _objective_bound_constraint(problem, Sign.LEQ, self.upper)
+        if rtp.infeasible:
+            flags = cls(False, None, Constraint.from_row("absurdity", Sign.GEQ, 1, {}, 1))
         else:
-            return None
-        if total_constraints(problem, certificate) == 0:
+            def bound(sign: Sign, value: Optional[Rational]) -> Optional[Constraint]:
+                return None if value is None else _objective_bound_constraint(problem, sign, value)
+
+            sign = problem.sense.bound_sign
+            witnessed, closing = (rtp.ub, rtp.lb) if sign is Sign.LEQ else (rtp.lb, rtp.ub)
+            flags = cls(True, bound(sign, witnessed), bound(Sign(-sign.value), closing))
+        if flags.final_target is not None and total_constraints(problem, certificate) == 0:
             raise EmptyConstraintSystem(
                 "the relation to prove requires a last constraint, but there are none"
             )
-        return target
+        return flags
 
 
 @dataclass(frozen=True)
@@ -120,12 +92,10 @@ class AssumptionSets:
     """A(k) for every k in [1, d].
 
     Problem constraints have empty sets.  An unsplit derivation whose
-    source indices are not strictly earlier gets an empty set recorded
-    together with a violation mark, which the per-constraint check
-    consumes (the certificate is then invalid at that index)."""
+    source indices are not strictly earlier gets an empty set; the
+    per-constraint check fails it at that index."""
 
     sets: tuple[frozenset[int], ...]
-    unsplit_violations: frozenset[int]
 
     def at(self, k: int) -> frozenset[int]:
         return self.sets[k - 1]
@@ -135,7 +105,6 @@ def compute_assumption_sets(problem: Problem, certificate: Certificate) -> Assum
     """Sequential replay of the assumption-set union rules."""
     m = problem.m
     sets: list[frozenset[int]] = [frozenset()] * m
-    violations: set[int] = set()
     for offset, derived in enumerate(certificate.der):
         k = m + 1 + offset
         if derived.reason is Reason.ASM:
@@ -155,12 +124,11 @@ def compute_assumption_sets(problem: Problem, certificate: Certificate) -> Assum
                     (sets[data.i1 - 1] - {data.l1}) | (sets[data.i2 - 1] - {data.l2})
                 )
             else:
-                violations.add(k)
                 current = frozenset()
         else:  # sol
             current = frozenset()
         sets.append(current)
-    return AssumptionSets(sets=tuple(sets), unsplit_violations=frozenset(violations))
+    return AssumptionSets(sets=tuple(sets))
 
 
 def _satisfies(constraint: Constraint, coords) -> bool:
@@ -205,7 +173,7 @@ def sol_violations(
                     f"solution point {point.name} is not feasible",
                 )
             )
-    bound = flags.solution_bound(problem)
+    bound = flags.solution_bound
     if bound is not None and not any(_satisfies(bound, p.coords) for p in certificate.sol):
         failures.append(
             Verdict.invalid(
@@ -264,9 +232,7 @@ def der_violation(
     if derived.reason is Reason.UNS:
         assert isinstance(derived.data, Unsplit)
         data = derived.data
-        if k in asets.unsplit_violations or not all(
-            1 <= i < k for i in data.as_tuple()
-        ):
+        if not all(1 <= i < k for i in data.as_tuple()):
             return fail("uns-index", "unsplit data must refer to strictly earlier constraints")
         first = constraint_at(problem, certificate, data.i1)
         second = constraint_at(problem, certificate, data.i2)
@@ -284,7 +250,7 @@ def der_violation(
         return None
 
     # sol reasoning: some listed point's objective bound must dominate
-    sign = Sign.LEQ if problem.sense is Sense.MIN else Sign.GEQ
+    sign = problem.sense.bound_sign
     for point in certificate.sol:
         bound = problem.objective.evaluate(point.coords)
         source = _objective_bound_constraint(problem, sign, bound)
@@ -300,12 +266,8 @@ def final_violation(
     asets: AssumptionSets,
     flags: RtpFlags,
 ) -> Optional[Verdict]:
-    """The closing obligation on C_d, selected by the relation to prove.
-
-    Raises EmptyConstraintSystem when an obligation is active but the
-    unified constraint array is empty.
-    """
-    target = flags.final_target(problem, certificate)
+    """The closing obligation on C_d, selected by the relation to prove."""
+    target = flags.final_target
     if target is None:
         return None
     if not flags.has_range:

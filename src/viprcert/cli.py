@@ -55,7 +55,7 @@ def cmd_check(args: argparse.Namespace, data: bytes) -> int:
     if args.format == "json":
         payload = {
             "verdict": "valid" if verdict.valid else "invalid",
-            "location": None if verdict.valid else str(verdict.location),
+            "location": None if verdict.valid else verdict.location,
             "predicate_id": verdict.predicate_id,
             "message": verdict.message,
             "solutions_checked": report.solutions_checked,
@@ -65,7 +65,7 @@ def cmd_check(args: argparse.Namespace, data: bytes) -> int:
         if args.diagnose:
             payload["failures"] = [
                 {
-                    "location": str(f.location),
+                    "location": f.location,
                     "predicate_id": f.predicate_id,
                     "message": f.message,
                 }

@@ -26,6 +26,12 @@ class Sense(Enum):
     MIN = "min"
     MAX = "max"
 
+    @property
+    def bound_sign(self) -> "Sign":
+        """Sign of the bound a feasible objective value puts on the
+        optimum: <= for min, >= for max."""
+        return Sign.LEQ if self is Sense.MIN else Sign.GEQ
+
 
 class Sign(Enum):
     """Relation of a constraint; value is its sign (>= is 1, = is 0, <= is -1)."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -295,14 +294,14 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
         return _conj(parts)
 
     # sol reasoning
-    minimize = problem.sense.value == "min"
+    s = problem.sense.bound_sign.value
     scale, terms, _ = scaled_row(problem.objective.terms, ZERO)
     a_exprs = {j: _frac(a, scale) for j, a in terms.items()}
     branches = []
     for point in certificate.sol:
         b_expr = _dot(terms, scale, point.coords)
         branches.append(
-            _dom_expr(a_exprs, b_expr, False, not minimize, minimize, target)
+            _dom_expr(a_exprs, b_expr, False, s >= 0, s <= 0, target)
         )
     return _disj(branches)
 
@@ -320,7 +319,7 @@ def sol_expr(problem: Problem, certificate: Certificate, flags: RtpFlags) -> str
                 parts.append(f"(is_int {_rat(value)})")
         for constraint in problem.constraints:
             parts.extend(_satisfied_parts(constraint, point.coords))
-    bound = flags.solution_bound(problem)
+    bound = flags.solution_bound
     if bound is not None:
         parts.append(
             _disj([_conj(_satisfied_parts(bound, p.coords)) for p in certificate.sol])
@@ -333,7 +332,7 @@ def final_expr(
     problem: Problem, certificate: Certificate, asets: AssumptionSets, flags: RtpFlags
 ) -> str:
     """Ground formula for the closing obligation on the last constraint."""
-    target = flags.final_target(problem, certificate)
+    target = flags.final_target
     if target is None:
         return "true"
     d = total_constraints(problem, certificate)
@@ -406,9 +405,9 @@ def emit(
     the interpreter's digit limit lifted process-wide while this runs
     (`unlimited_int_digits`).
     """
+    flags = RtpFlags.of(problem, certificate)  # raises before any file is written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    flags = RtpFlags.of(problem, certificate)
     files: list[EmittedFile] = []
 
     sol_path = out / "sol.smt2"
@@ -431,6 +430,9 @@ def emit(
 
 
 # --- dispatch ----------------------------------------------------------------
+
+
+_CANCELLED = "earlier file was unsat"
 
 
 class SolverSpawnError(Exception):
@@ -491,33 +493,28 @@ def dispatch(
 ) -> DispatchResult:
     """Run the solver over every file with a bounded subprocess pool.
 
-    Work not yet started when some file comes back unsat is cancelled;
-    a timeout, a nonzero exit status or an unparseable solver response
-    is recorded as a failure of that file and makes the aggregate an
-    error, never a pass.
+    Files start in order, and a file is not started once an earlier one
+    came back unsat.  Every file after the first unsat one is reported
+    cancelled, whether or not it ran, so the outcomes do not depend on
+    timing.  A timeout, a nonzero exit status or an unparseable solver
+    response is recorded as a failure of that file and makes the
+    aggregate an error, never a pass.
     """
     paths = [f.path if isinstance(f, EmittedFile) else Path(f) for f in files]
-    stop = threading.Event()
+    unsat_at: list[int] = []  # indices of the files that came back unsat
 
-    def run_one(path: Path) -> FileOutcome:
-        if stop.is_set():
-            return FileOutcome(path, "cancelled", "not run: earlier file was unsat")
+    def run_one(index: int) -> FileOutcome:
+        path = paths[index]
+        if any(i < index for i in unsat_at):
+            return FileOutcome(path, "cancelled", _CANCELLED)
         argv = _solver_argv(solver_command, path)
         try:
-            process = subprocess.Popen(
-                argv,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
+            process = subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
         except OSError as exc:
             raise SolverSpawnError(f"cannot start solver {argv[0]!r}: {exc}") from exc
-        try:
-            stdout, stderr = process.communicate(timeout=timeout_s)
         except subprocess.TimeoutExpired:
-            process.kill()
-            process.communicate()
             return FileOutcome(path, "timeout", f"no answer within {timeout_s}s")
+        stdout, stderr = process.stdout, process.stderr
         if process.returncode != 0:
             output = stderr.strip() or stdout.strip()
             detail = f"exit {process.returncode}" + (f": {output}" if output else "")
@@ -526,10 +523,14 @@ def dispatch(
         if answer == "sat":
             return FileOutcome(path, "sat")
         if answer == "unsat":
-            stop.set()
+            unsat_at.append(index)
             return FileOutcome(path, "unsat")
         detail = answer or (stderr.strip() or stdout.strip() or "no output")
         return FileOutcome(path, "error", detail[:500])
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return DispatchResult(outcomes=tuple(pool.map(run_one, paths)))
+        outcomes = list(pool.map(run_one, range(len(paths))))
+    first = next((i for i, o in enumerate(outcomes) if o.status == "unsat"), len(outcomes))
+    for i in range(first + 1, len(outcomes)):
+        outcomes[i] = FileOutcome(outcomes[i].path, "cancelled", _CANCELLED)
+    return DispatchResult(outcomes=tuple(outcomes))

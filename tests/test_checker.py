@@ -51,17 +51,33 @@ CERT0_ASSUMPTIONS = {
 
 
 def test_rtp_flags():
-    problem, certificate = load_fixture("forged2")
-    flags = RtpFlags.of(problem, certificate)
-    assert not flags.minimize
-    assert flags.has_range
-    assert flags.prove_upper and not flags.prove_lower
-    assert flags.upper == 0 and flags.lower == 0
+    objective = LinearExpr({1: Rational(2)})
+    der = (DerivedConstraint(Constraint("C", objective, Sign.GEQ, Rational(0)), Reason.ASM, None),)
+    # a min problem's solutions witness its upper bound and its derivation
+    # closes on the lower one; a max problem the other way round
+    for sense, witness_sign in ((Sense.MIN, Sign.LEQ), (Sense.MAX, Sign.GEQ)):
+        problem = Problem(1, ("x",), frozenset(), sense, objective, ())
+        closing_sign = Sign.GEQ if witness_sign is Sign.LEQ else Sign.LEQ
+        for lb in (None, Rational(-3, 2)):
+            for ub in (None, Rational(7)):
+                flags = RtpFlags.of(problem, Certificate(Rtp.make_range(lb, ub), (), der))
+                assert flags.has_range
+                witnessed, closing = (ub, lb) if sense is Sense.MIN else (lb, ub)
+                for constraint, sign, value in (
+                    (flags.solution_bound, witness_sign, witnessed),
+                    (flags.final_target, closing_sign, closing),
+                ):
+                    if value is None:
+                        assert constraint is None, (sense, lb, ub)
+                    else:
+                        assert constraint.lhs == objective
+                        assert (constraint.sign, constraint.rhs) == (sign, value)
 
-    problem0, cert0 = load_fixture("cert0")
-    flags0 = RtpFlags.of(problem0, cert0)
-    assert flags0.minimize and not flags0.has_range
-    assert not flags0.prove_upper and not flags0.prove_lower
+        # infeasibility: no solution bound, and the absurdity 0 >= 1 to close on
+        flags = RtpFlags.of(problem, Certificate(Rtp.make_infeasible(), (), der))
+        assert not flags.has_range and flags.solution_bound is None
+        target = flags.final_target
+        assert (target.terms, target.sign, target.rhs) == ({}, Sign.GEQ, Rational(1))
 
 
 def test_assumption_sets_match_the_worked_example():
@@ -71,7 +87,6 @@ def test_assumption_sets_match_the_worked_example():
         assert asets.at(k) == frozenset()
     for k, expected in CERT0_ASSUMPTIONS.items():
         assert asets.at(k) == frozenset(expected), f"A({k})"
-    assert asets.unsplit_violations == frozenset()
 
 
 def test_phi_feas():
@@ -165,6 +180,8 @@ def test_phi_der_final_branch():
 def test_empty_constraint_system():
     problem = Problem(1, ("x",), frozenset({1}), Sense.MIN, LinearExpr({}), ())
     certificate = Certificate(Rtp.make_infeasible(), (), ())
+    with pytest.raises(EmptyConstraintSystem):
+        RtpFlags.of(problem, certificate)
     with pytest.raises(EmptyConstraintSystem):
         check_certificate(problem, certificate)
     # with no active obligation there is nothing to ask of C_d
@@ -285,8 +302,6 @@ def test_forward_unsplit_reference_is_invalid_not_a_crash():
         ),
     )
     certificate = Certificate(Rtp.make_range(None, None), (), der)
-    asets = compute_assumption_sets(problem, certificate)
-    assert asets.unsplit_violations == {2}
     verdict = check_certificate(problem, certificate)
     assert not verdict.valid
     assert verdict.predicate_id == "uns-index"

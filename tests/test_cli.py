@@ -231,6 +231,8 @@ def test_check_empty_constraint_system_is_an_internal_error(command, tmp_path, c
     f.write_text("VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 0 0\nRTP infeas\nSOL 0\nDER 0\n")
     assert main(command_argv(command, f, tmp_path)) == 3
     assert capsys.readouterr().err
+    if command == "emit":  # the failure leaves no partial output
+        assert not list(tmp_path.glob("out/**/*.smt2"))
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -241,6 +243,17 @@ def test_non_utf8_input_is_a_located_parse_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("parse error at line 3, column 2: [UnexpectedToken]")
     assert "Traceback" not in err
+
+
+def test_verify_report_is_the_same_on_every_run(capsys):
+    reports = set()
+    for _ in range(4):
+        argv = ["verify", str(fixture_path("forged1")), "--jobs", "2", "--solver", SOLVER_COMMAND]
+        assert main(argv) == 1
+        # each run writes to its own temporary directory: keep the file names
+        lines = capsys.readouterr().out.splitlines()
+        reports.add(tuple(line.rsplit("/", 1)[-1] for line in lines))
+    assert len(reports) == 1, reports
 
 
 def _huge_infeasible_certificate(tmp_path):

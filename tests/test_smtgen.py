@@ -148,6 +148,19 @@ def test_dispatch_early_exit_cancels_pending(tmp_path):
     assert result.aggregate is Aggregate.INVALID
 
 
+def test_dispatch_reports_files_after_the_first_unsat_one_as_cancelled(tmp_path):
+    # with two workers the sat file starts alongside the unsat one and may
+    # finish first; it is still reported cancelled, on every run
+    unsat, sat = tmp_path / "a.smt2", tmp_path / "b.smt2"
+    unsat.write_text("(set-logic ALL)\n(assert false)\n(check-sat)\n")
+    sat.write_text("(set-logic ALL)\n(assert true)\n(check-sat)\n")
+    runs = {dispatch([unsat, sat], SOLVER_COMMAND, jobs=2, timeout_s=120) for _ in range(4)}
+    assert len(runs) == 1
+    (result,) = runs
+    assert [o.status for o in result.outcomes] == ["unsat", "cancelled"]
+    assert result.aggregate is Aggregate.INVALID
+
+
 def test_dispatch_spawn_error(tmp_path):
     files = _emit_fixture("forged2", tmp_path / "s")
     with pytest.raises(SolverSpawnError):
