@@ -93,6 +93,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _timeout_seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1e6:  # false for nan; `subprocess` waits at most 2**31 ms
+        raise argparse.ArgumentTypeError("must be a number of seconds in (0, 1e6]")
+    return value
+
+
 def _emit_files(problem, certificate, out_dir, block_size: Optional[int], jobs: int):
     asets = compute_assumption_sets(problem, certificate)
     plan = EmissionPlan.create(problem, certificate, block_size=block_size, workers=jobs)
@@ -104,6 +111,15 @@ def _total_bytes(files) -> int:
     return sum(emitted.path.stat().st_size for emitted in files)
 
 
+def _manifest_entry(emitted) -> dict:
+    return {
+        "path": str(emitted.path),
+        "kind": emitted.kind,
+        "first_k": emitted.first_k,
+        "last_k": emitted.last_k,
+    }
+
+
 def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
     problem, certificate = parse_certificate(data)
     try:
@@ -112,18 +128,7 @@ def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
         print(f"cannot write to {args.out}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
     if args.format == "json":
-        payload = {
-            "files": [
-                {
-                    "path": str(f.path),
-                    "kind": f.kind,
-                    "first_k": f.first_k,
-                    "last_k": f.last_k,
-                }
-                for f in files
-            ],
-            "bytes": _total_bytes(files),
-        }
+        payload = {"files": list(map(_manifest_entry, files)), "bytes": _total_bytes(files)}
         print(json.dumps(payload))
     else:
         for emitted in files:
@@ -147,27 +152,22 @@ def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL_ERROR
         elapsed = time.perf_counter() - started
-        labels = {emitted.path: emitted.label for emitted in files}
+        reports = list(zip(files, result.outcomes))  # one outcome per file, in file order
         if args.format == "json":
             payload = {
                 "verdict": result.aggregate.value,
                 "files": [
-                    {
-                        "path": str(o.path),
-                        "kind": labels.get(o.path, ""),
-                        "status": o.status,
-                        "detail": o.detail,
-                    }
-                    for o in result.outcomes
+                    {**_manifest_entry(f), "status": o.status, "detail": o.detail}
+                    for f, o in reports
                 ],
                 "bytes": _total_bytes(files),
                 "timings": {"verify_s": elapsed},
             }
             print(json.dumps(payload))
         else:
-            for outcome in result.outcomes:
+            for emitted, outcome in reports:
                 detail = f" {outcome.detail}" if outcome.detail else ""
-                print(f"{outcome.path} {labels.get(outcome.path, '')} {outcome.status}{detail}")
+                print(f"{outcome.path} {emitted.label} {outcome.status}{detail}")
             print(result.aggregate.value.upper())
     if result.aggregate is Aggregate.VALID:
         return EXIT_VALID
@@ -207,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--jobs", type=_positive_int, default=default_jobs())
     verify.add_argument("--block-size", type=_positive_int, default=None)
-    verify.add_argument("--timeout", type=float, default=300.0, help="seconds per file")
+    verify.add_argument(
+        "--timeout", type=_timeout_seconds, default=300.0, help="seconds per file, in (0, 1e6]"
+    )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(handler=cmd_verify)
     return parser

@@ -4,17 +4,19 @@ A script with no declared symbols is a Boolean function of its
 constants, so where no SMT solver is installed this command stands in
 for one: it evaluates every `(assert ...)` over exact rationals and
 answers `sat` exactly when all asserted terms are true.  It decides the
-SMT route's verdict, so it reads the emitter's language and nothing else:
-commands `set-logic`, `assert` and `check-sat`; atoms `true`, `false`
-and numerals (ASCII digit strings); operators
+SMT route's verdict, so it reads the emitter's language and nothing else,
+each construct where the emitter writes it: the commands
+`(set-logic NAME)`, `(assert TERM)` and `(check-sat)`; atoms `true`,
+`false` and numerals (ASCII digit strings); operators
 `and or not = < <= > >= + - * / to_real to_int is_int`; and the flat
 `(let ((name term) ...) body)`, with distinct names that are not bound
 already.  Anything else, an operand of the wrong sort or count, division
 by zero or nesting deeper than `MAX_DEPTH` is an `EvalError`.
 
 Usage: viprcert-smteval FILE  (or `python -m viprcert.smteval FILE`).
-Prints one answer per `(check-sat)` and exits 0; on a rejected script it
-prints one `(error "...")` line and exits 1; an unreadable FILE exits 2.
+Prints one answer per `(check-sat)` and exits 0; a rejected script
+prints nothing on stdout and one `(error "...")` line on stderr, and
+exits 1; an unreadable FILE exits 2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Callable, Union
 
 from .rational import unlimited_int_digits
 
-Node = Union[str, list]
 Value = Union[bool, int, Fraction]
 
 MAX_DEPTH = 100  # emitted files nest at most 11 deep
@@ -41,42 +42,6 @@ def _tokens(text: str) -> list[str]:
     r"""The tokens of `[()]|[^()\s]+`: `str.split` and `re`'s `\s` agree
     on what is whitespace."""
     return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _fold(
-    tokens: list[str], known: dict, unknown: Callable, close: Callable, stack: list
-) -> list:
-    """The script's top-level applications as lists, one frame per open
-    parenthesis.  An operand token is read as its value in `known`, else
-    as `unknown(token, frame)`; a nested application becomes `close` of
-    it, innermost first, called while its enclosing frames are still on
-    `stack`."""
-    top: list = []
-    for token in tokens:
-        if token == "(":
-            if len(stack) == MAX_DEPTH:
-                raise EvalError(f"terms nest deeper than {MAX_DEPTH}")
-            stack.append(top)
-            top = []
-        elif token == ")":
-            if not stack:
-                raise EvalError("unbalanced ')'")
-            done = close(top) if len(stack) > 1 else top
-            top = stack.pop()
-            top.append(done)
-        elif top:
-            value = known.get(token)
-            top.append(unknown(token, top) if value is None else value)
-        else:
-            top.append(token)  # the head: an operator, a command or a name to bind
-    if stack:
-        raise EvalError("unbalanced '('")
-    return top
-
-
-def parse_script(text: str) -> list[Node]:
-    """The script's top-level terms as nested lists of tokens."""
-    return _fold(_tokens(text), {}, lambda token, frame: token, lambda node: node, [])
 
 
 def _chain(compare) -> Callable[[list], bool]:
@@ -121,112 +86,136 @@ _OPERATORS = {
 }
 
 
-class _Binding(tuple):
-    """`(name value)` read inside a let's binding list."""
+_RESERVED = frozenset({"let", "true", "false", *_OPERATORS})
 
 
-class _Scope(tuple):
-    """The names a let's binding list has put in scope."""
-
-
-class _Evaluator:
-    """Reads a script in one pass: operands are resolved as they are read,
-    and each application is applied as its `)` is read, so no tree is kept.
+class _Reader:
+    """Reads a script's tokens once, front to back, by recursive descent:
+    each construct is read where the emitter writes it, and each
+    application is applied as its `)` is read, so no tree is kept.
 
     `let` is the flat form `smtgen` writes: a non-empty list of distinct
     `(name term)` bindings, in which the terms see no name of that list,
     and one body term, in which the names are in scope until the let
     closes.  A let inside another let is rejected, so no name is ever
-    shadowed."""
+    shadowed.  `depth` counts the parentheses open around what is read,
+    binding lists and bindings included."""
 
-    def __init__(self) -> None:
-        self.stack: list[list] = []
-        self.known: dict[str, Value] = {"true": True, "false": False}
+    def __init__(self, tokens: list[str]) -> None:
+        self.tokens = iter(tokens)
+        self.known: dict[str, Value] = {"true": True, "false": False}  # and the let's names
+        self.in_let = False
 
-    def commands(self, tokens: list[str]) -> list:
-        return _fold(tokens, self.known, self._unknown, self._close, self.stack)
+    def _next(self) -> str:
+        token = next(self.tokens, None)
+        if token is None:
+            raise EvalError("unbalanced '('")
+        return token
 
-    def _unknown(self, token: str, frame: list):
-        if token.isdigit() and token.isascii():
-            value = self.known[token] = int(token)
+    def _expect(self, token: str, error: str) -> None:
+        if self._next() != token:
+            raise EvalError(error)
+
+    def script(self) -> list[bool]:
+        """The answer to each check-sat: whether every assert before it holds."""
+        holds, answers = True, []
+        for token in self.tokens:
+            if token != "(":
+                raise EvalError("unbalanced ')'" if token == ")" else f"{token!r} is not a command")
+            command = self._next()
+            if command == "assert":
+                value = self.term(1)
+                if type(value) is not bool:
+                    raise EvalError("assert applied to a term that is not Boolean")
+                holds = holds and value
+            elif command == "check-sat":
+                answers.append(holds)
+            elif command == "set-logic":
+                if self._next() in ("(", ")"):
+                    raise EvalError("set-logic takes one symbol")
+            else:
+                raise EvalError(f"unsupported command {command!r}")
+            self._expect(")", f"{command} given too many operands")
+        return answers
+
+    def term(self, depth: int) -> Value:
+        """The value of the term that starts at the next token."""
+        token = self._next()
+        if token == "(":
+            return self.application(depth + 1)
+        if token == ")":
+            raise EvalError("a term is missing")
+        return self.atom(token)
+
+    def atom(self, token: str) -> Value:
+        value = self.known.get(token)
+        if value is not None:
             return value
-        if len(self.stack) == 1 and frame[0] == "set-logic":
-            return token  # the logic's name, which is not evaluated
+        if token.isdigit() and token.isascii():
+            return int(token)
         raise EvalError(f"unknown symbol {token!r} (script is not ground)")
 
-    def _close(self, node: list) -> Value:
+    def application(self, depth: int) -> Value:
+        """The value of `(op operand ...)` or of a let, whose `(` is read."""
+        if depth > MAX_DEPTH:
+            raise EvalError(f"terms nest deeper than {MAX_DEPTH}")
+        head = self._next()
+        if head == "let":
+            return self.let(depth)
         try:
-            sorts, fewest, most, meaning = _OPERATORS[node[0]]
-        except (IndexError, KeyError):
-            return self._let_part(node)
-        values = node[1:]
+            sorts, fewest, most, meaning = _OPERATORS[head]
+        except KeyError:
+            raise EvalError(f"unsupported operator {head!r}") from None
+        values = []
+        for token in self.tokens:
+            if token == ")":
+                break
+            values.append(self.application(depth + 1) if token == "(" else self.atom(token))
+        else:
+            raise EvalError("unbalanced '('")
         if not fewest <= len(values) <= most:
-            raise EvalError(f"{node[0]} given {len(values)} operands")
+            raise EvalError(f"{head} given {len(values)} operands")
         if not set(map(type, values)) <= sorts:
-            raise EvalError(f"{node[0]} applied to an operand of the wrong sort")
+            raise EvalError(f"{head} applied to an operand of the wrong sort")
         return meaning(values)
 
-    def _let_part(self, node: list):
-        """A let, its binding list, or one of its bindings; anything else
-        is an unsupported operator."""
-        parent, grandparent = self.stack[-1], self.stack[-2]
-        if node[:1] == ["let"]:
-            if len(node) != 3 or type(node[1]) is not _Scope:
-                raise EvalError("let takes one binding list and one body term")
-            for name in node[1]:
-                del self.known[name]
-            return node[2]
-        if parent == ["let"]:
-            if not node or not all(type(b) is _Binding for b in node):
-                raise EvalError("let bindings must be a non-empty list of (symbol term)")
-            names = [name for name, _ in node]
-            if len(set(names)) != len(names):
-                raise EvalError("let binds a name twice")
-            if sum(frame[:1] == ["let"] for frame in self.stack) > 1:
-                raise EvalError("let inside another let")
-            self.known.update(node)
-            return _Scope(names)
-        if grandparent == ["let"]:
-            if len(node) != 2:
-                raise EvalError("let binding is not (symbol term)")
-            # an operator or `let` in the name's place was read as an application
-            name = node[0]
-            if not (isinstance(name, str) and name.isascii() and name.isidentifier()) or (
-                name in ("true", "false")
-            ):
+    def let(self, depth: int) -> Value:
+        """The value of `(let ((name term) ...) body)`, whose `(let` is read."""
+        if self.in_let:
+            raise EvalError("let inside another let")
+        self.in_let = True
+        if depth + 2 > MAX_DEPTH:  # the binding list and its first binding
+            raise EvalError(f"terms nest deeper than {MAX_DEPTH}")
+        self._expect("(", "let takes a binding list first")
+        bound: dict[str, Value] = {}
+        while (token := self._next()) == "(":
+            name = self._next()
+            if not (name.isascii() and name.isidentifier()) or name in _RESERVED:
                 raise EvalError(f"let cannot bind {name!r}")
-            return _Binding(node)
-        raise EvalError(f"unsupported operator in {node[:1]!r}")
+            if name in bound:
+                raise EvalError("let binds a name twice")
+            bound[name] = self.term(depth + 2)
+            self._expect(")", "let binding is not (symbol term)")
+        if token != ")" or not bound:
+            raise EvalError("let bindings must be a non-empty list of (symbol term)")
+        self.known.update(bound)
+        value = self.term(depth)
+        self._expect(")", "let takes one body term")
+        for name in bound:
+            del self.known[name]
+        self.in_let = False
+        return value
 
 
-def _flatten(node: Node) -> list[str]:
-    if isinstance(node, str):
-        return [node]
-    return ["(", *(token for operand in node for token in _flatten(operand)), ")"]
-
-
-def evaluate(node: Node) -> Value:
-    """Value of a term given as a tree from `parse_script`."""
-    ((_, value),) = _Evaluator().commands(["(", "assert", *_flatten(node), ")"])
-    return value
-
-
+@unlimited_int_digits()
 def run_script(text: str, out=sys.stdout) -> bool:
-    """Run the script as it is read; True when every check-sat printed sat."""
-    assertions_hold = True
-    all_sat = True
-    for command in _Evaluator().commands(_tokens(text)):
-        name = command[0] if isinstance(command, list) and command else None
-        if name == "assert" and len(command) == 2:
-            if type(command[1]) is not bool:
-                raise EvalError("assert applied to a term that is not Boolean")
-            assertions_hold = assertions_hold and command[1]
-        elif name == "check-sat":
-            all_sat = all_sat and assertions_hold
-            print("sat" if assertions_hold else "unsat", file=out)
-        elif name != "set-logic":
-            raise EvalError(f"unsupported command {name!r} or operand count")
-    return all_sat
+    """Read the whole script, then print one answer per check-sat; True
+    when every answer is sat.  A rejected script prints nothing.
+    Numerals of any length are read (`unlimited_int_digits`)."""
+    answers = _Reader(_tokens(text)).script()
+    for holds in answers:
+        print("sat" if holds else "unsat", file=out)
+    return all(answers)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -241,8 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"(error \"cannot read {args[0]}: {exc}\")", file=sys.stderr)
         return 2
     try:
-        with unlimited_int_digits():
-            run_script(text)
+        run_script(text)
     except EvalError as exc:
         print(f"(error \"{exc}\")", file=sys.stderr)
         return 1

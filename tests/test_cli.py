@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -223,6 +224,30 @@ def test_nonpositive_block_size_is_a_usage_error(tmp_path, capsys):
         main(["emit", str(fixture_path("cert0")), "--out", str(tmp_path), "--block-size", "0"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "1e400", "1e7"])
+def test_timeout_outside_its_range_is_a_usage_error(seconds, capsys):
+    argv = ["verify", str(fixture_path("cert0")), "--solver", SOLVER_COMMAND]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--timeout", seconds])
+    assert info.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
+def test_verify_json_describes_files_as_emit_does(tmp_path, capsys):
+    flags = ["--block-size", "3", "--jobs", "1", "--format", "json"]
+    assert main(["emit", str(fixture_path("cert0")), "--out", str(tmp_path), *flags]) == 0
+    manifest = json.loads(capsys.readouterr().out)["files"]
+    assert main(["verify", str(fixture_path("cert0")), "--solver", SOLVER_COMMAND, *flags]) == 0
+    verified = json.loads(capsys.readouterr().out)["files"]
+    assert [(entry.pop("status"), entry.pop("detail")) for entry in verified] == [
+        ("sat", "")
+    ] * len(manifest)
+    for entry in manifest + verified:  # verify writes to a temporary directory
+        entry["path"] = os.path.basename(entry["path"])
+    assert verified == manifest
+    assert [entry["kind"] for entry in manifest] == ["sol", *["block"] * 4, "final"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -11,49 +11,53 @@ from hypothesis import given, settings, strategies as st
 from conftest import SOLVER_COMMAND
 
 from viprcert.rational import Rational
-from viprcert.smteval import MAX_DEPTH, EvalError, _tokens, evaluate, main, parse_script, run_script
+from viprcert.smteval import MAX_DEPTH, EvalError, _Reader, _tokens, main, run_script
 from viprcert.smtgen import dispatch
 
 
-def term(text: str):
-    (node,) = parse_script(text)
-    return node
+def evaluate(text: str):
+    """The value of one term, read as the evaluator reads the operand of
+    `(assert TERM)`."""
+    reader = _Reader(_tokens(text))
+    value = reader.term(1)
+    assert next(reader.tokens, None) is None, "text left after the term"
+    return value
 
 
 def test_arithmetic():
-    assert evaluate(term("(+ 1 2 3)")) == 6
-    assert evaluate(term("(- 5)")) == -5
-    assert evaluate(term("(- 5 1 1)")) == 3
-    assert evaluate(term("(* 2 (/ 1 3))")) == Rational(2, 3)
-    assert evaluate(term("(/ 1 4)")) == Rational(1, 4)
+    assert evaluate("(+ 1 2 3)") == 6
+    assert evaluate("(- 5)") == -5
+    assert evaluate("(- 5 1 1)") == 3
+    assert evaluate("(* 2 (/ 1 3))") == Rational(2, 3)
+    assert evaluate("(/ 1 4)") == Rational(1, 4)
 
 
 def test_floor_semantics_of_to_int():
-    assert evaluate(term("(to_int (/ 1 2))")) == 0
-    assert evaluate(term("(to_int (- (/ 1 2)))")) == -1
-    assert evaluate(term("(- (to_int (- (/ 1 4))))")) == 1  # ceiling encoding
-    assert evaluate(term("(to_real 3)")) == 3
+    assert evaluate("(to_int (/ 1 2))") == 0
+    assert evaluate("(to_int (- (/ 1 2)))") == -1
+    assert evaluate("(- (to_int (- (/ 1 4))))") == 1  # ceiling encoding
+    assert evaluate("(to_real 3)") == 3
 
 
 def test_is_int():
-    assert evaluate(term("(is_int (/ 4 2))")) is True
-    assert evaluate(term("(is_int (/ 1 2))")) is False
-    assert evaluate(term("(is_int 7)")) is True
+    assert evaluate("(is_int (/ 4 2))") is True
+    assert evaluate("(is_int (/ 1 2))") is False
+    assert evaluate("(is_int 7)") is True
 
 
 def test_boolean_connectives():
-    assert evaluate(term("(and true (or false true))")) is True
+    assert evaluate("(and true (or false true))") is True
 
 
 def test_chainable_comparisons():
-    assert evaluate(term("(< 1 2 3)")) is True
-    assert evaluate(term("(< 1 3 2)")) is False
-    assert evaluate(term("(>= (/ 1 1) (/ 1 1) (/ 0 1))")) is True
+    assert evaluate("(< 1 2 3)") is True
+    assert evaluate("(< 1 3 2)") is False
+    assert evaluate("(>= (/ 1 1) (/ 1 1) (/ 0 1))") is True
 
 
 def test_mixed_equality_is_rejected():
     with pytest.raises(EvalError):
-        evaluate(term("(= true 1)"))
+        evaluate("(= true 1)")
 
 
 @pytest.mark.parametrize(
@@ -79,19 +83,22 @@ def test_ill_sorted_or_malformed_scripts_are_rejected(script):
 @pytest.mark.parametrize("script", ["(check-sat)(assert true", "(assert true))"])
 def test_unbalanced_parentheses_are_rejected(script):
     with pytest.raises(EvalError, match="unbalanced"):
-        parse_script(script)
-    with pytest.raises(EvalError, match="unbalanced"):
         run_script(script, out=io.StringIO())
+
+
+def test_numerals_of_any_length_are_read():
+    huge = "7" * 5000  # past CPython's default int <-> str digit limit
+    assert run_script(f"(assert (< 1 {huge} (+ {huge} 1)))(check-sat)", out=io.StringIO())
 
 
 def test_free_symbols_are_rejected():
     with pytest.raises(EvalError):
-        evaluate(term("(+ x 1)"))
+        evaluate("(+ x 1)")
 
 
 def test_division_by_zero_is_an_error():
     with pytest.raises(EvalError):
-        evaluate(term("(/ 1 0)"))
+        evaluate("(/ 1 0)")
 
 
 def test_run_script_prints_sat_per_check():
@@ -141,6 +148,12 @@ DROPPED_LANGUAGE = {
     "echo": '(echo "x")',
     "set-info": "(set-info :status sat)",
     "exit": "(exit)",
+    "set-logic-without-name": "(set-logic)",
+    "set-logic-two-names": "(set-logic A B)",
+    "set-logic-a-term": "(set-logic (+ 1 2))",
+    "set-logic-open-paren": "(set-logic ( )",
+    "set-logic-close-paren": "(set-logic ) )",
+    "check-sat-with-operand": "(check-sat 1)",
 }
 
 
@@ -158,7 +171,7 @@ def test_dropped_language_fails_closed(construct, tmp_path):
 @pytest.mark.parametrize("operator", ["is_int", "to_int", "to_real"])
 def test_missing_operand_is_an_eval_error(operator):
     with pytest.raises(EvalError):
-        evaluate(term(f"({operator})"))
+        evaluate(f"({operator})")
 
 
 def _main_output(script_bytes: bytes, tmp_path, capsys):
@@ -171,6 +184,12 @@ def _main_output(script_bytes: bytes, tmp_path, capsys):
 
 def test_arity_error_is_one_error_line(tmp_path, capsys):
     code, out, err = _main_output(b"(assert (is_int))\n(check-sat)\n", tmp_path, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith('(error "') and err.count("\n") == 1
+
+
+def test_rejected_script_prints_nothing_on_stdout(tmp_path, capsys):
+    code, out, err = _main_output(b"(check-sat)(exit)\n", tmp_path, capsys)
     assert code == 1 and out == ""
     assert err.startswith('(error "') and err.count("\n") == 1
 
@@ -202,9 +221,9 @@ def test_solver_child_loads_only_the_evaluator():
 
 
 def test_let_binds_names_in_its_body():
-    assert evaluate(term("(let ((a 2) (b (/ 1 2))) (= (* a b) 1))")) is True
-    assert evaluate(term("(let ((a1 (+ 1 2)) (b (- 3))) (and (is_int a1) (< b 0 a1)))")) is True
-    assert evaluate(term("(let ((b (/ 7 2))) (to_real (to_int b)))")) == 3
+    assert evaluate("(let ((a 2) (b (/ 1 2))) (= (* a b) 1))") is True
+    assert evaluate("(let ((a1 (+ 1 2)) (b (- 3))) (and (is_int a1) (< b 0 a1)))") is True
+    assert evaluate("(let ((b (/ 7 2))) (to_real (to_int b)))") == 3
 
 
 def test_a_bare_symbol_has_no_value():
@@ -212,11 +231,20 @@ def test_a_bare_symbol_has_no_value():
         evaluate("x")
 
 
+def test_names_do_not_leak_across_commands():
+    with pytest.raises(EvalError):
+        run_script("(assert (let ((a true)) a))(assert a)(check-sat)", out=io.StringIO())
+
+
 def test_sibling_lets_do_not_share_names():
     siblings = "(and (let ((a 1)) (= a 1)) (let ((a 2)) (= a 2)) (let ((b 3)) (= b 3)))"
-    assert evaluate(term(siblings)) is True
+    assert evaluate(siblings) is True
     with pytest.raises(EvalError):
-        evaluate(term("(and (let ((a true)) a) (let ((b true)) a))"))
+        evaluate("(and (let ((a true)) a) (let ((b true)) a))")
+
+
+def _nots(depth: int, atom: str) -> str:
+    return "(not " * depth + atom + ")" * depth
 
 
 # `let` outside the flat form `smtgen` writes; each must be rejected.
@@ -249,8 +277,10 @@ LET_FAIL_CLOSED = {
     "nested-in-body": "(let ((a 1)) (let ((b 2)) (= a b)))",
     "nested-in-binding": "(let ((a (let ((b 2)) b))) (= a 2))",
     "shadowing": "(let ((a 1)) (let ((a 2)) (= a 2)))",
-    "deep-through-let": "(let ((a " + "(not " * (MAX_DEPTH - 2) + "true" + ")" * (MAX_DEPTH - 2)
-    + ")) a)",
+    # one level too deep: assert, let, binding list and binding take four levels
+    "deep-through-let": "(let ((a " + _nots(MAX_DEPTH - 3, "true") + ")) a)",
+    # one level too deep: assert and let take two
+    "body-one-too-deep": "(let ((a true)) " + _nots(MAX_DEPTH - 1, "a") + ")",
 }
 
 
@@ -266,9 +296,14 @@ def test_let_fails_closed(case, tmp_path):
 
 
 def test_let_levels_count_toward_the_depth_limit():
-    # the same term is within the limit outside a let
-    deep = "(not " * (MAX_DEPTH - 2) + "true" + ")" * (MAX_DEPTH - 2)
+    # outside a let, a term deeper than the binding term of `deep-through-let` is within it
+    deep = _nots(MAX_DEPTH - 2, "true")
     assert run_script(f"(assert (or {deep} true))(check-sat)", out=io.StringIO())
+    # one level less than the cases `deep-through-let` and `body-one-too-deep`
+    in_binding = "(let ((a " + _nots(MAX_DEPTH - 4, "true") + ")) a)"
+    in_body = "(let ((a true)) " + _nots(MAX_DEPTH - 2, "a") + ")"
+    for term in (in_binding, in_body):
+        assert run_script(f"(assert {term})(check-sat)", out=io.StringIO())
 
 
 # --- tokenizer ----------------------------------------------------------------

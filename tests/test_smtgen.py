@@ -9,7 +9,7 @@ from conftest import CORPUS, SOLVER_COMMAND, load_fixture, random_certificate
 
 from viprcert.checker import RtpFlags, check_certificate, compute_assumption_sets, sol_violations
 from viprcert.model import Reason, constraint_at
-from viprcert.smteval import parse_script, run_script
+from viprcert.smteval import _tokens, run_script
 from viprcert.smtgen import (
     Aggregate,
     EmissionPlan,
@@ -83,6 +83,21 @@ def test_negative_rationals_use_the_negated_form(tmp_path):
     assert re.search(r"-\d", text) is None  # negative literals never appear bare
 
 
+def _tree(text: str):
+    """One term as nested lists of its tokens."""
+    stack: list[list] = [[]]
+    for token in _tokens(text):
+        if token == "(":
+            stack.append([])
+        elif token == ")":
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(token)
+    ((node,),) = stack
+    return node
+
+
 def _atoms(node) -> list[str]:
     if isinstance(node, str):
         return [node]
@@ -103,7 +118,7 @@ def test_each_combined_sum_is_bound_once():
             expression = der_constraint_expr(problem, certificate, k)
             if expression in ("true", "false"):
                 continue
-            (node,) = parse_script(expression)
+            node = _tree(expression)
             assert node[0] == "let" and len(node) == 3, expression
             _, bindings, body = node
             support = set()
