@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .model import Constraint, LinearExpr, Multipliers, Sign
-from .rational import Rational
+from .model import Constraint, Multipliers, Sign
 
 
 def _dominates(
@@ -72,8 +71,7 @@ def constraint_dominates(source: Constraint, target: Constraint) -> bool:
 class PseudoConstraint:
     """Result of a linear combination: the integer-scaled row, and the two
     sign flags.  `eq` is by definition the conjunction of the flags, and
-    the combination is suitable iff at least one flag holds.  `lhs` and
-    `rhs` are built as rationals only when read."""
+    the combination is suitable iff at least one flag holds."""
 
     __slots__ = ("scale", "terms", "bound", "geq", "leq")
 
@@ -83,14 +81,6 @@ class PseudoConstraint:
         self.bound = bound
         self.geq = geq
         self.leq = leq
-
-    @property
-    def lhs(self) -> LinearExpr:
-        return LinearExpr({j: Rational(a, self.scale) for j, a in self.terms.items()})
-
-    @property
-    def rhs(self) -> Rational:
-        return Rational(self.bound, self.scale)
 
     @property
     def eq(self) -> bool:
@@ -121,7 +111,8 @@ class PseudoConstraint:
         )
 
     def __repr__(self) -> str:
-        return f"PseudoConstraint({self.lhs!r}, {self.rhs!r}, geq={self.geq}, leq={self.leq})"
+        flags = f"geq={self.geq}, leq={self.leq}"
+        return f"PseudoConstraint({self.scale}, {self.terms}, {self.bound}, {flags})"
 
 
 def linear_combination(

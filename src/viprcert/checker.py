@@ -41,10 +41,6 @@ class EmptyConstraintSystem(Exception):
     """The final obligation needs a last constraint, but d = 0."""
 
 
-def _objective_bound_constraint(problem: Problem, sign: Sign, bound: Rational) -> Constraint:
-    return Constraint(name="objective-bound", lhs=problem.objective, sign=sign, rhs=bound)
-
-
 def _relation(bound: Constraint) -> str:
     """`>= b` or `<= b` for a one-sided bound constraint."""
     value = format_rational(Rational(bound.bound, bound.scale))
@@ -72,10 +68,12 @@ class RtpFlags:
         the unified constraint array is empty."""
         rtp = certificate.rtp
         if rtp.infeasible:
-            flags = cls(False, None, Constraint.from_row("absurdity", Sign.GEQ, 1, {}, 1))
+            flags = cls(False, None, Constraint("absurdity", Sign.GEQ, 1, {}, 1))
         else:
             def bound(sign: Sign, value: Optional[Rational]) -> Optional[Constraint]:
-                return None if value is None else _objective_bound_constraint(problem, sign, value)
+                if value is None:
+                    return None
+                return problem.objective.bound("objective-bound", sign, value)
 
             sign = problem.sense.bound_sign
             witnessed, closing = (rtp.ub, rtp.lb) if sign is Sign.LEQ else (rtp.lb, rtp.ub)
@@ -251,9 +249,9 @@ def der_violation(
 
     # sol reasoning: some listed point's objective bound must dominate
     sign = problem.sense.bound_sign
+    objective = problem.objective
     for point in certificate.sol:
-        bound = problem.objective.evaluate(point.coords)
-        source = _objective_bound_constraint(problem, sign, bound)
+        source = objective.bound("objective-bound", sign, objective.value(point.coords))
         if constraint_dominates(source, target):
             return None
     return fail("sol-domination", "no listed solution's objective bound dominates")

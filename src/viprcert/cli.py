@@ -24,7 +24,7 @@ from .checker import (
     default_jobs,
 )
 from .parser import ParseError, parse_certificate
-from .smtgen import Aggregate, EmissionPlan, SolverSpawnError, dispatch, emit
+from .smtgen import Aggregate, EmissionPlan, SolverSpawnError, check_timeout, dispatch, emit
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -95,9 +95,10 @@ def _positive_int(text: str) -> int:
 
 def _timeout_seconds(text: str) -> float:
     value = float(text)
-    if not 0 < value <= 1e6:  # false for nan; `subprocess` waits at most 2**31 ms
-        raise argparse.ArgumentTypeError("must be a number of seconds in (0, 1e6]")
-    return value
+    try:
+        return check_timeout(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit_files(problem, certificate, out_dir, block_size: Optional[int], jobs: int):

@@ -5,6 +5,12 @@ directly in tests); the checker and the SMT emitter only ever read it.
 Constraint indexing is 1-based: problem constraints are C_1..C_m and
 derived constraints continue as C_{m+1}..C_d.  The on-disk format uses
 0-based indices; that shift happens in the parser, nowhere else.
+
+There is one representation of a row: a constraint, and the objective,
+hold integer coefficients over a positive scale, reduced to the least
+one.  Multipliers, solution coordinates and the bounds of the relation
+to prove stay `Rational`.  The constraint "objective ~ value" is built
+in one place, `Objective.bound`.
 """
 
 from __future__ import annotations
@@ -63,34 +69,6 @@ class Reason(Enum):
     SOL = "sol"
 
 
-@dataclass(frozen=True)
-class LinearExpr:
-    """Sparse linear functional: variable index (1-based) -> coefficient.
-
-    Zero coefficients are never stored, so "the left-hand side is zero"
-    is the structural check `expr.is_zero`.
-    """
-
-    terms: Mapping[int, Rational] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        cleaned = {j: c for j, c in self.terms.items() if c != 0}
-        object.__setattr__(self, "terms", cleaned)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, index: int) -> Rational:
-        return self.terms.get(index, ZERO)
-
-    def items_sorted(self) -> list[tuple[int, Rational]]:
-        return sorted(self.terms.items())
-
-    def evaluate(self, coords: Mapping[int, Rational]) -> Rational:
-        return dot(self.terms, coords)
-
-
 def dot(terms: Mapping[int, Union[int, Rational]], coords: Mapping[int, Rational]) -> Rational:
     """sum_j terms[j] * coords[j], absent coordinates being zero."""
     total = ZERO
@@ -101,55 +79,57 @@ def dot(terms: Mapping[int, Union[int, Rational]], coords: Mapping[int, Rational
     return total
 
 
-# (D, {j: a_j}, b): the constraint sum_j (a_j / D) x_j ~ b / D in integers, D > 0
-IntegerRow = tuple[int, dict[int, int], int]
-
-
-def scaled_row(terms: Mapping[int, Rational], rhs: Rational) -> IntegerRow:
-    """Coefficients and bound over their least common denominator D."""
-    scale = math.lcm(rhs.denominator, *(c.denominator for c in terms.values()))
-    return (
-        scale,
-        {j: c.numerator * (scale // c.denominator) for j, c in terms.items()},
-        rhs.numerator * (scale // rhs.denominator),
-    )
+def _least_row(
+    scale: int, terms: dict[int, int], bound: int = 0
+) -> tuple[int, dict[int, int], int]:
+    """A row with scale > 0 over its least scale: divided by the gcd of
+    its integers."""
+    g = math.gcd(scale, bound, *terms.values())
+    if g > 1:
+        scale, bound = scale // g, bound // g
+        terms = {j: a // g for j, a in terms.items()}
+    return scale, terms, bound
 
 
 class Constraint(namedtuple("Constraint", "name sign scale terms bound")):
     """A named constraint, stored as its sign and its integer row
-    `sum_j (terms[j] / scale) x_j ~ bound / scale` over the least scale > 0,
-    with no zero coefficient, so equal rows are equal constraints.  `lhs`
-    and `rhs` are rational views, built each time they are read.
-    """
+    `sum_j (terms[j] / scale) x_j ~ bound / scale`.  Built from any row
+    with scale > 0 and no zero coefficient, it keeps the row over the
+    least scale, so equal rows are equal constraints."""
 
     __slots__ = ()
 
-    def __new__(cls, name: str, lhs: LinearExpr, sign: Sign, rhs: Rational) -> "Constraint":
-        if not name:
-            raise ValueError("constraint name must be non-empty")
-        return cls.from_row(name, sign, *scaled_row(lhs.terms, rhs))
-
-    @classmethod
-    def from_row(
+    def __new__(
         cls, name: str, sign: Sign, scale: int, terms: dict[int, int], bound: int
     ) -> "Constraint":
-        """The constraint of any row with scale > 0 and no zero coefficient."""
-        g = math.gcd(scale, bound, *terms.values())
-        if g > 1:
-            scale, bound = scale // g, bound // g
-            terms = {j: a // g for j, a in terms.items()}
-        return tuple.__new__(cls, (name, sign, scale, terms, bound))
+        if not name:
+            raise ValueError("constraint name must be non-empty")
+        return tuple.__new__(cls, (name, sign, *_least_row(scale, terms, bound)))
 
-    def __reduce__(self):  # copy and pickle rebuild from the row
-        return self.from_row, tuple(self)
 
-    @property
-    def lhs(self) -> LinearExpr:
-        return LinearExpr({j: Rational(a, self.scale) for j, a in self.terms.items()})
+class Objective(namedtuple("Objective", "scale terms")):
+    """The objective `sum_j (terms[j] / scale) x_j` as an integer row over
+    the least scale > 0, with no zero coefficient."""
 
-    @property
-    def rhs(self) -> Rational:
-        return Rational(self.bound, self.scale)
+    __slots__ = ()
+
+    def __new__(cls, scale: int, terms: dict[int, int]) -> "Objective":
+        if 0 in terms.values():
+            terms = {j: a for j, a in terms.items() if a}
+        return tuple.__new__(cls, _least_row(scale, terms)[:2])
+
+    def value(self, coords: Mapping[int, Rational]) -> Rational:
+        """The objective's exact value at a point."""
+        return dot(self.terms, coords) / self.scale
+
+    def bound(self, name: str, sign: Sign, value: Rational) -> Constraint:
+        """The constraint "objective ~ value": for value = p / q, the row
+        `sum_j a_j q x_j ~ p scale` over `scale q`."""
+        q = value.denominator
+        return Constraint(
+            name, sign, self.scale * q, {j: a * q for j, a in self.terms.items()},
+            value.numerator * self.scale,
+        )
 
 
 @dataclass(frozen=True)
@@ -164,7 +144,7 @@ class Problem:
     var_names: tuple[str, ...]
     int_vars: frozenset[int]
     sense: Sense
-    objective: LinearExpr
+    objective: Objective
     constraints: tuple[Constraint, ...]
     bound_count: int = 0
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import Problem, Sense
+from .model import Problem, Sense, dot
 from .rational import Rational
 
 ENUMERATION_LIMIT = 10**6
@@ -75,17 +75,18 @@ def brute_force(
         coords = {j + 1: Rational(x) for j, x in enumerate(point) if x != 0}
         ok = True
         for constraint in problem.constraints:
-            value = constraint.lhs.evaluate(coords)
+            # both sides scaled by the row's scale, which is positive
+            value = dot(constraint.terms, coords)
             s = constraint.sign.value
-            if s >= 0 and not value >= constraint.rhs:
+            if s >= 0 and not value >= constraint.bound:
                 ok = False
                 break
-            if s <= 0 and not value <= constraint.rhs:
+            if s <= 0 and not value <= constraint.bound:
                 ok = False
                 break
         if not ok:
             continue
-        objective = problem.objective.evaluate(coords)
+        objective = problem.objective.value(coords)
         if (
             best_value is None
             or (maximize and objective > best_value)

@@ -6,6 +6,11 @@ the file's 0-based convention to the model's 1-based one, and that is
 all.  Whether the certificate actually proves anything is the checker's
 business, strictly separated from this module.
 
+Constraint bodies and the objective are read straight to integer rows
+(`model.Constraint`, `model.Objective`); an `OBJ` body is the row of
+`Objective.bound`.  The serializer prints each coefficient `a_j / D`
+from the row.
+
 The text is split a chunk of about `CHUNK` characters at a time, so a
 parse holds a bounded window of tokens, never those of the whole file;
 a token's position is its global index in `text.split()`.
@@ -23,8 +28,8 @@ from .model import (
     Certificate,
     Constraint,
     DerivedConstraint,
-    LinearExpr,
     Multipliers,
+    Objective,
     Problem,
     Reason,
     Rtp,
@@ -269,7 +274,9 @@ class _Parser:
             )
         sense = Sense(sense_text)
         t = self.count("objective term count")
-        objective = LinearExpr(self.rationals(t, n, "objective", "variable", "coefficient"))
+        keys, values = self.pairs(t, n, "objective", "variable", "coefficient")
+        scale, numbers = _ratios(values)
+        objective = Objective(scale, dict(zip(keys, numbers)))
 
         self.keyword("CON")
         m = self.count("constraint count")
@@ -311,7 +318,7 @@ class _Parser:
         certificate = Certificate(rtp=rtp, sol=sol, der=der)
         return problem, certificate
 
-    def constraint_body(self, n: int, objective: LinearExpr, what: str) -> Constraint:
+    def constraint_body(self, n: int, objective: Objective, what: str) -> Constraint:
         """`name sense rhs` and then `t j_1 c_1 ... j_t c_t` with 0-based
         variable indices, or the single keyword OBJ for the objective's
         coefficients."""
@@ -322,14 +329,14 @@ class _Parser:
             self.rational_value(rhs)  # raises the located error, if there is one
         if self.peek() == "OBJ":
             self.pos += 1
-            return Constraint(name, objective, sign, parse_rational(rhs))
+            return objective.bound(name, sign, parse_rational(rhs))
         t = self.count(f"{what} term count")
         keys, values = self.pairs(t, n, what, "variable", "coefficient")
         scale, numbers = _ratios([rhs, *values])
         terms = dict(zip(keys, numbers[1:]))
         if 0 in terms.values():
             terms = {j: a for j, a in terms.items() if a}
-        return Constraint.from_row(name, sign, scale, terms, numbers[0])
+        return Constraint(name, sign, scale, terms, numbers[0])
 
     def parse_rtp(self) -> Rtp:
         self.keyword("RTP")
@@ -353,7 +360,7 @@ class _Parser:
         return SolutionPoint(name=name, coords=self.rationals(t, n, what, "variable", "value"))
 
     def derived_constraint(
-        self, n: int, d: int, objective: LinearExpr, ordinal: int
+        self, n: int, d: int, objective: Objective, ordinal: int
     ) -> DerivedConstraint:
         what = f"derivation {ordinal}"
         constraint = self.constraint_body(n, objective, what)
@@ -423,18 +430,17 @@ def parse_certificate(source: Union[str, bytes]) -> tuple[Problem, Certificate]:
 # --- serialization ----------------------------------------------------------
 
 
-def _format_terms(expr: LinearExpr) -> str:
-    parts = [str(len(expr.terms))]
-    for j, c in expr.items_sorted():
-        parts.append(f"{j - 1} {format_rational(c)}")
+def _format_terms(row: Union[Constraint, Objective]) -> str:
+    """`t j_1 c_1 ... j_t c_t` of a row's coefficients, 0-based."""
+    parts = [str(len(row.terms))]
+    for j, a in sorted(row.terms.items()):
+        parts.append(f"{j - 1} {format_rational(Rational(a, row.scale))}")
     return " ".join(parts)
 
 
 def _format_constraint(constraint: Constraint) -> str:
-    return (
-        f"{constraint.name} {constraint.sign.letter} "
-        f"{format_rational(constraint.rhs)} {_format_terms(constraint.lhs)}"
-    )
+    rhs = format_rational(Rational(constraint.bound, constraint.scale))
+    return f"{constraint.name} {constraint.sign.letter} {rhs} {_format_terms(constraint)}"
 
 
 def _format_reason(derived: DerivedConstraint) -> str:

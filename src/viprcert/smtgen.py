@@ -41,7 +41,6 @@ from .model import (
     Sign,
     Unsplit,
     constraint_at,
-    scaled_row,
     total_constraints,
 )
 from .rational import Rational, ZERO, unlimited_int_digits
@@ -295,7 +294,7 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
 
     # sol reasoning
     s = problem.sense.bound_sign.value
-    scale, terms, _ = scaled_row(problem.objective.terms, ZERO)
+    scale, terms = problem.objective
     a_exprs = {j: _frac(a, scale) for j, a in terms.items()}
     branches = []
     for point in certificate.sol:
@@ -439,6 +438,14 @@ class SolverSpawnError(Exception):
     """The solver command could not be started at all."""
 
 
+def check_timeout(seconds: float) -> float:
+    """`seconds` if it lies in (0, 1e6], a solver's time limit per file;
+    `subprocess` waits at most 2**31 ms.  Raises ValueError otherwise."""
+    if not 0 < seconds <= 1e6:  # false for nan
+        raise ValueError("must be a number of seconds in (0, 1e6]")
+    return seconds
+
+
 class Aggregate(Enum):
     VALID = "valid"
     INVALID = "invalid"
@@ -498,8 +505,10 @@ def dispatch(
     cancelled, whether or not it ran, so the outcomes do not depend on
     timing.  A timeout, a nonzero exit status or an unparseable solver
     response is recorded as a failure of that file and makes the
-    aggregate an error, never a pass.
+    aggregate an error, never a pass.  A `timeout_s` that `check_timeout`
+    refuses raises ValueError before any file starts.
     """
+    check_timeout(timeout_s)
     paths = [f.path if isinstance(f, EmittedFile) else Path(f) for f in files]
     unsat_at: list[int] = []  # indices of the files that came back unsat
 

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from rows import constraint, lhs, objective, rhs
 from viprcert.model import (
     Certificate,
     Constraint,
     DerivedConstraint,
-    LinearExpr,
     Multipliers,
     Problem,
     Reason,
@@ -22,6 +22,7 @@ from viprcert.model import (
     Sign,
     SolutionPoint,
     Unsplit,
+    dot,
 )
 from viprcert.parser import parse_certificate, serialize_certificate
 from viprcert.rational import Rational
@@ -85,25 +86,25 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
         if kind == "rhs" and d:
             k = rng.randint(1, d)
             target = _constraint_at(problem, certificate, k)
-            mutated = Constraint(
-                target.name, target.lhs, target.sign, _mutate_rational(rng, target.rhs)
+            mutated = constraint(
+                target.name, lhs(target), target.sign, _mutate_rational(rng, rhs(target))
             )
             return _replace_constraint(problem, certificate, k, mutated)
         if kind == "sign" and d:
             k = rng.randint(1, d)
             target = _constraint_at(problem, certificate, k)
             other = rng.choice([s for s in Sign if s is not target.sign])
-            mutated = Constraint(target.name, target.lhs, other, target.rhs)
+            mutated = Constraint(target.name, other, target.scale, target.terms, target.bound)
             return _replace_constraint(problem, certificate, k, mutated)
         if kind == "coefficient" and d:
             k = rng.randint(1, d)
             target = _constraint_at(problem, certificate, k)
-            if not target.lhs.terms:
+            if not target.terms:
                 continue
-            j = rng.choice(sorted(target.lhs.terms))
-            terms = dict(target.lhs.terms)
+            j = rng.choice(sorted(target.terms))
+            terms = lhs(target)
             terms[j] = _mutate_rational(rng, terms[j])
-            mutated = Constraint(target.name, LinearExpr(terms), target.sign, target.rhs)
+            mutated = constraint(target.name, terms, target.sign, rhs(target))
             return _replace_constraint(problem, certificate, k, mutated)
         if kind in ("multiplier", "mult-index"):
             candidates = [
@@ -159,9 +160,9 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
             return problem, replace(certificate, sol=tuple(sol))
         if kind == "objective" and problem.n:
             j = rng.randint(1, problem.n)
-            terms = dict(problem.objective.terms)
-            terms[j] = _mutate_rational(rng, problem.objective.coefficient(j))
-            return replace(problem, objective=LinearExpr(terms)), certificate
+            terms = lhs(problem.objective)
+            terms[j] = _mutate_rational(rng, terms.get(j, Rational(0)))
+            return replace(problem, objective=objective(terms)), certificate
     raise AssertionError("no applicable mutation found")
 
 
@@ -197,23 +198,22 @@ def random_certificate(rng: random.Random):
                 terms[j] = Rational(rng.randint(-3, 3))
         if not terms and not allow_empty:
             terms[rng.randint(1, n)] = Rational(rng.choice([-2, -1, 1, 2]))
-        return LinearExpr(terms)
+        return terms
 
     def random_rhs():
         return Rational(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
 
     m = rng.randint(1, 3)
     constraints = tuple(
-        Constraint(f"C{i}", random_expr(), rng.choice(list(Sign)), random_rhs())
+        constraint(f"C{i}", random_expr(), rng.choice(list(Sign)), random_rhs())
         for i in range(1, m + 1)
     )
-    objective = random_expr()
     problem = Problem(
         n=n,
         var_names=var_names,
         int_vars=int_vars,
         sense=sense,
-        objective=objective,
+        objective=objective(random_expr()),
         constraints=constraints,
     )
 
@@ -236,9 +236,7 @@ def random_certificate(rng: random.Random):
     d = m + der_count
     der = []
     for offset in range(der_count):
-        constraint = Constraint(
-            f"D{offset}", random_expr(), rng.choice(list(Sign)), random_rhs()
-        )
+        body = constraint(f"D{offset}", random_expr(), rng.choice(list(Sign)), random_rhs())
         reason = rng.choice(list(Reason))
         if reason in (Reason.ASM, Reason.SOL):
             data = None
@@ -251,7 +249,7 @@ def random_certificate(rng: random.Random):
             )
         else:
             data = Unsplit(*(rng.randint(1, d) for _ in range(4)))
-        der.append(DerivedConstraint(constraint, reason, data))
+        der.append(DerivedConstraint(body, reason, data))
     certificate = Certificate(rtp=rtp, sol=sol, der=tuple(der))
     return problem, certificate
 
@@ -282,16 +280,14 @@ def random_valid_certificate(rng: random.Random):
         }
         if not all(terms.values()):
             terms = {j: c for j, c in terms.items() if c}
-        return LinearExpr(terms or {min(int_vars): Rational(1)})
+        return terms or {min(int_vars): Rational(1)}
 
     def any_expr():
-        return LinearExpr(
-            {
-                j: Rational(rng.randint(-3, 3), rng.choice([1, 1, 2]))
-                for j in range(1, n + 1)
-                if rng.random() < 0.6
-            }
-        )
+        return {
+            j: Rational(rng.randint(-3, 3), rng.choice([1, 1, 2]))
+            for j in range(1, n + 1)
+            if rng.random() < 0.6
+        }
 
     kind = rng.choice(["open", "lower-bound", "upper-bound", "infeasible", "witnessed"])
     m = rng.randint(1, 3)
@@ -315,16 +311,16 @@ def random_valid_certificate(rng: random.Random):
         )
         constraints = []
         for i in range(1, m + 1):
-            lhs = any_expr()
-            values = [lhs.evaluate(p.coords) for p in points]
+            terms = any_expr()
+            values = [dot(terms, p.coords) for p in points]
             if rng.random() < 0.5:
-                body = Constraint(f"C{i}", lhs, Sign.GEQ, min(values) - rng.randint(0, 2))
+                body = constraint(f"C{i}", terms, Sign.GEQ, min(values) - rng.randint(0, 2))
             else:
-                body = Constraint(f"C{i}", lhs, Sign.LEQ, max(values) + rng.randint(0, 2))
+                body = constraint(f"C{i}", terms, Sign.LEQ, max(values) + rng.randint(0, 2))
             constraints.append(body)
     else:
         constraints = [
-            Constraint(
+            constraint(
                 f"C{i}",
                 any_expr(),
                 rng.choice(list(Sign)),
@@ -334,21 +330,19 @@ def random_valid_certificate(rng: random.Random):
         ]
         if kind == "infeasible":
             # make infeasibility honest: one problem constraint is 0 >= 1
-            constraints[rng.randrange(m)] = Constraint(
-                "absurd", LinearExpr({}), Sign.GEQ, Rational(1)
-            )
+            constraints[rng.randrange(m)] = constraint("absurd", {}, Sign.GEQ, Rational(1))
 
     problem = Problem(
         n=n,
         var_names=tuple(f"x{j}" for j in range(1, n + 1)),
         int_vars=int_vars,
         sense=rng.choice([Sense.MIN, Sense.MAX]),
-        objective=any_expr(),
+        objective=objective(any_expr()),
         constraints=tuple(constraints),
     )
     rtp: Rtp
     if kind == "witnessed":
-        values = [problem.objective.evaluate(p.coords) for p in points]
+        values = [problem.objective.value(p.coords) for p in points]
         if problem.sense is Sense.MIN:
             best = min(values)
             rtp = Rtp.make_range(None, best + rng.randint(0, 2))
@@ -377,9 +371,9 @@ def random_valid_certificate(rng: random.Random):
         combo = linear_combination(multipliers, resolve)
         slack = Rational(rng.randint(0, 2))
         if combo.geq:
-            body = Constraint(name, combo.lhs, Sign.GEQ, combo.rhs - slack)
+            body = constraint(name, lhs(combo), Sign.GEQ, rhs(combo) - slack)
         else:
-            body = Constraint(name, combo.lhs, Sign.LEQ, combo.rhs + slack)
+            body = constraint(name, lhs(combo), Sign.LEQ, rhs(combo) + slack)
         return DerivedConstraint(body, Reason.LIN, multipliers)
 
     steps = rng.randint(1, 6)
@@ -392,16 +386,12 @@ def random_valid_certificate(rng: random.Random):
         if op == "sol":
             # the best listed point's objective bound justifies this
             if problem.sense is Sense.MIN:
-                body = Constraint(
-                    f"B{step}", problem.objective, Sign.LEQ, best + rng.randint(0, 2)
-                )
+                body = problem.objective.bound(f"B{step}", Sign.LEQ, best + rng.randint(0, 2))
             else:
-                body = Constraint(
-                    f"B{step}", problem.objective, Sign.GEQ, best - rng.randint(0, 2)
-                )
+                body = problem.objective.bound(f"B{step}", Sign.GEQ, best - rng.randint(0, 2))
             der.append(DerivedConstraint(body, Reason.SOL, None))
         elif op == "asm":
-            body = Constraint(f"A{step}", any_expr(), rng.choice(list(Sign)), Rational(rng.randint(-3, 3)))
+            body = constraint(f"A{step}", any_expr(), rng.choice(list(Sign)), Rational(rng.randint(-3, 3)))
             der.append(DerivedConstraint(body, Reason.ASM, None))
         elif op == "lin":
             der.append(derived_from_combination(f"L{step}", suitable_multipliers(k - 1)))
@@ -411,29 +401,30 @@ def random_valid_certificate(rng: random.Random):
             if not combo.roundable(int_vars):
                 der.append(derived_from_combination(f"L{step}", multipliers))
                 continue
+            terms, bound = lhs(combo), rhs(combo)
             if combo.geq:
-                ceiling = Rational(-((-combo.rhs).__floor__()))
-                if combo.lhs.is_zero and combo.rhs > 0:
-                    body = Constraint(f"R{step}", combo.lhs, Sign.GEQ, ceiling)
+                ceiling = Rational(-((-bound).__floor__()))
+                if not terms and bound > 0:
+                    body = constraint(f"R{step}", terms, Sign.GEQ, ceiling)
                 else:
-                    body = Constraint(f"R{step}", combo.lhs, Sign.GEQ, ceiling - rng.randint(0, 1))
+                    body = constraint(f"R{step}", terms, Sign.GEQ, ceiling - rng.randint(0, 1))
             else:
-                floor = Rational(combo.rhs.__floor__())
-                if combo.lhs.is_zero and combo.rhs < 0:
-                    body = Constraint(f"R{step}", combo.lhs, Sign.LEQ, floor)
+                floor = Rational(bound.__floor__())
+                if not terms and bound < 0:
+                    body = constraint(f"R{step}", terms, Sign.LEQ, floor)
                 else:
-                    body = Constraint(f"R{step}", combo.lhs, Sign.LEQ, floor + rng.randint(0, 1))
+                    body = constraint(f"R{step}", terms, Sign.LEQ, floor + rng.randint(0, 1))
             der.append(DerivedConstraint(body, Reason.RND, multipliers))
         else:  # uns over a fresh split pair, reusing a dominating ancestor
             shared = integral_expr()
             delta = rng.randint(-2, 2)
-            lower = Constraint(f"S{step}l", shared, Sign.LEQ, Rational(delta))
-            upper = Constraint(f"S{step}u", shared, Sign.GEQ, Rational(delta + 1))
+            lower = constraint(f"S{step}l", shared, Sign.LEQ, Rational(delta))
+            upper = constraint(f"S{step}u", shared, Sign.GEQ, Rational(delta + 1))
             der.append(DerivedConstraint(lower, Reason.ASM, None))
             der.append(DerivedConstraint(upper, Reason.ASM, None))
             i = rng.randint(1, k - 1)
             target = resolve(i)
-            body = Constraint(f"U{step}", target.lhs, target.sign, target.rhs)
+            body = Constraint(f"U{step}", target.sign, target.scale, target.terms, target.bound)
             der.append(
                 DerivedConstraint(body, Reason.UNS, Unsplit(i, k, i, k + 1))
             )
@@ -449,7 +440,7 @@ def random_valid_certificate(rng: random.Random):
         )
         der.append(
             DerivedConstraint(
-                Constraint("final", LinearExpr({}), Sign.GEQ, Rational(1)),
+                constraint("final", {}, Sign.GEQ, Rational(1)),
                 Reason.LIN,
                 Multipliers({absurd_index: Rational(1)}),
             )
@@ -461,8 +452,8 @@ def random_valid_certificate(rng: random.Random):
         multipliers = suitable_multipliers(m, problem_only=True)
         closing = derived_from_combination("final", multipliers)
         der.append(closing)
-        problem = replace(problem, objective=closing.constraint.lhs)
-        bound = closing.constraint.rhs
+        problem = replace(problem, objective=objective(lhs(closing.constraint)))
+        bound = rhs(closing.constraint)
         if closing.constraint.sign is Sign.GEQ:
             problem = replace(problem, sense=Sense.MIN)
             rtp = Rtp.make_range(bound - rng.randint(0, 2), None)

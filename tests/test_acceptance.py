@@ -23,6 +23,7 @@ from conftest import (
     load_fixture,
     mutated_variant,
 )
+from rows import constraint, lhs, rhs
 
 from viprcert.algebra import (
     PseudoConstraint,
@@ -35,7 +36,7 @@ from viprcert.checker import (
     compute_assumption_sets,
     default_jobs,
 )
-from viprcert.model import Constraint, LinearExpr, Multipliers, Sign
+from viprcert.model import Constraint, Multipliers, Sign
 from viprcert.oracle import BoxBounds, brute_force
 from viprcert.parser import ParseError, parse_certificate, serialize_certificate
 from viprcert.cli import main as cli_main
@@ -137,17 +138,15 @@ def test_criterion_3_native_smt_equivalence(tmp_path, capsys):
 
 
 def _random_expr(rng, n=3):
-    return LinearExpr(
-        {
-            j: Rational(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
-            for j in range(1, n + 1)
-            if rng.random() < 0.6
-        }
-    )
+    return {
+        j: Rational(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+        for j in range(1, n + 1)
+        if rng.random() < 0.6
+    }
 
 
 def _random_constraint(rng, n=3):
-    return Constraint(
+    return constraint(
         "r", _random_expr(rng, n), rng.choice(list(Sign)), Rational(rng.randint(-6, 6), rng.choice([1, 1, 2]))
     )
 
@@ -157,16 +156,16 @@ def _reference_dominates(c: Constraint, target: Constraint) -> bool:
     # trivially false constraint dominates everything, where "trivially
     # false" also covers the equality form 0 = b with b != 0 (matching
     # the expanded Boolean evaluation, which is the authoritative one)
-    s, b = c.sign, c.rhs
-    if c.lhs.is_zero and (
+    s, b = c.sign, rhs(c)
+    if not lhs(c) and (
         (s is Sign.GEQ and b > 0)
         or (s is Sign.LEQ and b < 0)
         or (s is Sign.EQ and b != 0)
     ):
         return True
-    if c.lhs != target.lhs:
+    if lhs(c) != lhs(target):
         return False
-    t, bt = target.sign, target.rhs
+    t, bt = target.sign, rhs(target)
     if t is Sign.GEQ:
         return s in (Sign.GEQ, Sign.EQ) and b >= bt
     if t is Sign.LEQ:
@@ -180,13 +179,13 @@ def _reference_split(ci: Constraint, cj: Constraint, ints) -> bool:
     for lower, upper in ((ci, cj), (cj, ci)):
         if lower.sign is not Sign.LEQ or upper.sign is not Sign.GEQ:
             continue
-        if lower.lhs != upper.lhs:
+        if lhs(lower) != lhs(upper):
             continue
-        if any(j not in ints or c.denominator != 1 for j, c in lower.lhs.terms.items()):
+        if any(j not in ints or c.denominator != 1 for j, c in lhs(lower).items()):
             continue
-        if lower.rhs.denominator != 1:
+        if rhs(lower).denominator != 1:
             continue
-        if upper.rhs == lower.rhs + 1:
+        if rhs(upper) == rhs(lower) + 1:
             return True
     return False
 
@@ -194,13 +193,13 @@ def _reference_split(ci: Constraint, cj: Constraint, ints) -> bool:
 def _reference_roundable(c: Constraint, ints) -> bool:
     if c.sign is Sign.EQ:
         return False
-    return all(j in ints and v.denominator == 1 for j, v in c.lhs.terms.items())
+    return all(j in ints and v.denominator == 1 for j, v in lhs(c).items())
 
 
 def _reference_rounding(c: Constraint) -> Constraint:
     if c.sign is Sign.GEQ:
-        return Constraint(c.name, c.lhs, c.sign, Rational(-((-c.rhs).__floor__())))
-    return Constraint(c.name, c.lhs, c.sign, Rational(c.rhs.__floor__()))
+        return constraint(c.name, lhs(c), c.sign, Rational(-((-rhs(c)).__floor__())))
+    return constraint(c.name, lhs(c), c.sign, Rational(rhs(c).__floor__()))
 
 
 def test_criterion_4_randomized_law_suites(capsys):
@@ -213,7 +212,7 @@ def test_criterion_4_randomized_law_suites(capsys):
         # reflexivity of domination for definite-sign constraints
         assert constraint_dominates(c, c)
         # absurdities dominate everything
-        absurd = Constraint("a", LinearExpr({}), Sign.GEQ, Rational(rng.randint(1, 9)))
+        absurd = constraint("a", {}, Sign.GEQ, Rational(rng.randint(1, 9)))
         assert constraint_dominates(absurd, t)
         # with no flag set, nothing is dominated
         assert not PseudoConstraint(c.scale, c.terms, c.bound, False, False).dominates(t)
@@ -244,7 +243,7 @@ def test_criterion_4_randomized_law_suites(capsys):
         pool = {1: c1, 2: c2}
         # singleton law
         single = linear_combination(Multipliers({1: Rational(1)}), pool.__getitem__)
-        assert single.lhs == c1.lhs and single.rhs == c1.rhs
+        assert lhs(single) == lhs(c1) and rhs(single) == rhs(c1)
         s = c1.sign.value
         assert single.geq == (s >= 0) and single.leq == (s <= 0)
         # positive scaling law
@@ -255,8 +254,8 @@ def test_criterion_4_randomized_law_suites(capsys):
         scaled = linear_combination(
             Multipliers({1: w1 * scale, 2: w2 * scale}), pool.__getitem__
         )
-        assert scaled.lhs.terms == {j: v * scale for j, v in base.lhs.terms.items()}
-        assert scaled.rhs == base.rhs * scale
+        assert lhs(scaled) == {j: v * scale for j, v in lhs(base).items()}
+        assert rhs(scaled) == rhs(base) * scale
         assert (scaled.geq, scaled.leq) == (base.geq, base.leq)
 
     with capsys.disabled():

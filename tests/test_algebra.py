@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import load_fixture
+from rows import constraint, lhs, rhs, scaled_row
 
 from viprcert.algebra import (
     PseudoConstraint,
@@ -11,38 +12,30 @@ from viprcert.algebra import (
     is_split_disjunction,
     linear_combination,
 )
-from viprcert.model import (
-    Constraint,
-    IndexOutOfRange,
-    LinearExpr,
-    Multipliers,
-    Sign,
-    constraint_at,
-    scaled_row,
-)
+from viprcert.model import IndexOutOfRange, Multipliers, Sign, constraint_at
 from viprcert.rational import Rational
 
 I12 = frozenset({1, 2})
 
 
 def expr(**coeffs):
-    return LinearExpr({int(k[1:]): Rational(v) for k, v in coeffs.items()})
+    return {int(k[1:]): Rational(v) for k, v in coeffs.items()}
 
 
-def geq(name, rhs, **coeffs):
-    return Constraint(name, expr(**coeffs), Sign.GEQ, Rational(rhs))
+def geq(name, bound, **coeffs):
+    return constraint(name, expr(**coeffs), Sign.GEQ, Rational(bound))
 
 
-def leq(name, rhs, **coeffs):
-    return Constraint(name, expr(**coeffs), Sign.LEQ, Rational(rhs))
+def leq(name, bound, **coeffs):
+    return constraint(name, expr(**coeffs), Sign.LEQ, Rational(bound))
 
 
 ABSURDITY = geq("absurd", 1)
 
 
-def pseudo(lhs: LinearExpr, rhs, geq: bool, leq: bool) -> PseudoConstraint:
+def pseudo(terms, bound, geq: bool, leq: bool) -> PseudoConstraint:
     """A combination result with the given row and sign flags."""
-    return PseudoConstraint(*scaled_row(lhs.terms, Rational(rhs)), geq, leq)
+    return PseudoConstraint(*scaled_row(terms, Rational(bound)), geq, leq)
 
 
 def test_dominates_examples():
@@ -56,7 +49,7 @@ def test_dominates_examples():
 def test_dominates_with_all_flags_false_is_false():
     target = geq("t", 0, x1=1)
     assert not pseudo(expr(x1=1), 5, False, False).dominates(target)
-    assert not pseudo(LinearExpr({}), 5, False, False).dominates(target)
+    assert not pseudo({}, 5, False, False).dominates(target)
 
 
 def test_dominates_direction():
@@ -64,10 +57,10 @@ def test_dominates_direction():
     assert not constraint_dominates(geq("s", 0, x1=1), geq("t", 1, x1=1))
     assert constraint_dominates(leq("s", 1, x1=1), leq("t", 2, x1=1))
     assert not constraint_dominates(geq("s", 2, x1=1), leq("t", 1, x1=1))
-    eq_c = Constraint("s", expr(x1=1), Sign.EQ, Rational(1))
+    eq_c = constraint("s", expr(x1=1), Sign.EQ, Rational(1))
     assert constraint_dominates(eq_c, geq("t", 1, x1=1))
     assert constraint_dominates(eq_c, leq("t", 1, x1=1))
-    assert constraint_dominates(eq_c, Constraint("t", expr(x1=1), Sign.EQ, Rational(1)))
+    assert constraint_dominates(eq_c, constraint("t", expr(x1=1), Sign.EQ, Rational(1)))
 
 
 @pytest.fixture(scope="module")
@@ -84,15 +77,15 @@ def test_linear_combination_row10(cert0_resolver):
     combo = linear_combination(
         Multipliers({2: Rational(-1, 4), 5: Rational(3, 4)}), cert0_resolver
     )
-    assert combo.lhs.terms == {2: Rational(1)}
-    assert combo.rhs == Rational(1, 4)
+    assert lhs(combo) == {2: Rational(1)}
+    assert rhs(combo) == Rational(1, 4)
     assert combo.geq and not combo.leq and not combo.eq
 
 
 def test_linear_combination_empty(cert0_resolver):
     combo = linear_combination(Multipliers({}), cert0_resolver)
-    assert combo.lhs.is_zero
-    assert combo.rhs == 0
+    assert not lhs(combo)
+    assert rhs(combo) == 0
     assert combo.geq and combo.leq and combo.eq
 
 
@@ -101,8 +94,8 @@ def test_linear_combination_row9_yields_absurdity(cert0_resolver):
         Multipliers({3: Rational(-1, 3), 4: Rational(-1, 3), 8: Rational(2)}),
         cert0_resolver,
     )
-    assert combo.lhs.is_zero
-    assert combo.rhs == 1
+    assert not lhs(combo)
+    assert rhs(combo) == 1
     assert combo.geq and not combo.leq
     assert combo.dominates(ABSURDITY)
 
@@ -117,18 +110,18 @@ def test_linear_combination_unresolvable():
 
 def test_roundable_flags_examples():
     assert pseudo(expr(x2=1), 0, True, False).roundable(I12)
-    assert not pseudo(LinearExpr({2: Rational(1, 2)}), 0, True, False).roundable(I12)
+    assert not pseudo({2: Rational(1, 2)}, 0, True, False).roundable(I12)
     assert not pseudo(expr(x2=1), 0, True, True).roundable(I12)  # an equality
     assert not pseudo(expr(x3=1), 0, True, False).roundable(I12)  # nonzero off the integer set
-    assert pseudo(LinearExpr({}), 0, True, False).roundable(I12)
+    assert pseudo({}, 0, True, False).roundable(I12)
 
 
 def test_rnd_dominance_examples():
     target = geq("t", 1, x2=1)
     assert pseudo(expr(x2=1), Rational(1, 4), True, False).rounded_dominates(target)
-    eq_target = Constraint("t", expr(x2=1), Sign.EQ, Rational(1))
+    eq_target = constraint("t", expr(x2=1), Sign.EQ, Rational(1))
     assert not pseudo(expr(x2=1), Rational(1, 4), True, False).rounded_dominates(eq_target)
-    assert pseudo(LinearExpr({}), Rational(1, 2), True, False).rounded_dominates(ABSURDITY)
+    assert pseudo({}, Rational(1, 2), True, False).rounded_dominates(ABSURDITY)
     # floor direction for <= targets
     le_target = leq("t", 1, x2=1)
     assert pseudo(expr(x2=1), Rational(7, 4), False, True).rounded_dominates(le_target)
@@ -161,7 +154,7 @@ def constraints(draw, max_vars=3):
         for j in range(1, max_vars + 1)
         if draw(st.booleans())
     }
-    return Constraint("r", LinearExpr(terms), draw(signs), draw(small_rationals))
+    return constraint("r", terms, draw(signs), draw(small_rationals))
 
 
 @given(constraints())
@@ -178,8 +171,8 @@ def test_split_disjunction_is_symmetric(ci, cj):
 @given(constraints())
 def test_singleton_combination_mirrors_the_constraint(c):
     combo = linear_combination(Multipliers({1: Rational(1)}), lambda i: c)
-    assert combo.lhs == c.lhs
-    assert combo.rhs == c.rhs
+    assert lhs(combo) == lhs(c)
+    assert rhs(combo) == rhs(c)
     s = c.sign.value
     assert combo.geq == (s >= 0)
     assert combo.leq == (s <= 0)
@@ -193,14 +186,14 @@ def test_positive_scaling_preserves_flags(c1, c2, w1, w2, scale):
     scaled = linear_combination(
         Multipliers({1: w1 * scale, 2: w2 * scale}), pool.__getitem__
     )
-    assert scaled.lhs.terms == {j: v * scale for j, v in base.lhs.terms.items()}
-    assert scaled.rhs == base.rhs * scale
+    assert lhs(scaled) == {j: v * scale for j, v in lhs(base).items()}
+    assert rhs(scaled) == rhs(base) * scale
     assert (scaled.geq, scaled.leq) == (base.geq, base.leq)
 
 
 @given(st.builds(Rational, st.integers(-8, 8), st.sampled_from([1, 2])),
        st.builds(Rational, st.integers(-8, 8), st.sampled_from([1, 2])))
 def test_same_lhs_geq_domination_is_bound_comparison(b, b_prime):
-    source = Constraint("s", expr(x1=1), Sign.GEQ, b)
-    target = Constraint("t", expr(x1=1), Sign.GEQ, b_prime)
+    source = constraint("s", expr(x1=1), Sign.GEQ, b)
+    target = constraint("t", expr(x1=1), Sign.GEQ, b_prime)
     assert constraint_dominates(source, target) == (b >= b_prime)

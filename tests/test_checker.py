@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import load_fixture
+from rows import constraint, lhs, objective, rhs
 
 from viprcert.checker import (
     EmptyConstraintSystem,
@@ -19,9 +20,7 @@ from viprcert.checker import (
 )
 from viprcert.model import (
     Certificate,
-    Constraint,
     DerivedConstraint,
-    LinearExpr,
     Multipliers,
     Problem,
     Reason,
@@ -51,33 +50,33 @@ CERT0_ASSUMPTIONS = {
 
 
 def test_rtp_flags():
-    objective = LinearExpr({1: Rational(2)})
-    der = (DerivedConstraint(Constraint("C", objective, Sign.GEQ, Rational(0)), Reason.ASM, None),)
+    goal = objective({1: Rational(2)})
+    der = (DerivedConstraint(goal.bound("C", Sign.GEQ, Rational(0)), Reason.ASM, None),)
     # a min problem's solutions witness its upper bound and its derivation
     # closes on the lower one; a max problem the other way round
     for sense, witness_sign in ((Sense.MIN, Sign.LEQ), (Sense.MAX, Sign.GEQ)):
-        problem = Problem(1, ("x",), frozenset(), sense, objective, ())
+        problem = Problem(1, ("x",), frozenset(), sense, goal, ())
         closing_sign = Sign.GEQ if witness_sign is Sign.LEQ else Sign.LEQ
         for lb in (None, Rational(-3, 2)):
             for ub in (None, Rational(7)):
                 flags = RtpFlags.of(problem, Certificate(Rtp.make_range(lb, ub), (), der))
                 assert flags.has_range
                 witnessed, closing = (ub, lb) if sense is Sense.MIN else (lb, ub)
-                for constraint, sign, value in (
+                for bound, sign, value in (
                     (flags.solution_bound, witness_sign, witnessed),
                     (flags.final_target, closing_sign, closing),
                 ):
                     if value is None:
-                        assert constraint is None, (sense, lb, ub)
+                        assert bound is None, (sense, lb, ub)
                     else:
-                        assert constraint.lhs == objective
-                        assert (constraint.sign, constraint.rhs) == (sign, value)
+                        assert lhs(bound) == lhs(goal)
+                        assert (bound.sign, rhs(bound)) == (sign, value)
 
         # infeasibility: no solution bound, and the absurdity 0 >= 1 to close on
         flags = RtpFlags.of(problem, Certificate(Rtp.make_infeasible(), (), der))
         assert not flags.has_range and flags.solution_bound is None
         target = flags.final_target
-        assert (target.terms, target.sign, target.rhs) == ({}, Sign.GEQ, Rational(1))
+        assert (target.terms, target.sign, rhs(target)) == ({}, Sign.GEQ, Rational(1))
 
 
 def test_assumption_sets_match_the_worked_example():
@@ -95,7 +94,7 @@ def test_phi_feas():
     assert not phi_feas(problem, SolutionPoint("half", {1: Rational(1, 2)}))
     # out-of-bounds point
     assert not phi_feas(problem, SolutionPoint("big", {1: Rational(2)}))
-    empty = Problem(1, ("x",), frozenset(), Sense.MIN, LinearExpr({}), ())
+    empty = Problem(1, ("x",), frozenset(), Sense.MIN, objective({}), ())
     assert phi_feas(empty, SolutionPoint("p", {1: Rational(7, 3)}))
 
 
@@ -178,7 +177,7 @@ def test_phi_der_final_branch():
 
 
 def test_empty_constraint_system():
-    problem = Problem(1, ("x",), frozenset({1}), Sense.MIN, LinearExpr({}), ())
+    problem = Problem(1, ("x",), frozenset({1}), Sense.MIN, objective({}), ())
     certificate = Certificate(Rtp.make_infeasible(), (), ())
     with pytest.raises(EmptyConstraintSystem):
         RtpFlags.of(problem, certificate)
@@ -233,7 +232,7 @@ def test_report_counts():
 
 
 def _expr(j, c=1):
-    return LinearExpr({j: Rational(c)})
+    return {j: Rational(c)}
 
 
 def test_unsplit_labels_need_not_be_live_assumptions():
@@ -243,19 +242,19 @@ def test_unsplit_labels_need_not_be_live_assumptions():
         ("x",),
         frozenset({1}),
         Sense.MIN,
-        LinearExpr({}),
-        (Constraint("C1", _expr(1), Sign.GEQ, Rational(1)),),
+        objective({}),
+        (constraint("C1", _expr(1), Sign.GEQ, Rational(1)),),
     )
     der = (
-        DerivedConstraint(Constraint("A1", _expr(1), Sign.LEQ, Rational(0)), Reason.ASM),
-        DerivedConstraint(Constraint("A2", _expr(1), Sign.GEQ, Rational(1)), Reason.ASM),
+        DerivedConstraint(constraint("A1", _expr(1), Sign.LEQ, Rational(0)), Reason.ASM),
+        DerivedConstraint(constraint("A2", _expr(1), Sign.GEQ, Rational(1)), Reason.ASM),
         DerivedConstraint(
-            Constraint("L1", _expr(1), Sign.GEQ, Rational(1)),
+            constraint("L1", _expr(1), Sign.GEQ, Rational(1)),
             Reason.LIN,
             Multipliers({1: Rational(1)}),
         ),
         DerivedConstraint(
-            Constraint("U1", _expr(1), Sign.GEQ, Rational(1)),
+            constraint("U1", _expr(1), Sign.GEQ, Rational(1)),
             Reason.UNS,
             Unsplit(4, 2, 4, 3),
         ),
@@ -273,12 +272,12 @@ def test_assumption_need_not_belong_to_any_split_disjunction():
         ("x",),
         frozenset(),
         Sense.MIN,
-        LinearExpr({}),
-        (Constraint("C1", _expr(1), Sign.GEQ, Rational(0)),),
+        objective({}),
+        (constraint("C1", _expr(1), Sign.GEQ, Rational(0)),),
     )
     der = (
         DerivedConstraint(
-            Constraint("A1", _expr(1, 7), Sign.LEQ, Rational(22, 7)), Reason.ASM
+            constraint("A1", _expr(1, 7), Sign.LEQ, Rational(22, 7)), Reason.ASM
         ),
     )
     certificate = Certificate(Rtp.make_range(None, None), (), der)
@@ -291,12 +290,12 @@ def test_forward_unsplit_reference_is_invalid_not_a_crash():
         ("x",),
         frozenset({1}),
         Sense.MIN,
-        LinearExpr({}),
-        (Constraint("C1", _expr(1), Sign.GEQ, Rational(1)),),
+        objective({}),
+        (constraint("C1", _expr(1), Sign.GEQ, Rational(1)),),
     )
     der = (
         DerivedConstraint(
-            Constraint("U1", _expr(1), Sign.GEQ, Rational(1)),
+            constraint("U1", _expr(1), Sign.GEQ, Rational(1)),
             Reason.UNS,
             Unsplit(2, 2, 2, 2),  # refers to itself
         ),
@@ -328,12 +327,12 @@ def test_min_sense_lower_bound_final_obligation():
         ("x",),
         frozenset({1}),
         Sense.MIN,
-        LinearExpr({1: Rational(1)}),
-        (Constraint("C1", LinearExpr({1: Rational(1)}), Sign.GEQ, Rational(2)),),
+        objective({1: Rational(1)}),
+        (constraint("C1", {1: Rational(1)}, Sign.GEQ, Rational(2)),),
     )
     der = (
         DerivedConstraint(
-            Constraint("D1", LinearExpr({1: Rational(1)}), Sign.GEQ, Rational(2)),
+            constraint("D1", {1: Rational(1)}, Sign.GEQ, Rational(2)),
             Reason.LIN,
             Multipliers({1: Rational(1)}),
         ),
@@ -353,12 +352,12 @@ def test_inverted_range_makes_both_obligations_active():
         ("x",),
         frozenset({1}),
         Sense.MIN,
-        LinearExpr({1: Rational(1)}),
-        (Constraint("C1", LinearExpr({1: Rational(1)}), Sign.GEQ, Rational(2)),),
+        objective({1: Rational(1)}),
+        (constraint("C1", {1: Rational(1)}, Sign.GEQ, Rational(2)),),
     )
     der = (
         DerivedConstraint(
-            Constraint("D1", LinearExpr({1: Rational(1)}), Sign.GEQ, Rational(2)),
+            constraint("D1", {1: Rational(1)}, Sign.GEQ, Rational(2)),
             Reason.LIN,
             Multipliers({1: Rational(1)}),
         ),
@@ -373,13 +372,13 @@ def test_inverted_range_makes_both_obligations_active():
 
 
 def test_long_chain_first_failure_is_localized():
-    x_ge_one = Constraint("C1", LinearExpr({1: Rational(1)}), Sign.GEQ, Rational(1))
+    x_ge_one = constraint("C1", {1: Rational(1)}, Sign.GEQ, Rational(1))
     problem = Problem(
-        1, ("x",), frozenset({1}), Sense.MIN, LinearExpr({1: Rational(1)}), (x_ge_one,)
+        1, ("x",), frozenset({1}), Sense.MIN, objective({1: Rational(1)}), (x_ge_one,)
     )
     der = tuple(
         DerivedConstraint(
-            Constraint(f"D{k}", LinearExpr({1: Rational(1)}), Sign.GEQ, Rational(1)),
+            constraint(f"D{k}", {1: Rational(1)}, Sign.GEQ, Rational(1)),
             Reason.LIN,
             Multipliers({k - 1: Rational(1)}),
         )
@@ -404,11 +403,11 @@ def test_sol_reasoning_with_empty_solution_list_fails_naturally():
         ("x",),
         frozenset(),
         Sense.MAX,
-        _expr(1),
-        (Constraint("C1", _expr(1), Sign.LEQ, Rational(1)),),
+        objective(_expr(1)),
+        (constraint("C1", _expr(1), Sign.LEQ, Rational(1)),),
     )
     der = (
-        DerivedConstraint(Constraint("B", _expr(1), Sign.LEQ, Rational(1)), Reason.SOL),
+        DerivedConstraint(constraint("B", _expr(1), Sign.LEQ, Rational(1)), Reason.SOL),
     )
     certificate = Certificate(Rtp.make_range(None, None), (), der)
     verdict = check_certificate(problem, certificate)

@@ -5,13 +5,13 @@
   they replaced, kept here as the reference.
 - `parse_rational` against its regular-expression definition.
 - The parser's list reader against its token-by-token path on all four
-  list kinds, and constraint bodies against `parse_rational` plus
-  `scaled_row`.
+  list kinds, and constraint bodies and the objective against
+  `parse_rational` plus `scaled_row`.
 - Parse-error positions, which the parser computes only when it raises,
   against an eager tokenizer that records every token's line and column.
 - The parser's bounded token window, at several chunk sizes, against a
   reader that holds every token of the text in one list.
-- The check and the emitter never build a constraint's rational views.
+- The package keeps no rational view of a row.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS, fixture_path, load_fixture
+from rows import constraint, lhs, rhs, scaled_row
 from test_parser import BROKEN
 from test_scale_agreement import gen
 
@@ -35,42 +36,41 @@ from viprcert.algebra import (
     is_split_disjunction,
     linear_combination,
 )
-from viprcert.checker import check_certificate_report, compute_assumption_sets
-from viprcert.model import Constraint, LinearExpr, Multipliers, Sign, scaled_row
-from viprcert import parser
+from viprcert import model, parser
+from viprcert.model import Constraint, Multipliers, Objective, Sign
 from viprcert.parser import ParseError, ParseErrorKind, _token_position, parse_certificate
 from viprcert.rational import RationalSyntaxError, parse_rational, unlimited_int_digits
-from viprcert.smtgen import EmissionPlan, emit
 
 # --- Fraction reference for the constraint algebra ----------------------------
 
 
-def reference_dominates(lhs, rhs, eq, geq, leq, target: Constraint) -> bool:
-    if lhs.is_zero:
+def reference_dominates(terms, bound, eq, geq, leq, target: Constraint) -> bool:
+    if not terms:
         if eq:
-            absurd = rhs != 0
+            absurd = bound != 0
         elif geq:
-            absurd = rhs > 0
+            absurd = bound > 0
         elif leq:
-            absurd = rhs < 0
+            absurd = bound < 0
         else:
             absurd = False
         if absurd:
             return True
-    if lhs != target.lhs:
+    if terms != lhs(target):
         return False
     if target.sign is Sign.EQ:
-        return eq and rhs == target.rhs
+        return eq and bound == rhs(target)
     if target.sign is Sign.GEQ:
-        return geq and rhs >= target.rhs
-    return leq and rhs <= target.rhs
+        return geq and bound >= rhs(target)
+    return leq and bound <= rhs(target)
 
 
 def reference_combination(
     multipliers: Multipliers, resolve: Callable[[int], Constraint]
-) -> tuple[LinearExpr, Fraction, bool, bool]:
+) -> tuple[dict[int, Fraction], Fraction, bool, bool]:
+    """The combined coefficients, with no zero among them, and bound."""
     accumulated: dict[int, Fraction] = {}
-    rhs = Fraction(0)
+    bound = Fraction(0)
     geq = True
     leq = True
     for i, weight in multipliers.items_sorted():
@@ -80,38 +80,38 @@ def reference_combination(
             geq = False
         if weighted_sign > 0:
             leq = False
-        for j, coefficient in constraint.lhs.terms.items():
+        for j, coefficient in lhs(constraint).items():
             accumulated[j] = accumulated.get(j, Fraction(0)) + weight * coefficient
-        rhs += weight * constraint.rhs
-    return LinearExpr(accumulated), rhs, geq, leq
+        bound += weight * rhs(constraint)
+    return {j: c for j, c in accumulated.items() if c}, bound, geq, leq
 
 
-def reference_roundable(lhs: LinearExpr, eq: bool, int_vars) -> bool:
+def reference_roundable(terms, eq: bool, int_vars) -> bool:
     if eq:
         return False
-    return all(j in int_vars and c.denominator == 1 for j, c in lhs.terms.items())
+    return all(j in int_vars and c.denominator == 1 for j, c in terms.items())
 
 
-def reference_rnd_dominance(lhs, rhs, geq, leq, target) -> bool:
-    rounded = math.ceil(rhs) if geq else math.floor(rhs)
-    return reference_dominates(lhs, Fraction(rounded), False, geq, leq, target)
+def reference_rnd_dominance(terms, bound, geq, leq, target) -> bool:
+    rounded = math.ceil(bound) if geq else math.floor(bound)
+    return reference_dominates(terms, Fraction(rounded), False, geq, leq, target)
 
 
 def reference_split(ci: Constraint, cj: Constraint, int_vars) -> bool:
-    if ci.lhs != cj.lhs:
+    if lhs(ci) != lhs(cj):
         return False
-    for j, coefficient in ci.lhs.terms.items():
+    for j, coefficient in lhs(ci).items():
         if j not in int_vars or coefficient.denominator != 1:
             return False
-    if ci.rhs.denominator != 1 or cj.rhs.denominator != 1:
+    if rhs(ci).denominator != 1 or rhs(cj).denominator != 1:
         return False
     si = ci.sign.value
     sj = cj.sign.value
     if si == 0 or si + sj != 0:
         return False
     if si == 1:
-        return ci.rhs == cj.rhs + 1
-    return ci.rhs == cj.rhs - 1
+        return rhs(ci) == rhs(cj) + 1
+    return rhs(ci) == rhs(cj) - 1
 
 
 # --- random rows: mixed denominators, negative weights, cancellations ---------
@@ -127,14 +127,14 @@ signs = st.sampled_from(list(Sign))
 @st.composite
 def constraints(draw):
     terms = {j: draw(rationals) for j in range(1, N_VARS + 1) if draw(st.booleans())}
-    return Constraint("r", LinearExpr(terms), draw(signs), draw(rationals))
+    return constraint("r", terms, draw(signs), draw(rationals))
 
 
 def scaled_copy(c: Constraint, factor: Fraction) -> Constraint:
     """factor * c, with the relation flipped for a negative factor."""
     sign = Sign(c.sign.value * (1 if factor > 0 else -1))
-    terms = {j: v * factor for j, v in c.lhs.terms.items()}
-    return Constraint("scaled", LinearExpr(terms), sign, c.rhs * factor)
+    terms = {j: v * factor for j, v in lhs(c).items()}
+    return constraint("scaled", terms, sign, rhs(c) * factor)
 
 
 @st.composite
@@ -159,13 +159,13 @@ def combinations(draw):
 
 
 @st.composite
-def targets_near(draw, lhs: LinearExpr, rhs: Fraction):
+def targets_near(draw, terms: dict[int, Fraction], bound: Fraction):
     """Usually the combination itself under some relation and a nearby
     bound, sometimes an unrelated constraint."""
     if draw(st.integers(0, 4)) == 0:
         return draw(constraints())
     shift = draw(st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 3)]))
-    return Constraint("t", lhs, draw(signs), rhs + shift)
+    return constraint("t", terms, draw(signs), bound + shift)
 
 
 @settings(max_examples=400)
@@ -174,20 +174,20 @@ def test_combination_domination_and_rounding_match_the_fraction_reference(case, 
     pool, multipliers = case
     resolve = lambda i: pool[i - 1]  # noqa: E731
     combo = linear_combination(multipliers, resolve)
-    lhs, rhs, geq, leq = reference_combination(multipliers, resolve)
-    assert (combo.lhs, combo.rhs, combo.geq, combo.leq) == (lhs, rhs, geq, leq)
+    terms, bound, geq, leq = reference_combination(multipliers, resolve)
+    assert (lhs(combo), rhs(combo), combo.geq, combo.leq) == (terms, bound, geq, leq)
     assert combo.eq == (geq and leq)
 
-    target = data.draw(targets_near(lhs, rhs))
+    target = data.draw(targets_near(terms, bound))
     eq = geq and leq
-    assert combo.dominates(target) == reference_dominates(lhs, rhs, eq, geq, leq, target)
-    assert combo.roundable(INT_VARS) == reference_roundable(lhs, eq, INT_VARS)
-    rounded_target = data.draw(targets_near(lhs, Fraction(math.ceil(rhs))))
+    assert combo.dominates(target) == reference_dominates(terms, bound, eq, geq, leq, target)
+    assert combo.roundable(INT_VARS) == reference_roundable(terms, eq, INT_VARS)
+    rounded_target = data.draw(targets_near(terms, Fraction(math.ceil(bound))))
     for t in (target, rounded_target):
-        want = reference_rnd_dominance(lhs, rhs, geq, leq, t)
+        want = reference_rnd_dominance(terms, bound, geq, leq, t)
         assert combo.rounded_dominates(t) == want
         # the same over the least scale
-        canonical = PseudoConstraint(*scaled_row(lhs.terms, rhs), geq, leq)
+        canonical = PseudoConstraint(*scaled_row(terms, bound), geq, leq)
         assert canonical.rounded_dominates(t) == want
 
 
@@ -197,16 +197,16 @@ def test_public_domination_and_roundability_match_the_fraction_reference(
     source, geq, leq, data
 ):
     # the flags are drawn independently of the source's sign
-    target = data.draw(targets_near(source.lhs, source.rhs))
-    lhs, rhs = source.lhs, source.rhs
+    terms, bound = lhs(source), rhs(source)
+    target = data.draw(targets_near(terms, bound))
     eq = geq and leq
     pseudo = PseudoConstraint(source.scale, source.terms, source.bound, geq, leq)
-    assert pseudo.dominates(target) == reference_dominates(lhs, rhs, eq, geq, leq, target)
+    assert pseudo.dominates(target) == reference_dominates(terms, bound, eq, geq, leq, target)
     s = source.sign.value
     assert constraint_dominates(source, target) == reference_dominates(
-        lhs, rhs, s == 0, s >= 0, s <= 0, target
+        terms, bound, s == 0, s >= 0, s <= 0, target
     )
-    assert pseudo.roundable(INT_VARS) == reference_roundable(lhs, eq, INT_VARS)
+    assert pseudo.roundable(INT_VARS) == reference_roundable(terms, eq, INT_VARS)
 
 
 @st.composite
@@ -216,19 +216,18 @@ def split_pairs(draw):
     base = draw(constraints())
     if draw(st.booleans()):
         return base, draw(constraints())
-    terms = {j: Fraction(v.numerator) for j, v in base.lhs.terms.items()}
-    lhs = LinearExpr(terms)
+    terms = {j: Fraction(v.numerator) for j, v in lhs(base).items()}
     b = Fraction(draw(st.integers(-5, 5)))
-    low = Constraint("l", lhs, Sign.LEQ, b + draw(st.sampled_from([0, 0, 1, Fraction(1, 2)])))
-    high = Constraint("h", lhs, Sign.GEQ, b + 1)
+    low = constraint("l", terms, Sign.LEQ, b + draw(st.sampled_from([0, 0, 1, Fraction(1, 2)])))
+    high = constraint("h", terms, Sign.GEQ, b + 1)
     return (low, high) if draw(st.booleans()) else (high, low)
 
 
 @settings(max_examples=400)
 @given(split_pairs())
 @example((  # 0 <= 0 and 0 >= 1/2: bounds one apart only once scaled
-    Constraint("l", LinearExpr({}), Sign.LEQ, Fraction(0)),
-    Constraint("h", LinearExpr({}), Sign.GEQ, Fraction(1, 2)),
+    constraint("l", {}, Sign.LEQ, Fraction(0)),
+    constraint("h", {}, Sign.GEQ, Fraction(1, 2)),
 ))
 def test_split_disjunction_matches_the_fraction_reference(pair):
     ci, cj = pair
@@ -332,10 +331,26 @@ def _row_outcome(body: str, token_path: bool = False):
     return constraint.scale, constraint.terms, constraint.bound
 
 
+def _objective_outcome(listed: str, token_path: bool = False):
+    """The parsed objective row of the list `listed`, or the error's outcome."""
+    outcome = _parse_outcome(list_certificate("objective", listed), token_path)
+    if isinstance(outcome[0], ParseErrorKind):
+        return outcome
+    return tuple(outcome[0].objective)
+
+
 def reference_row(rhs: str, pairs: list[tuple[str, str]]):
     """`parse_rational` and `scaled_row` over a body known to be valid."""
     values = {int(j) + 1: parse_rational(v) for j, v in pairs}
     return scaled_row({j: v for j, v in values.items() if v}, parse_rational(rhs))
+
+
+def reference_objective(pairs: list[tuple[str, str]]):
+    """The reference row of a valid objective list, reduced: `(D, {j: a_j})`
+    over the least D."""
+    scale, terms, _ = reference_row("0", pairs)
+    g = math.gcd(scale, *terms.values())
+    return scale // g, {j: a // g for j, a in terms.items()}
 
 
 BIG = "7" * 5000  # past CPython's default int <-> str digit limit
@@ -368,15 +383,36 @@ ROW_CASES = [
 
 @pytest.mark.parametrize("rhs, pairs, expected", ROW_CASES, ids=range(len(ROW_CASES)))
 def test_row_reader_edge_tokens(rhs, pairs, expected):
-    body = " ".join([rhs, str(len(pairs)), *(f"{j} {v}" for j, v in pairs)])
+    listed = " ".join([str(len(pairs)), *(f"{j} {v}" for j, v in pairs)])
+    body = f"{rhs} {listed}"
     outcome = _row_outcome(body)
     assert outcome == _row_outcome(body, token_path=True)
+    read = [(str(int(j)), v) for j, v in pairs]
     if isinstance(expected, ParseErrorKind):
         assert outcome[0] is expected
     else:
         assert outcome == expected
         with unlimited_int_digits():
-            assert outcome == reference_row(rhs, [(str(int(j)), v) for j, v in pairs])
+            assert outcome == reference_row(rhs, read)
+
+    # the same pairs as the objective's list
+    objective = _objective_outcome(listed)
+    assert objective == _objective_outcome(listed, token_path=True)
+    with unlimited_int_digits():
+        rhs_valid = isinstance(_outcome(parse_rational, rhs), Fraction)
+        if isinstance(expected, ParseErrorKind) and rhs_valid:
+            assert objective[0] is expected  # the error is in the pairs
+        else:
+            assert objective == reference_objective(read)
+
+
+def _keyword_outcome(objective: str, rhs: str, token_path: bool = False):
+    """The row of `C1 G <rhs> OBJ` under the objective list `objective`."""
+    text = list_certificate("objective", objective).replace("C1 G 1 1 0 1", f"C1 G {rhs} OBJ")
+    outcome = _parse_outcome(text, token_path)
+    if isinstance(outcome[0], ParseErrorKind):
+        return outcome
+    return tuple(outcome[0].constraints[0])[2:]
 
 
 def test_row_reader_objective_keyword():
@@ -385,6 +421,15 @@ def test_row_reader_objective_keyword():
     assert _row_outcome("-4 OBJ") == (2, {1: 1, 3: -6}, -8)
     for body in ("1/3 OBJ", "1.5 OBJ", "1/0 OBJ", "+2 OBJ"):
         assert _row_outcome(body) == _row_outcome(body, token_path=True), body
+    # given unreduced and with a negative denominator, 2/4 x + 3/-2 z is
+    # the row 1/2 x - 3/2 z
+    unreduced = "2 0 2/4 2 3/-2"
+    assert _objective_outcome(unreduced) == (2, {1: 1, 3: -3})
+    assert _objective_outcome(unreduced) == reference_objective([("0", "2/4"), ("2", "3/-2")])
+    for rhs, row in (("1/3", (6, {1: 3, 3: -9}, 2)), ("1/-2", (2, {1: 1, 3: -3}, -1))):
+        assert _keyword_outcome(unreduced, rhs) == row, rhs
+        assert _keyword_outcome(unreduced, rhs, token_path=True) == row, rhs
+        assert row == reference_row(rhs, [("0", "1/2"), ("2", "-3/2")])
 
 
 def _digits(draw, text: str) -> str:
@@ -415,7 +460,8 @@ index_tokens = st.sampled_from(["0", "1", "2", "0", "1", "2", "3", "+1", "-0", "
 @given(value_tokens(), st.lists(st.tuples(index_tokens, value_tokens()), max_size=4), st.data())
 def test_row_reader_matches_the_token_path_and_the_reference(rhs, pairs, data):
     """Every list kind reads the same with and without the one-slice case;
-    a constraint body that reads back also matches the reference row."""
+    a constraint body or an objective that reads back also matches the
+    reference row."""
     kind = data.draw(st.sampled_from(list(LISTS)))
     count = str(len(pairs))
     if data.draw(st.integers(0, 9)) == 0:
@@ -432,17 +478,19 @@ def test_row_reader_matches_the_token_path_and_the_reference(rhs, pairs, data):
     # an empty token vanishes from the body and shifts the rest, so the
     # reference only applies when the body reads back as the drawn tokens
     if (
-        kind != "constraint"
+        kind not in ("constraint", "objective")
         or isinstance(outcome[0], ParseErrorKind)
         or count != str(len(pairs))
         or listed.split() != tokens
     ):
         return
-    constraint = outcome[0].constraints[0]
+    read = [(str(int(j)), v) for j, v in pairs]
+    problem = outcome[0]
     with unlimited_int_digits():
-        assert (constraint.scale, constraint.terms, constraint.bound) == reference_row(
-            rhs, [(str(int(j)), v) for j, v in pairs]
-        )
+        if kind == "constraint":
+            assert tuple(problem.constraints[0])[2:] == reference_row(rhs, read)
+        else:
+            assert tuple(problem.objective) == reference_objective(read)
 
 
 # --- error positions computed on demand against an eager tokenizer ----------
@@ -622,22 +670,17 @@ def test_window_matches_the_whole_list_reader_on_mutants(text, chunk):
     assert_window_matches_the_whole_list(text, chunk)
 
 
-# --- the hot paths read rows only -------------------------------------------
+# --- one numeric representation ---------------------------------------------
 
 
-def test_check_and_emit_never_build_the_rational_views(tmp_path, monkeypatch):
-    def view(constraint):
-        raise AssertionError(f"rational view of {constraint.name} built")
-
-    spec = gen.Spec(n=8, m=16, derivations=150, kind="optimal", split_depth=3)
-    model = gen.build(spec, 1)
-    texts = [fixture_path(name).read_bytes() for name in CORPUS]
-    texts += [gen.render(model, forgery, 1)[0] for forgery in (None, "soldom", "feas")]
-    monkeypatch.setattr(Constraint, "lhs", property(view))
-    monkeypatch.setattr(Constraint, "rhs", property(view))
-    for index, text in enumerate(texts):
-        problem, certificate = parse_certificate(text)
-        check_certificate_report(problem, certificate)
-        asets = compute_assumption_sets(problem, certificate)
-        plan = EmissionPlan.create(problem, certificate, block_size=40)
-        emit(problem, certificate, asets, plan, tmp_path / str(index))
+def test_the_package_keeps_no_rational_view_of_a_row():
+    views = {
+        Constraint: ("lhs", "rhs"),
+        PseudoConstraint: ("lhs", "rhs"),
+        Objective: ("lhs", "rhs"),
+        model: ("LinearExpr", "scaled_row"),
+    }
+    present = [
+        (owner, name) for owner, names in views.items() for name in names if hasattr(owner, name)
+    ]
+    assert present == []

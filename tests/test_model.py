@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from conftest import load_fixture
+from rows import constraint, lhs, objective, rhs
 
 from viprcert.model import (
     Constraint,
     DerivedConstraint,
     IndexOutOfRange,
-    LinearExpr,
     Multipliers,
+    Objective,
     Reason,
     Sign,
     Unsplit,
@@ -31,29 +35,67 @@ def test_sign_values_are_bijective():
         Sign.from_letter("Z")
 
 
-def test_linear_expr_drops_zeros_and_evaluates():
-    expr = LinearExpr({1: Rational(2), 2: Rational(0), 3: Rational(-1, 2)})
-    assert set(expr.terms) == {1, 3}
-    assert expr.coefficient(2) == 0
-    assert expr.evaluate({1: Rational(1), 3: Rational(4)}) == 0
-    assert LinearExpr({}).is_zero
+def test_objective_is_canonical_and_builds_its_bound():
+    # 2 x_1 - 1/2 x_3, given over 8 with a zero coefficient
+    goal = Objective(8, {1: 16, 2: 0, 3: -4})
+    assert goal == Objective(2, {1: 4, 3: -1})
+    assert set(goal.terms) == {1, 3}
+    assert goal == objective({1: Rational(2), 2: Rational(0), 3: Rational(-1, 2)})
+    assert goal.value({1: Rational(1), 3: Rational(4)}) == 0
+    assert goal.value({1: Rational(1, 3)}) == Rational(2, 3)
+    assert goal.value({}) == 0
+    assert Objective(5, {}) == Objective(1, {})
+    for sign in Sign:
+        for value in (Rational(0), Rational(7), Rational(-5, 6), Rational(3, 4)):
+            expected = constraint("b", lhs(goal), sign, value)
+            assert goal.bound("b", sign, value) == expected
+            assert (lhs(expected), rhs(expected)) == (lhs(goal), value)
+
+
+def test_constraint_reduces_its_row():
+    # 4/6 x_1 - 2/6 x_2 >= 8/6 is 2 x_1 - x_2 >= 4 over 3
+    row = Constraint("c", Sign.GEQ, 6, {1: 4, 2: -2}, 8)
+    assert tuple(row) == ("c", Sign.GEQ, 3, {1: 2, 2: -1}, 4)
+    assert row == constraint("c", {1: Rational(2, 3), 2: Rational(-1, 3)}, Sign.GEQ, Rational(4, 3))
+    assert tuple(Constraint("z", Sign.EQ, 4, {}, 0)) == ("z", Sign.EQ, 1, {}, 0)
+    assert tuple(Constraint("i", Sign.LEQ, 1, {3: 6}, 9)) == ("i", Sign.LEQ, 1, {3: 6}, 9)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Constraint("c", Sign.LEQ, 6, {1: 4, 2: -2}, 8),
+        Constraint("z", Sign.EQ, 1, {}, 0),
+        Objective(6, {1: 4, 3: -2}),
+        Objective(1, {}),
+    ],
+)
+def test_rows_copy_and_pickle_to_equal_values(value):
+    for clone in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+        pickle.loads(pickle.dumps(value, protocol=0)),
+    ):
+        assert type(clone) is type(value)
+        assert clone == value
 
 
 def test_constraint_requires_name():
     with pytest.raises(ValueError):
-        Constraint("", LinearExpr({}), Sign.GEQ, Rational(1))
+        Constraint("", Sign.GEQ, 1, {}, 1)
 
 
 def test_constraint_at_running_example():
     problem, certificate = load_fixture("cert0")
     c1 = constraint_at(problem, certificate, 1)
-    assert c1.lhs.terms == {1: Rational(2), 2: Rational(3)}
+    assert lhs(c1) == {1: Rational(2), 2: Rational(3)}
     assert c1.sign is Sign.GEQ
-    assert c1.rhs == 1
+    assert rhs(c1) == 1
 
     c11 = constraint_at(problem, certificate, 11)
-    assert c11.lhs.terms == {2: Rational(1)}
-    assert c11.rhs == 1
+    assert lhs(c11) == {2: Rational(1)}
+    assert rhs(c11) == 1
     assert certificate.der[11 - problem.m - 1].reason is Reason.RND
 
     d = total_constraints(problem, certificate)
@@ -75,7 +117,7 @@ def test_nz_examples():
 
 
 def test_derived_constraint_data_invariants():
-    body = Constraint("c", LinearExpr({}), Sign.GEQ, Rational(1))
+    body = Constraint("c", Sign.GEQ, 1, {}, 1)
     with pytest.raises(ValueError):
         DerivedConstraint(body, Reason.ASM, Multipliers({1: Rational(1)}))
     with pytest.raises(ValueError):
@@ -107,6 +149,6 @@ def test_problem_rejects_out_of_range_variable_references():
             ("x",),
             frozenset(),
             Sense.MIN,
-            LinearExpr({2: Rational(1)}),
+            objective({2: Rational(1)}),
             (),
         )

@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import load_fixture
+from rows import constraint, objective
 
-from viprcert.model import Constraint, LinearExpr, Problem, Sense, Sign
+from viprcert.model import Problem, Sense, Sign
 from viprcert.oracle import (
     BoxBounds,
     EnumerationTooLarge,
@@ -47,8 +48,8 @@ def test_minimization_direction():
         ("x",),
         frozenset({1}),
         Sense.MIN,
-        LinearExpr({1: Rational(1)}),
-        (Constraint("lb", LinearExpr({1: Rational(1)}), Sign.GEQ, Rational(-3)),),
+        objective({1: Rational(1)}),
+        (constraint("lb", {1: Rational(1)}, Sign.GEQ, Rational(-3)),),
     )
     result = brute_force(problem, BoxBounds.uniform(1, -5, 5))
     assert result.feasible and result.value == -3 and result.witness == (-3,)
@@ -60,7 +61,7 @@ def test_continuous_variables_are_rejected():
         ("x", "y"),
         frozenset({1}),
         Sense.MIN,
-        LinearExpr({}),
+        objective({}),
         (),
     )
     with pytest.raises(UnsupportedContinuousVariable):

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from conftest import CORPUS, fixture_path, load_fixture
+from rows import lhs, rhs
 from test_scale_agreement import gen
 
 from viprcert.model import Reason, Sense, Sign
@@ -25,7 +26,7 @@ def test_parse_forged1_model():
     assert problem.n == 2
     assert problem.var_names == ("x", "y")
     assert problem.int_vars == {1, 2}
-    assert problem.objective.terms == {1: Rational(1), 2: Rational(1)}
+    assert lhs(problem.objective) == {1: Rational(1), 2: Rational(1)}
     assert problem.m == 4
     assert problem.bound_count == 4
     assert certificate.rtp.lb == 1 and certificate.rtp.ub == 1
@@ -38,17 +39,17 @@ def test_parse_forged1_model():
     derived = certificate.der[0]
     assert derived.reason is Reason.SOL
     # the OBJ keyword stands in for the objective's coefficient list
-    assert derived.constraint.lhs == problem.objective
+    assert lhs(derived.constraint) == lhs(problem.objective)
     assert derived.constraint.sign is Sign.LEQ
-    assert derived.constraint.rhs == 1
+    assert rhs(derived.constraint) == 1
     assert derived.legacy_index == -1
 
 
 def test_parse_manipulated1_multipliers_are_shifted_to_one_based():
     problem, certificate = load_fixture("manipulated1")
     row7 = certificate.der[3]
-    assert row7.constraint.lhs.is_zero
-    assert row7.constraint.rhs == 1
+    assert not lhs(row7.constraint)
+    assert rhs(row7.constraint) == 1
     assert row7.data.weights == {1: Rational(1), 4: Rational(-2), 6: Rational(-3)}
     assert row7.legacy_index == 12
     row14 = certificate.der[10]
@@ -59,7 +60,7 @@ def test_parse_manipulated1_multipliers_are_shifted_to_one_based():
 def test_zero_term_objective():
     problem, _ = load_fixture("manipulated1")
     assert problem.sense is Sense.MIN
-    assert problem.objective.is_zero
+    assert not lhs(problem.objective)
 
 
 def test_rtp_variants():
@@ -200,7 +201,7 @@ def test_obj_keyword_also_works_in_the_constraint_section():
         "RTP infeas\nSOL 0\nDER 0\n"
     )
     problem, _ = parse_certificate(text)
-    assert problem.constraints[0].lhs == problem.objective
+    assert lhs(problem.constraints[0]) == lhs(problem.objective)
 
 
 def test_names_need_not_be_unique():

@@ -123,7 +123,7 @@ def test_each_combined_sum_is_bound_once():
             _, bindings, body = node
             support = set()
             for i in derived.data.weights:
-                support |= set(constraint_at(problem, certificate, i).lhs.terms)
+                support |= set(constraint_at(problem, certificate, i).terms)
             names = [name for name, _ in bindings]
             assert names == [f"a{j}" for j in sorted(support)] + ["b"], expression
             body_atoms = _atoms(body)
@@ -190,6 +190,23 @@ def test_dispatch_timeout_is_never_valid(tmp_path):
     result = dispatch(files[:1], sleeper, jobs=1, timeout_s=0.3)
     assert result.outcomes[0].status == "timeout"
     assert result.aggregate is Aggregate.ERROR
+
+
+@pytest.mark.parametrize("seconds", [float("inf"), float("nan"), 0, -1, 3e6])
+def test_dispatch_refuses_a_timeout_outside_its_range(seconds, tmp_path):
+    files = _emit_fixture("forged2", tmp_path / "f")
+    import shlex, sys
+
+    ran = tmp_path / "ran"
+    solver = tmp_path / "solver.py"
+    solver.write_text(f"open({str(ran)!r}, 'w')\nprint('sat')\n")
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(solver))}"
+    with pytest.raises(ValueError, match=r"\(0, 1e6\]"):
+        dispatch(files, command, jobs=2, timeout_s=seconds)
+    assert not ran.exists()  # no solver started
+    # the same command does run once the timeout is in range
+    assert dispatch(files[:1], command, jobs=1, timeout_s=60).outcomes[0].status == "sat"
+    assert ran.exists()
 
 
 def test_dispatch_unparseable_output_is_an_error(tmp_path):
