@@ -5,7 +5,8 @@ point feasible, the claimed bound witnessed) and a derivation-side
 predicate (every derived constraint implied by its stated reasoning,
 and the last constraint clinching the claimed relation).  Assumption
 sets are not stored in certificate files; they are recomputed here in
-one sequential pass, which discharges their correctness by construction.
+one sequential pass, which discharges their correctness by construction
+and keeps only A(d), the one set the final obligation reads.
 
 Failure reporting is deterministic: solution points in listed order,
 then derivations by ascending index, then the final obligation.
@@ -85,48 +86,43 @@ class RtpFlags:
         return flags
 
 
-@dataclass(frozen=True)
-class AssumptionSets:
-    """A(k) for every k in [1, d].
+def compute_assumption_sets(problem: Problem, certificate: Certificate) -> frozenset[int]:
+    """A(d), the assumption set of the last constraint C_d, as 1-based
+    constraint indices; empty when there is no derivation.
 
-    Problem constraints have empty sets.  An unsplit derivation whose
-    source indices are not strictly earlier gets an empty set; the
-    per-constraint check fails it at that index."""
+    Only A(d) is returned because only A(d) is read: the certificate
+    proves its claim when C_d dominates the final target and depends on
+    no assumption.  Every other A(k) matters only as a step towards A(d).
 
-    sets: tuple[frozenset[int], ...]
-
-    def at(self, k: int) -> frozenset[int]:
-        return self.sets[k - 1]
-
-
-def compute_assumption_sets(problem: Problem, certificate: Certificate) -> AssumptionSets:
-    """Sequential replay of the assumption-set union rules."""
+    One sequential replay keeps a bitmask per constraint, bit b for the
+    b-th `asm` step.  A(k) is {k} for an `asm` step and empty for a
+    problem constraint or a `sol` step; `lin`/`rnd` take the union over
+    their earlier multiplier indices.  An unsplit step takes A(i1) less
+    l1 union A(i2) less l2, or the empty set when i1 or i2 is not
+    strictly earlier; the per-constraint check fails it at that index.
+    """
     m = problem.m
-    sets: list[frozenset[int]] = [frozenset()] * m
+    masks = [0] * m
+    asm_bit: dict[int, int] = {}  # constraint index of the b-th asm step -> 1 << b
     for offset, derived in enumerate(certificate.der):
         k = m + 1 + offset
+        data = derived.data
+        mask = 0
         if derived.reason is Reason.ASM:
-            current = frozenset((k,))
-        elif derived.reason in (Reason.LIN, Reason.RND):
-            assert isinstance(derived.data, Multipliers)
-            union: set[int] = set()
-            for i in nz(derived.data):
+            mask = asm_bit[k] = 1 << len(asm_bit)
+        elif isinstance(data, Multipliers):
+            for i in data.weights:
                 if 1 <= i < k:
-                    union |= sets[i - 1]
-            current = frozenset(union)
-        elif derived.reason is Reason.UNS:
-            assert isinstance(derived.data, Unsplit)
-            data = derived.data
+                    mask |= masks[i - 1]
+        elif isinstance(data, Unsplit):
             if 1 <= data.i1 < k and 1 <= data.i2 < k:
-                current = frozenset(
-                    (sets[data.i1 - 1] - {data.l1}) | (sets[data.i2 - 1] - {data.l2})
+                mask = (masks[data.i1 - 1] & ~asm_bit.get(data.l1, 0)) | (
+                    masks[data.i2 - 1] & ~asm_bit.get(data.l2, 0)
                 )
-            else:
-                current = frozenset()
-        else:  # sol
-            current = frozenset()
-        sets.append(current)
-    return AssumptionSets(sets=tuple(sets))
+        masks.append(mask)
+    asm = list(asm_bit)
+    last = bin(masks[-1] if masks else 0)[::-1]  # character b is bit b
+    return frozenset(asm[b] for b, bit in enumerate(last) if bit == "1")
 
 
 def _satisfies(constraint: Constraint, coords) -> bool:
@@ -191,13 +187,13 @@ def phi_prv(k: int, multipliers: Multipliers) -> bool:
 def der_violation(
     problem: Problem,
     certificate: Certificate,
-    asets: AssumptionSets,
+    asets: frozenset[int],
     k: int,
 ) -> Optional[Verdict]:
     """Check derived constraint C_k; None means it is valid.
 
-    The assumption predicate holds by construction of the computed sets
-    and is never re-evaluated here.
+    The assumption predicate holds by construction of the replayed sets
+    and is never re-evaluated here, so `asets` is not read.
     """
     derived: DerivedConstraint = certificate.der[k - problem.m - 1]
     target = derived.constraint
@@ -261,7 +257,7 @@ def der_violation(
 def final_violation(
     problem: Problem,
     certificate: Certificate,
-    asets: AssumptionSets,
+    asets: frozenset[int],
     flags: RtpFlags,
 ) -> Optional[Verdict]:
     """The closing obligation on C_d, selected by the relation to prove."""
@@ -279,8 +275,8 @@ def final_violation(
     last = constraint_at(problem, certificate, d)
     if not constraint_dominates(last, target):
         return Verdict.invalid("Final", "der-final", f"{last.name}: {label}")
-    if asets.at(d):
-        remaining = ", ".join(str(i) for i in sorted(asets.at(d)))
+    if asets:
+        remaining = ", ".join(str(i) for i in sorted(asets))
         return Verdict.invalid(
             "Final",
             "der-final",
@@ -292,7 +288,7 @@ def final_violation(
 def der_violations(
     problem: Problem,
     certificate: Certificate,
-    asets: AssumptionSets,
+    asets: frozenset[int],
     flags: RtpFlags,
 ) -> list[Verdict]:
     """All derivation-side failures: ascending k, then the final check."""

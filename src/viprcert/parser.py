@@ -215,8 +215,10 @@ class _Parser:
         self, count: int, limit: int, what: str, index_kind: str, value_kind: str
     ) -> tuple[list[int], list[str]]:
         """`count` pairs `i v`: a 0-based index below `limit`, returned
-        1-based and at most once, and the token of a valid rational value."""
-        self._fill(2 * count)
+        1-based and at most once, and the token of a valid rational value.
+        Distinct indices below `limit` number at most `limit`, so a longer
+        count goes token by token without filling the window for it."""
+        self._fill(2 * min(count, limit))
         start = self.pos - self.base
         end = start + 2 * count
         indices = self.tokens[start:end:2]

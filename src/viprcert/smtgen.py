@@ -31,7 +31,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .checker import AssumptionSets, RtpFlags
+from .checker import RtpFlags
 from .model import (
     Certificate,
     Constraint,
@@ -328,7 +328,7 @@ def sol_expr(problem: Problem, certificate: Certificate, flags: RtpFlags) -> str
 
 @unlimited_int_digits()
 def final_expr(
-    problem: Problem, certificate: Certificate, asets: AssumptionSets, flags: RtpFlags
+    problem: Problem, certificate: Certificate, asets: frozenset[int], flags: RtpFlags
 ) -> str:
     """Ground formula for the closing obligation on the last constraint."""
     target = flags.final_target
@@ -336,7 +336,7 @@ def final_expr(
         return "true"
     d = total_constraints(problem, certificate)
     last = constraint_at(problem, certificate, d)
-    assumption_free = "true" if not asets.at(d) else "false"
+    assumption_free = "false" if asets else "true"
     return _conj([_constraint_dom_expr(last, target), assumption_free])
 
 
@@ -393,7 +393,7 @@ def _write_script(path: Path, expression: str) -> None:
 def emit(
     problem: Problem,
     certificate: Certificate,
-    asets: AssumptionSets,
+    asets: frozenset[int],
     plan: EmissionPlan,
     out_dir: Union[str, Path],
 ) -> list[EmittedFile]:

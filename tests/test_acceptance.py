@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from assumptions import assumption_set_at
 from conftest import (
     CORPUS,
     SOLVER_COMMAND,
@@ -98,9 +99,8 @@ def test_criterion_1_fixture_verdicts(capsys):
 def test_criterion_2_assumption_table_replay(capsys):
     problem, certificate = load_fixture("cert0")
     assert check_certificate(problem, certificate).valid
-    asets = compute_assumption_sets(problem, certificate)
     for k, expected in TABLE_ASSUMPTIONS.items():
-        assert asets.at(k) == frozenset(expected), f"A({k})"
+        assert assumption_set_at(problem, certificate, k) == frozenset(expected), f"A({k})"
     with capsys.disabled():
         _passed(2, "cert0 VALID and assumption sets match the worked example rows 4..14")
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from assumptions import assumption_set_at
 from conftest import load_fixture
 from rows import constraint, lhs, objective, rhs
 
@@ -81,11 +82,10 @@ def test_rtp_flags():
 
 def test_assumption_sets_match_the_worked_example():
     problem, certificate = load_fixture("cert0")
-    asets = compute_assumption_sets(problem, certificate)
     for k in range(1, problem.m + 1):
-        assert asets.at(k) == frozenset()
+        assert assumption_set_at(problem, certificate, k) == frozenset()
     for k, expected in CERT0_ASSUMPTIONS.items():
-        assert asets.at(k) == frozenset(expected), f"A({k})"
+        assert assumption_set_at(problem, certificate, k) == frozenset(expected), f"A({k})"
 
 
 def test_phi_feas():
@@ -209,10 +209,9 @@ def test_valid_certificates_have_backward_looking_assumption_sets():
     for name in ("cert0", "manipulated1"):
         problem, certificate = load_fixture(name)
         assert check_certificate(problem, certificate).valid
-        asets = compute_assumption_sets(problem, certificate)
         d = problem.m + len(certificate.der)
         for k in range(1, d + 1):
-            assert all(1 <= i <= k for i in asets.at(k)), (name, k)
+            assert all(1 <= i <= k for i in assumption_set_at(problem, certificate, k)), (name, k)
 
 
 def test_report_counts():
@@ -260,8 +259,8 @@ def test_unsplit_labels_need_not_be_live_assumptions():
         ),
     )
     certificate = Certificate(Rtp.make_range(None, None), (), der)
-    asets = compute_assumption_sets(problem, certificate)
-    assert asets.at(4) == frozenset()  # so l1=2 is certainly not in it
+    # A(4) is empty, so l1=2 is certainly not in it
+    assert assumption_set_at(problem, certificate, 4) == frozenset()
     assert check_certificate(problem, certificate).valid
 
 

@@ -6,10 +6,12 @@ import tracemalloc
 
 import pytest
 
+from assumptions import chain_text
 from conftest import CORPUS, fixture_path, load_fixture
 from rows import lhs, rhs
 from test_scale_agreement import gen
 
+from viprcert import parser
 from viprcert.model import Reason, Sense, Sign
 from viprcert.parser import (
     ParseError,
@@ -168,6 +170,30 @@ def test_parse_memory_beyond_the_model_does_not_grow_with_the_file():
         spec = gen.Spec(n=100, m=300, derivations=derivations, kind="optimal", split_depth=12)
         excess.append(_parse_excess(gen.render(gen.build(spec, 1))[0].decode()))
     assert excess[1] - excess[0] < 1_000_000
+
+
+def test_a_count_beyond_its_index_range_does_not_fill_the_window(monkeypatch):
+    """A list of distinct indices below `limit` has at most `limit`
+    pairs, so a larger count cannot pull the rest of the file into the
+    token window; the error it leads to is the same located one."""
+    fill = parser._Parser._fill
+    window = []
+
+    def watched(self, need):
+        fill(self, need)
+        window.append(len(self.tokens))
+
+    monkeypatch.setattr(parser._Parser, "_fill", watched)
+    text = chain_text(16_000)  # about 400,000 tokens
+    parse_certificate(text)
+    valid_peak = max(window)
+    window.clear()
+    with pytest.raises(ParseError) as info:
+        parse_certificate(text.replace("OBJ min\n0\n", "OBJ min\n1000000000\n"))
+    error = info.value
+    assert (error.kind, error.line, error.column) == (ParseErrorKind.BAD_INDEX, 7, 1)
+    assert error.message == "expected objective variable index, found 'CON'"
+    assert max(window) <= valid_peak <= parser.CHUNK
 
 
 def test_error_points_at_offending_token():

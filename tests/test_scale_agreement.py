@@ -1,23 +1,26 @@
-"""Native/SMT agreement on generated certificates of about 150 and about
-2000 derivations.
+"""Native/SMT agreement on generated certificates of about 40, 150 and
+about 2000 derivations.
 
 The certificates come from the benchmark's generator (`perfbench/gen.py`),
 which builds them without this package and knows in advance where a forged
 certificate first fails.  Every relation kind is covered, valid and with
-each forgery that applies to it.
+each forgery that applies to it, and with random bumps of the derivations.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import io
+import random
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from viprcert.checker import check_certificate, compute_assumption_sets
-from viprcert.parser import parse_certificate
+from viprcert.checker import check_certificate, check_certificate_report, compute_assumption_sets
+from viprcert.parser import ParseError, parse_certificate
+from viprcert.rational import format_rational, parse_rational
 from viprcert.smteval import run_script
 from viprcert.smtgen import EmissionPlan, emit
 
@@ -95,3 +98,64 @@ def test_native_and_smt_routes_agree_at_benchmark_scale(forgery, tmp_path):
         return
     assert [f.kind for f in unsat] == ["block"]
     assert unsat[0].first_k <= expected.k <= unsat[0].last_k
+
+
+def _der_bumps(text: str, rng: random.Random, count: int):
+    """`count` mutants of `text`, each with one numeric token of the DER
+    section raised by 1; the trailing index attribute is never bumped."""
+    lines = text.split("\n")
+    start = next(i for i, line in enumerate(lines) if line.startswith("DER ")) + 1
+    positions = [
+        (li, ti)
+        for li in range(start, len(lines))
+        for ti, token in enumerate(lines[li].split()[:-1])
+        if ti >= 2 and re.fullmatch(r"-?\d+(/\d+)?", token)
+    ]
+    for li, ti in rng.sample(positions, count):
+        tokens = lines[li].split()
+        tokens[ti] = format_rational(parse_rational(tokens[ti]) + 1)
+        yield "\n".join([*lines[:li], " ".join(tokens), *lines[li + 1 :]])
+
+
+def _native_area(failure) -> object:
+    """The file of `emit --block-size 1` that must come back unsat for a
+    failure `check --diagnose` reports."""
+    location = str(failure.location)
+    if location.startswith("Der("):
+        return ("block", int(location[4:-1]))
+    if location.startswith("Sol(") or failure.predicate_id == "sol-bound":
+        return "sol"
+    return "final"  # Final der-final
+
+
+def test_native_locations_are_the_unsat_files_at_block_size_1(tmp_path):
+    """Every location `check --diagnose` reports, and only those, has its
+    one-derivation file (or the solution or final file) come back unsat."""
+    parsed = invalid = several = 0
+    for kind in gen.KINDS:
+        for seed in SEEDS:
+            spec = gen.Spec(n=6, m=12, derivations=40, kind=kind, split_depth=3)
+            text = gen.render(gen.build(spec, seed), None, seed)[0].decode()
+            rng = random.Random(f"{kind}:{seed}")
+            for i, mutant in enumerate(_der_bumps(text, rng, 6)):
+                try:
+                    problem, certificate = parse_certificate(mutant)
+                except ParseError:
+                    continue
+                native = {
+                    _native_area(f)
+                    for f in check_certificate_report(problem, certificate).failures
+                }
+                asets = compute_assumption_sets(problem, certificate)
+                plan = EmissionPlan.create(problem, certificate, block_size=1)
+                files = emit(problem, certificate, asets, plan, tmp_path / f"{kind}{seed}_{i}")
+                smt = {
+                    ("block", f.first_k) if f.kind == "block" else f.kind
+                    for f in files
+                    if not run_script(f.path.read_text(), out=io.StringIO())
+                }
+                assert native == smt, (kind, seed, i)
+                parsed += 1
+                invalid += bool(native)
+                several += len(native) > 1
+    assert parsed >= 30 and invalid >= 25 and several >= 10, (parsed, invalid, several)
