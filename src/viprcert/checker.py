@@ -4,9 +4,9 @@ The check is the conjunction of a solution-side predicate (every listed
 point feasible, the claimed bound witnessed) and a derivation-side
 predicate (every derived constraint implied by its stated reasoning,
 and the last constraint clinching the claimed relation).  Assumption
-sets are not stored in certificate files; they are recomputed here in
-one sequential pass, which discharges their correctness by construction
-and keeps only A(d), the one set the final obligation reads.
+sets are not stored in certificate files; they are recomputed here by
+a sequential replay, which discharges their correctness by construction
+and returns only A(d), the one set the final obligation reads.
 
 Failure reporting is deterministic: solution points in listed order,
 then derivations by ascending index, then the final obligation.
@@ -86,43 +86,61 @@ class RtpFlags:
         return flags
 
 
+def _sources(m: int, k: int, data) -> list[tuple[int, int]]:
+    """The derived constraints A(k) is built from, each with the `asm`
+    step it discharges (0 for none).  A problem constraint's set is
+    empty, and an unsplit step has none unless i1, i2 are in [1, k)."""
+    if isinstance(data, Multipliers):
+        return [(i, 0) for i in data.weights if m < i < k]
+    if isinstance(data, Unsplit) and 0 < data.i1 < k and 0 < data.i2 < k:
+        if data.i1 == data.i2:  # A(i) less l1 union A(i) less l2
+            pairs = ((data.i1, data.l1 if data.l1 == data.l2 else 0),)
+        else:
+            pairs = ((data.i1, data.l1), (data.i2, data.l2))
+        return [(i, label) for i, label in pairs if i > m]
+    return []
+
+
 def compute_assumption_sets(problem: Problem, certificate: Certificate) -> frozenset[int]:
     """A(d), the assumption set of the last constraint C_d, as 1-based
     constraint indices; empty when there is no derivation.
 
     Only A(d) is returned because only A(d) is read: the certificate
     proves its claim when C_d dominates the final target and depends on
-    no assumption.  Every other A(k) matters only as a step towards A(d).
+    no assumption.  A(k) is {k} for an `asm` step, the union of its
+    sources' sets for `lin`/`rnd`, A(i1) less l1 union A(i2) less l2 for
+    an unsplit step, and empty otherwise.
 
-    One sequential replay keeps a bitmask per constraint, bit b for the
-    b-th `asm` step.  A(k) is {k} for an `asm` step and empty for a
-    problem constraint or a `sol` step; `lin`/`rnd` take the union over
-    their earlier multiplier indices.  An unsplit step takes A(i1) less
-    l1 union A(i2) less l2, or the empty set when i1 or i2 is not
-    strictly earlier; the per-constraint check fails it at that index.
+    A first pass finds each constraint's last reader; the replay keeps
+    A(k) only until then, and a step extends in place the largest set it
+    reads for the last time.  So memory holds only the sets still to be
+    read, and a chain of unions costs each step only its new indices.
     """
     m = problem.m
-    masks = [0] * m
-    asm_bit: dict[int, int] = {}  # constraint index of the b-th asm step -> 1 << b
-    for offset, derived in enumerate(certificate.der):
-        k = m + 1 + offset
-        data = derived.data
-        mask = 0
+    last_read = [0] * (m + len(certificate.der) + 1)
+    for k, derived in enumerate(certificate.der, m + 1):
+        for i, _ in _sources(m, k, derived.data):
+            last_read[i] = k
+    live: dict[int, set[int]] = {}  # nonempty A(i) that a later step still reads
+    current: set[int] = set()
+    for k, derived in enumerate(certificate.der, m + 1):
+        sources = [(i, label) for i, label in _sources(m, k, derived.data) if i in live]
+        ending = [source for source in sources if last_read[source[0]] == k]
+        current = set()
         if derived.reason is Reason.ASM:
-            mask = asm_bit[k] = 1 << len(asm_bit)
-        elif isinstance(data, Multipliers):
-            for i in data.weights:
-                if 1 <= i < k:
-                    mask |= masks[i - 1]
-        elif isinstance(data, Unsplit):
-            if 1 <= data.i1 < k and 1 <= data.i2 < k:
-                mask = (masks[data.i1 - 1] & ~asm_bit.get(data.l1, 0)) | (
-                    masks[data.i2 - 1] & ~asm_bit.get(data.l2, 0)
-                )
-        masks.append(mask)
-    asm = list(asm_bit)
-    last = bin(masks[-1] if masks else 0)[::-1]  # character b is bit b
-    return frozenset(asm[b] for b, bit in enumerate(last) if bit == "1")
+            current.add(k)
+        elif ending:
+            grown = max(ending, key=lambda source: len(live[source[0]]))
+            sources.remove(grown)
+            current = live[grown[0]]
+            current.discard(grown[1])
+        for i, label in sources:
+            current |= live[i] - {label} if label in live[i] else live[i]
+        for i, _ in ending:
+            del live[i]
+        if current and last_read[k]:
+            live[k] = current
+    return frozenset(current)
 
 
 def _satisfies(constraint: Constraint, coords) -> bool:
@@ -228,12 +246,9 @@ def der_violation(
         data = derived.data
         if not all(1 <= i < k for i in data.as_tuple()):
             return fail("uns-index", "unsplit data must refer to strictly earlier constraints")
-        first = constraint_at(problem, certificate, data.i1)
-        second = constraint_at(problem, certificate, data.i2)
-        if not constraint_dominates(first, target):
-            return fail("uns-domination", f"constraint {data.i1} does not dominate")
-        if not constraint_dominates(second, target):
-            return fail("uns-domination", f"constraint {data.i2} does not dominate")
+        for i in (data.i1, data.i2):
+            if not constraint_dominates(constraint_at(problem, certificate, i), target):
+                return fail("uns-domination", f"constraint {i} does not dominate")
         left = constraint_at(problem, certificate, data.l1)
         right = constraint_at(problem, certificate, data.l2)
         if not is_split_disjunction(left, right, problem.int_vars):

@@ -28,6 +28,7 @@ import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -66,26 +67,19 @@ def _rat(value: Rational) -> str:
     return _frac(value.numerator, value.denominator)
 
 
-def _conj(parts: Sequence[str]) -> str:
-    flat = [p for p in parts if p != "true"]
-    if any(p == "false" for p in flat):
-        return "false"
-    if not flat:
-        return "true"
-    if len(flat) == 1:
-        return flat[0]
-    return "(and " + " ".join(flat) + ")"
+def _junction(op: str, unit: str, zero: str, parts: Sequence[str]) -> str:
+    """`(op p1 p2 ...)` over the parts that are not `unit`: `zero` if one
+    of them is `zero`, `unit` if none is left, the part if one is."""
+    flat = [p for p in parts if p != unit]
+    if zero in flat:
+        return zero
+    if len(flat) < 2:
+        return flat[0] if flat else unit
+    return f"({op} {' '.join(flat)})"
 
 
-def _disj(parts: Sequence[str]) -> str:
-    flat = [p for p in parts if p != "false"]
-    if any(p == "true" for p in flat):
-        return "true"
-    if not flat:
-        return "false"
-    if len(flat) == 1:
-        return flat[0]
-    return "(or " + " ".join(flat) + ")"
+_conj = partial(_junction, "and", "true", "false")
+_disj = partial(_junction, "or", "false", "true")
 
 
 def _sum(terms: Sequence[str]) -> str:
@@ -276,20 +270,10 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
         data = derived.data
         if any(not 1 <= i <= d for i in data.as_tuple()):
             return "false"
+        at = partial(constraint_at, problem, certificate)
         parts = [f"(> {k} {i})" for i in data.as_tuple()]
-        parts.append(
-            _constraint_dom_expr(constraint_at(problem, certificate, data.i1), target)
-        )
-        parts.append(
-            _constraint_dom_expr(constraint_at(problem, certificate, data.i2), target)
-        )
-        parts.append(
-            _dis_expr(
-                constraint_at(problem, certificate, data.l1),
-                constraint_at(problem, certificate, data.l2),
-                problem.int_vars,
-            )
-        )
+        parts += [_constraint_dom_expr(at(i), target) for i in (data.i1, data.i2)]
+        parts.append(_dis_expr(at(data.l1), at(data.l2), problem.int_vars))
         return _conj(parts)
 
     # sol reasoning
@@ -299,9 +283,7 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
     branches = []
     for point in certificate.sol:
         b_expr = _dot(terms, scale, point.coords)
-        branches.append(
-            _dom_expr(a_exprs, b_expr, False, s >= 0, s <= 0, target)
-        )
+        branches.append(_dom_expr(a_exprs, b_expr, False, s >= 0, s <= 0, target))
     return _disj(branches)
 
 

@@ -1,5 +1,6 @@
 """The assumption-set replay against the plain `frozenset` reference, and
-its memory on a chain whose sets grow by one index per step.
+its memory on a chain whose sets grow by one index per step and on
+certificates that split many times, in a row or nested depth first.
 
 The package returns only A(d); A(k) is read from the prefix certificate
 that ends at C_k (`assumptions.assumption_set_at`).
@@ -11,10 +12,17 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 
-from assumptions import assumption_set_at, chain_text, reference_assumption_sets
+from assumptions import (
+    assumption_set_at,
+    chain_text,
+    nested_splits_text,
+    reference_assumption_sets,
+    sequential_splits_text,
+)
 from rows import objective
 from test_scale_agreement import gen
 
@@ -99,6 +107,7 @@ def _problem(m: int) -> Problem:
 def test_replay_matches_the_reference_on_random_derivation_lists():
     rng = random.Random(20261018)
     discharged = kept = 0  # unsplit steps whose label is, or is not, in its source's set
+    one_source = 0  # unsplit steps with i1 = i2 and a nonempty A(i1)
     for trial in range(400):
         m = rng.randint(0, 3)
         problem, certificate = _problem(m), _random_certificate(rng, m, rng.randint(1, 40))
@@ -106,6 +115,7 @@ def test_replay_matches_the_reference_on_random_derivation_lists():
         for k, derived in enumerate(certificate.der, start=m + 1):
             data = derived.data
             if derived.reason is Reason.UNS and 1 <= data.i1 < k and 1 <= data.i2 < k:
+                one_source += data.i1 == data.i2 and bool(reference[data.i1 - 1])
                 for source, label in ((data.i1, data.l1), (data.i2, data.l2)):
                     if label in reference[source - 1]:
                         discharged += 1
@@ -113,6 +123,7 @@ def test_replay_matches_the_reference_on_random_derivation_lists():
                         kept += 1
     # both branches of the discharge are exercised many times
     assert discharged > 500 and kept > 500, (discharged, kept)
+    assert one_source > 100, one_source
 
 
 def test_no_derivations_give_the_empty_set():
@@ -123,25 +134,72 @@ def test_no_derivations_give_the_empty_set():
     assert compute_assumption_sets(_problem(0), certificate) == frozenset()
 
 
-def test_chain_replay_memory_stays_small():
-    """On a 4,000-step chain the sets hold about 8 million indices in
-    all; the replay's traced peak stays under 32 MB."""
-    problem, certificate = parse_certificate(chain_text(4000))
+@pytest.mark.parametrize(
+    "text, largest",
+    (
+        (sequential_splits_text(40), 1),
+        (sequential_splits_text(40, unsplit_last=True), 1),
+        (nested_splits_text(4), 4),
+    ),
+    ids=("sequential", "unsplit-last", "nested"),
+)
+def test_replay_matches_the_reference_on_split_certificates(text, largest):
+    problem, certificate = parse_certificate(text)
+    assert check_certificate(problem, certificate).valid
+    reference = _assert_every_prefix_matches(problem, certificate, "split")
+    assert reference[-1] == frozenset()
+    assert max(map(len, reference)) == largest
+
+
+def _traced_replay(text: str) -> tuple[frozenset[int], int]:
+    """A(d) and the replay's traced peak in bytes."""
+    problem, certificate = parse_certificate(text)
     tracemalloc.start()
     try:
         last = compute_assumption_sets(problem, certificate)
-        _, peak = tracemalloc.get_traced_memory()
+        return last, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_chain_replay_memory_stays_small():
+    """On a 4,000-step chain the sets hold about 8 million indices in
+    all; the replay's traced peak stays under 32 MB."""
+    last, peak = _traced_replay(chain_text(4000))
     assert peak < 32 * 2**20, peak
     assert last == frozenset(range(2, 4002))
 
 
-def test_check_gives_a_verdict_on_a_16k_chain_in_512_mb_of_address_space(tmp_path):
+@pytest.mark.parametrize(
+    "build, size, doubled",
+    (
+        (chain_text, 4000, 8000),
+        (sequential_splits_text, 2500, 5000),
+        (partial(sequential_splits_text, unsplit_last=True), 2500, 5000),
+        (nested_splits_text, 11, 12),
+    ),
+    ids=("chain", "sequential-splits", "unsplit-last", "nested-splits"),
+)
+def test_replay_memory_grows_linearly(build, size, doubled):
+    """Twice the `asm` steps (one level deeper for the tree) stay under
+    three times the replay's traced peak; a cost quadratic in the `asm`
+    steps, such as a set kept for every constraint on the chain, or a
+    bitmask as wide as the `asm` steps so far for each open branch row
+    when the unsplit steps come last, gives about four times."""
+    small, large = _traced_replay(build(size))[1], _traced_replay(build(doubled))[1]
+    assert large < 3 * small, (small, large)
+
+
+@pytest.mark.parametrize(
+    "build, size, megabytes",
+    ((chain_text, 16_000, 512), (sequential_splits_text, 25_000, 256)),
+    ids=("16k-chain", "25k-sequential-splits"),
+)
+def test_check_gives_a_verdict_in_bounded_address_space(tmp_path, build, size, megabytes):
     resource = pytest.importorskip("resource")
-    limit = 512 * 2**20
-    path = tmp_path / "chain.vipr"
-    path.write_text(chain_text(16_000))
+    limit = megabytes * 2**20
+    path = tmp_path / "certificate.vipr"
+    path.write_text(build(size))
 
     def cap() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

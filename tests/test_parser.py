@@ -193,7 +193,8 @@ def test_a_count_beyond_its_index_range_does_not_fill_the_window(monkeypatch):
     error = info.value
     assert (error.kind, error.line, error.column) == (ParseErrorKind.BAD_INDEX, 7, 1)
     assert error.message == "expected objective variable index, found 'CON'"
-    assert max(window) <= valid_peak <= parser.CHUNK
+    # no more than the valid file needed, a small part of its tokens
+    assert max(window) <= valid_peak < 40_000
 
 
 def test_error_points_at_offending_token():
