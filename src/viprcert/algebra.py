@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .model import Constraint, Multipliers, Sign
+from .model import Constraint, Row, Sign
 
 
 def _dominates(
@@ -69,9 +69,10 @@ def constraint_dominates(source: Constraint, target: Constraint) -> bool:
 
 
 class PseudoConstraint:
-    """Result of a linear combination: the integer-scaled row, and the two
-    sign flags.  `eq` is by definition the conjunction of the flags, and
-    the combination is suitable iff at least one flag holds."""
+    """Result of a linear combination: the integer-scaled row, not
+    necessarily over its least scale, and the two sign flags.  `eq` is by
+    definition the conjunction of the flags, and the combination is
+    suitable iff at least one flag holds."""
 
     __slots__ = ("scale", "terms", "bound", "geq", "leq")
 
@@ -116,33 +117,35 @@ class PseudoConstraint:
 
 
 def linear_combination(
-    multipliers: Multipliers, resolve: Callable[[int], Constraint]
+    multipliers: Row, resolve: Callable[[int], Constraint]
 ) -> PseudoConstraint:
     """Sum the weighted constraints exactly, tracking the sign flags.
 
     geq holds iff every weight agrees in sign with its constraint
-    (weight * sign >= 0), leq symmetrically.  With weights p_i / q_i and
-    rows over D_i, the sum is taken over L = lcm(q_i * D_i), each row
-    scaled by the integer p_i * L / (q_i * D_i).  Exact cancellations are
+    (weight * sign >= 0), leq symmetrically.  With weights w_i / M and
+    rows over D_i, the sum is taken over L = M * lcm(D_i), each row
+    scaled by the integer w_i * lcm(D_i) / D_i.  Exact cancellations are
     dropped so a vanished left-hand side is structurally empty.
     """
-    weighted = [(weight, resolve(i)) for i, weight in multipliers.items_sorted()]
-    scale = math.lcm(*(w.denominator * c.scale for w, c in weighted))
+    weighted = [(weight, resolve(i)) for i, weight in sorted(multipliers.terms.items())]
+    common = math.lcm(*(c.scale for _, c in weighted))
     terms: dict[int, int] = {}
     bound = 0
     geq = True
     leq = True
     for weight, constraint in weighted:
-        weighted_sign = weight.numerator * constraint.sign.value
+        weighted_sign = weight * constraint.sign.value
         if weighted_sign < 0:
             geq = False
         if weighted_sign > 0:
             leq = False
-        factor = weight.numerator * (scale // (weight.denominator * constraint.scale))
+        factor = weight * (common // constraint.scale)
         for j, a in constraint.terms.items():
             terms[j] = terms.get(j, 0) + factor * a
         bound += factor * constraint.bound
-    return PseudoConstraint(scale, {j: a for j, a in terms.items() if a}, bound, geq, leq)
+    return PseudoConstraint(
+        multipliers.scale * common, {j: a for j, a in terms.items() if a}, bound, geq, leq
+    )
 
 
 def is_split_disjunction(ci: Constraint, cj: Constraint, int_vars: frozenset[int]) -> bool:

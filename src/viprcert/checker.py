@@ -23,9 +23,9 @@ from .model import (
     Certificate,
     Constraint,
     DerivedConstraint,
-    Multipliers,
     Problem,
     Reason,
+    Row,
     Sign,
     SolutionPoint,
     Unsplit,
@@ -35,7 +35,7 @@ from .model import (
     nz,
     total_constraints,
 )
-from .rational import Rational, format_rational, is_integer, unlimited_int_digits
+from .rational import Rational, format_rational, unlimited_int_digits
 
 
 class EmptyConstraintSystem(Exception):
@@ -90,8 +90,8 @@ def _sources(m: int, k: int, data) -> list[tuple[int, int]]:
     """The derived constraints A(k) is built from, each with the `asm`
     step it discharges (0 for none).  A problem constraint's set is
     empty, and an unsplit step has none unless i1, i2 are in [1, k)."""
-    if isinstance(data, Multipliers):
-        return [(i, 0) for i in data.weights if m < i < k]
+    if isinstance(data, Row):
+        return [(i, 0) for i in data.terms if m < i < k]
     if isinstance(data, Unsplit) and 0 < data.i1 < k and 0 < data.i2 < k:
         if data.i1 == data.i2:  # A(i) less l1 union A(i) less l2
             pairs = ((data.i1, data.l1 if data.l1 == data.l2 else 0),)
@@ -143,10 +143,10 @@ def compute_assumption_sets(problem: Problem, certificate: Certificate) -> froze
     return frozenset(current)
 
 
-def _satisfies(constraint: Constraint, coords) -> bool:
-    # both sides scaled by the row's scale, which is positive
-    value = dot(constraint.terms, coords)
-    bound = constraint.bound
+def _satisfies(constraint: Constraint, point: Row) -> bool:
+    # both sides scaled by the row's scale and the point's, which are positive
+    value = dot(constraint.terms, point.terms)
+    bound = constraint.bound * point.scale
     s = constraint.sign.value
     return (s < 0 or value >= bound) and (s > 0 or value <= bound)
 
@@ -154,10 +154,10 @@ def _satisfies(constraint: Constraint, coords) -> bool:
 def phi_feas(problem: Problem, point: SolutionPoint) -> bool:
     """Is the point feasible: integral on integer variables, and on the
     right side of every problem constraint?"""
-    for j in problem.int_vars:
-        if not is_integer(point.coordinate(j)):
-            return False
-    return all(_satisfies(c, point.coords) for c in problem.constraints)
+    coords = point.coords
+    if any(c % coords.scale for j, c in coords.terms.items() if j in problem.int_vars):
+        return False
+    return all(_satisfies(c, coords) for c in problem.constraints)
 
 
 @unlimited_int_digits()
@@ -197,7 +197,7 @@ def sol_violations(
     return failures
 
 
-def phi_prv(k: int, multipliers: Multipliers) -> bool:
+def phi_prv(k: int, multipliers: Row) -> bool:
     """Every multiplier index refers to a strictly earlier constraint."""
     return all(1 <= i < k for i in nz(multipliers))
 
@@ -223,7 +223,7 @@ def der_violation(
         return None
 
     if derived.reason in (Reason.LIN, Reason.RND):
-        assert isinstance(derived.data, Multipliers)
+        assert isinstance(derived.data, Row)
         if not phi_prv(k, derived.data):
             return fail(
                 "prv", "multiplier indices must refer to strictly earlier constraints"

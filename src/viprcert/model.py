@@ -6,22 +6,24 @@ Constraint indexing is 1-based: problem constraints are C_1..C_m and
 derived constraints continue as C_{m+1}..C_d.  The on-disk format uses
 0-based indices; that shift happens in the parser, nowhere else.
 
-There is one representation of a row: a constraint, and the objective,
-hold integer coefficients over a positive scale, reduced to the least
-one.  Multipliers, solution coordinates and the bounds of the relation
-to prove stay `Rational`.  The constraint "objective ~ value" is built
-in one place, `Objective.bound`.
+There is one representation of a list of numbers over an index set:
+an integer row, its integers over a positive scale reduced to the least
+one.  A constraint is such a row with a bound; the objective, a solution
+point's coordinates and the multipliers of a `lin`/`rnd` step are a
+`Row`.  Only single numbers, the bounds of the relation to prove and an
+objective value, are `Rational`.  The constraint "objective ~ value" is
+built in one place, `Row.bound`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Union
 
-from .rational import Rational, ZERO
+from .rational import Rational
 
 
 class IndexOutOfRange(Exception):
@@ -69,14 +71,10 @@ class Reason(Enum):
     SOL = "sol"
 
 
-def dot(terms: Mapping[int, Union[int, Rational]], coords: Mapping[int, Rational]) -> Rational:
+def dot(terms: Mapping[int, int], coords: Mapping[int, int]) -> int:
     """sum_j terms[j] * coords[j], absent coordinates being zero."""
-    total = ZERO
-    for j, c in terms.items():
-        value = coords.get(j)
-        if value:
-            total += c * value
-    return total
+    get = coords.get
+    return sum(a * get(j, 0) for j, a in terms.items())
 
 
 def _least_row(
@@ -107,24 +105,28 @@ class Constraint(namedtuple("Constraint", "name sign scale terms bound")):
         return tuple.__new__(cls, (name, sign, *_least_row(scale, terms, bound)))
 
 
-class Objective(namedtuple("Objective", "scale terms")):
-    """The objective `sum_j (terms[j] / scale) x_j` as an integer row over
-    the least scale > 0, with no zero coefficient."""
+class Row(namedtuple("Row", "scale terms")):
+    """The list `{i: terms[i] / scale}` of rationals over an index set, as
+    an integer row over the least scale > 0 with no zero entry: the
+    objective, a solution point or the multipliers of a `lin`/`rnd` step.
+    Built from any scale > 0, it drops zeros and reduces, so equal lists
+    are equal rows."""
 
     __slots__ = ()
 
-    def __new__(cls, scale: int, terms: dict[int, int]) -> "Objective":
+    def __new__(cls, scale: int, terms: dict[int, int]) -> "Row":
         if 0 in terms.values():
             terms = {j: a for j, a in terms.items() if a}
         return tuple.__new__(cls, _least_row(scale, terms)[:2])
 
-    def value(self, coords: Mapping[int, Rational]) -> Rational:
-        """The objective's exact value at a point."""
-        return dot(self.terms, coords) / self.scale
+    def value(self, point: "Row") -> Rational:
+        """This linear form's exact value at a point."""
+        return Rational(dot(self.terms, point.terms), self.scale * point.scale)
 
     def bound(self, name: str, sign: Sign, value: Rational) -> Constraint:
-        """The constraint "objective ~ value": for value = p / q, the row
-        `sum_j a_j q x_j ~ p scale` over `scale q`."""
+        """The constraint "this form ~ value", such as "objective ~ value":
+        for value = p / q, the row `sum_j a_j q x_j ~ p scale` over
+        `scale q`."""
         q = value.denominator
         return Constraint(
             name, sign, self.scale * q, {j: a * q for j, a in self.terms.items()},
@@ -144,7 +146,7 @@ class Problem:
     var_names: tuple[str, ...]
     int_vars: frozenset[int]
     sense: Sense
-    objective: Objective
+    objective: Row
     constraints: tuple[Constraint, ...]
     bound_count: int = 0
 
@@ -186,31 +188,11 @@ class Rtp:
 
 @dataclass(frozen=True)
 class SolutionPoint:
-    """Named point; sparse coordinates, absent variables are zero."""
+    """Named point; its coordinates are a row over the variables, an
+    absent variable being zero."""
 
     name: str
-    coords: Mapping[int, Rational] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        cleaned = {j: v for j, v in self.coords.items() if v != 0}
-        object.__setattr__(self, "coords", cleaned)
-
-    def coordinate(self, index: int) -> Rational:
-        return self.coords.get(index, ZERO)
-
-
-@dataclass(frozen=True)
-class Multipliers:
-    """Sparse map constraint index -> nonzero weight (lin/rnd data)."""
-
-    weights: Mapping[int, Rational] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        cleaned = {i: w for i, w in self.weights.items() if w != 0}
-        object.__setattr__(self, "weights", cleaned)
-
-    def items_sorted(self) -> list[tuple[int, Rational]]:
-        return sorted(self.weights.items())
+    coords: Row
 
 
 @dataclass(frozen=True)
@@ -226,7 +208,7 @@ class Unsplit:
         return (self.i1, self.l1, self.i2, self.l2)
 
 
-DerivationData = Union[None, Multipliers, Unsplit]
+DerivationData = Union[None, Row, Unsplit]  # a `lin`/`rnd` step's multipliers are a Row
 
 
 @dataclass(frozen=True)
@@ -246,7 +228,7 @@ class DerivedConstraint:
         if self.reason in (Reason.ASM, Reason.SOL):
             ok = self.data is None
         elif self.reason in (Reason.LIN, Reason.RND):
-            ok = isinstance(self.data, Multipliers)
+            ok = isinstance(self.data, Row)
         else:
             ok = isinstance(self.data, Unsplit)
         if not ok:
@@ -275,9 +257,9 @@ def constraint_at(problem: Problem, certificate: Certificate, k: int) -> Constra
     return certificate.der[k - problem.m - 1].constraint
 
 
-def nz(multipliers: Multipliers) -> frozenset[int]:
+def nz(multipliers: Row) -> frozenset[int]:
     """Non-zero index set; zeros are never stored, so this is the key set."""
-    return frozenset(multipliers.weights)
+    return frozenset(multipliers.terms)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import Problem, Sense, dot
+from .model import Problem, Row, Sense, dot
 from .rational import Rational
 
 ENUMERATION_LIMIT = 10**6
@@ -72,11 +72,11 @@ def brute_force(
     best_point: Optional[tuple[int, ...]] = None
     maximize = problem.sense is Sense.MAX
     for point in itertools.product(*ranges):
-        coords = {j + 1: Rational(x) for j, x in enumerate(point) if x != 0}
+        coords = Row(1, dict(enumerate(point, 1)))
         ok = True
         for constraint in problem.constraints:
             # both sides scaled by the row's scale, which is positive
-            value = dot(constraint.terms, coords)
+            value = dot(constraint.terms, coords.terms)
             s = constraint.sign.value
             if s >= 0 and not value >= constraint.bound:
                 ok = False

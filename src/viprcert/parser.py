@@ -6,10 +6,10 @@ the file's 0-based convention to the model's 1-based one, and that is
 all.  Whether the certificate actually proves anything is the checker's
 business, strictly separated from this module.
 
-Constraint bodies and the objective are read straight to integer rows
-(`model.Constraint`, `model.Objective`); an `OBJ` body is the row of
-`Objective.bound`.  The serializer prints each coefficient `a_j / D`
-from the row.
+Every `index value` list is read straight to an integer row: a
+constraint body to a `model.Constraint`, the objective, a solution point
+and a multiplier list to a `model.Row`; an `OBJ` body is the row of
+`Row.bound`.  The serializer prints each value `a_j / D` from the row.
 
 The text is split a chunk of about `CHUNK` characters at a time, so a
 parse holds a bounded window of tokens, never those of the whole file;
@@ -28,10 +28,9 @@ from .model import (
     Certificate,
     Constraint,
     DerivedConstraint,
-    Multipliers,
-    Objective,
     Problem,
     Reason,
+    Row,
     Rtp,
     Sense,
     Sign,
@@ -242,12 +241,11 @@ class _Parser:
             self.rational_value(checked[i])
         return list(checked), list(checked.values())
 
-    def rationals(
-        self, count: int, limit: int, what: str, index_kind: str, value_kind: str
-    ) -> dict[int, Rational]:
-        """`pairs` with the values read as rationals."""
+    def row(self, count: int, limit: int, what: str, index_kind: str, value_kind: str) -> Row:
+        """`pairs` read as an integer row."""
         keys, values = self.pairs(count, limit, what, index_kind, value_kind)
-        return dict(zip(keys, map(parse_rational, values)))
+        scale, numbers = _ratios(values)
+        return Row(scale, dict(zip(keys, numbers)))
 
     # --- sections ----------------------------------------------------------
 
@@ -276,9 +274,7 @@ class _Parser:
             )
         sense = Sense(sense_text)
         t = self.count("objective term count")
-        keys, values = self.pairs(t, n, "objective", "variable", "coefficient")
-        scale, numbers = _ratios(values)
-        objective = Objective(scale, dict(zip(keys, numbers)))
+        objective = self.row(t, n, "objective", "variable", "coefficient")
 
         self.keyword("CON")
         m = self.count("constraint count")
@@ -320,7 +316,7 @@ class _Parser:
         certificate = Certificate(rtp=rtp, sol=sol, der=der)
         return problem, certificate
 
-    def constraint_body(self, n: int, objective: Objective, what: str) -> Constraint:
+    def constraint_body(self, n: int, objective: Row, what: str) -> Constraint:
         """`name sense rhs` and then `t j_1 c_1 ... j_t c_t` with 0-based
         variable indices, or the single keyword OBJ for the objective's
         coefficients."""
@@ -359,10 +355,10 @@ class _Parser:
         what = f"solution {ordinal}"
         name = self.name(f"{what} name")
         t = self.count(f"{what} term count")
-        return SolutionPoint(name=name, coords=self.rationals(t, n, what, "variable", "value"))
+        return SolutionPoint(name, self.row(t, n, what, "variable", "value"))
 
     def derived_constraint(
-        self, n: int, d: int, objective: Objective, ordinal: int
+        self, n: int, d: int, objective: Row, ordinal: int
     ) -> DerivedConstraint:
         what = f"derivation {ordinal}"
         constraint = self.constraint_body(n, objective, what)
@@ -375,12 +371,12 @@ class _Parser:
                 ParseErrorKind.UNKNOWN_REASON, f"unknown reason {reason_text!r}"
             ) from None
 
-        data: Union[None, Multipliers, Unsplit]
+        data: Union[None, Row, Unsplit]
         if reason in (Reason.ASM, Reason.SOL):
             data = None
         elif reason in (Reason.LIN, Reason.RND):
             c = self.count(f"{what} multiplier count")
-            data = Multipliers(self.rationals(c, d, what, "constraint", "multiplier"))
+            data = self.row(c, d, what, "constraint", "multiplier")
         else:  # uns: exactly four indices, no weights
             i1 = self.shifted_index(d, f"{what} unsplit index")
             l1 = self.shifted_index(d, f"{what} unsplit index")
@@ -432,8 +428,8 @@ def parse_certificate(source: Union[str, bytes]) -> tuple[Problem, Certificate]:
 # --- serialization ----------------------------------------------------------
 
 
-def _format_terms(row: Union[Constraint, Objective]) -> str:
-    """`t j_1 c_1 ... j_t c_t` of a row's coefficients, 0-based."""
+def _format_terms(row: Union[Constraint, Row]) -> str:
+    """`t j_1 c_1 ... j_t c_t` of a row's values, 0-based."""
     parts = [str(len(row.terms))]
     for j, a in sorted(row.terms.items()):
         parts.append(f"{j - 1} {format_rational(Rational(a, row.scale))}")
@@ -448,19 +444,19 @@ def _format_constraint(constraint: Constraint) -> str:
 def _format_reason(derived: DerivedConstraint) -> str:
     if derived.reason in (Reason.ASM, Reason.SOL):
         return f"{{ {derived.reason.value} }}"
-    if isinstance(derived.data, Multipliers):
-        parts = [derived.reason.value, str(len(derived.data.weights))]
-        for i, w in derived.data.items_sorted():
-            parts.append(f"{i - 1} {format_rational(w)}")
-        return "{ " + " ".join(parts) + " }"
+    if isinstance(derived.data, Row):
+        return f"{{ {derived.reason.value} {_format_terms(derived.data)} }}"
     assert isinstance(derived.data, Unsplit)
     indices = " ".join(str(i - 1) for i in derived.data.as_tuple())
     return f"{{ uns {indices} }}"
 
 
+@unlimited_int_digits()
 def serialize_certificate(problem: Problem, certificate: Certificate) -> str:
     """Emit the model back in the VIPR 1.0 grammar; reparsing it yields
-    a structurally identical model (legacy index attributes included)."""
+    a structurally identical model (legacy index attributes included).
+    Integers of any length are printed, with the interpreter's digit
+    limit lifted process-wide while this runs (`unlimited_int_digits`)."""
     lines = ["VER 1.0"]
     lines.append(f"VAR {problem.n}")
     if problem.var_names:
@@ -482,10 +478,7 @@ def serialize_certificate(problem: Problem, certificate: Certificate) -> str:
         lines.append(f"RTP range {lb} {ub}")
     lines.append(f"SOL {len(certificate.sol)}")
     for point in certificate.sol:
-        parts = [point.name, str(len(point.coords))]
-        for j, v in sorted(point.coords.items()):
-            parts.append(f"{j - 1} {format_rational(v)}")
-        lines.append(" ".join(parts))
+        lines.append(f"{point.name} {_format_terms(point.coords)}")
     lines.append(f"DER {len(certificate.der)}")
     for derived in certificate.der:
         lines.append(

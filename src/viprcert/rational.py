@@ -1,28 +1,27 @@
-"""Exact rational arithmetic for certificate semantics.
+"""Exact rational numbers: the certificate format's text syntax.
 
-Every number that carries meaning in a certificate (coefficients,
-right-hand sides, multipliers, bounds, solution coordinates) is a
-`Rational`.  Values are kept in canonical form at all times: positive
-denominator, gcd(|numerator|, denominator) = 1, so equality is
-structural.  The stdlib `fractions.Fraction` already guarantees exactly
-this, and is arbitrary precision; this module adds the strict text
-syntax (`p` or `p/q`, never decimals) used by the certificate format.
+A single number that carries meaning on its own, a bound of the relation
+to prove or an objective value, is a `Rational`: the stdlib
+`fractions.Fraction`, arbitrary precision and always in lowest terms
+with a positive denominator, so equality is structural.  Every list of
+numbers (a constraint, the objective, a solution point, a `lin`/`rnd`
+multiplier list) is an integer row instead; see `model.Row`.  This
+module adds the strict text syntax (`p` or `p/q`, never decimals) used
+by the certificate format.
 """
 
 from __future__ import annotations
 
 import contextlib
 import sys
+import threading
 from fractions import Fraction
 from typing import Iterator
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-
 __all__ = [
     "Rational",
-    "ZERO",
     "RationalSyntaxError",
     "DecimalNotationError",
     "MalformedNumberError",
@@ -30,7 +29,6 @@ __all__ = [
     "is_integer_literal",
     "parse_rational",
     "format_rational",
-    "is_integer",
     "unlimited_int_digits",
 ]
 
@@ -88,8 +86,9 @@ def format_rational(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def is_integer(value: Rational) -> bool:
-    return value.denominator == 1
+_digits_lock = threading.Lock()
+_digits_users = 0  # blocks inside `unlimited_int_digits`, across threads
+_digits_saved = 0  # the limit the first of them found
 
 
 @contextlib.contextmanager
@@ -97,15 +96,23 @@ def unlimited_int_digits() -> Iterator[None]:
     """Lift CPython's limit on int <-> str conversion digits while the
     block runs: exact certificates may carry integers of any length.
     The limit is process-wide, so every thread sees it lifted meanwhile.
-    Also a decorator on every public entry point that reads or prints
-    literals: the parser, the checker's and the SMT route's."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:  # interpreters from before the limit
+    Blocks may nest and overlap across threads: the first to enter lifts
+    the limit and the last to leave restores it.  Also a decorator on
+    every public entry point that reads or prints literals: the parser,
+    the serializer, the checker's and the SMT route's."""
+    global _digits_users, _digits_saved
+    if not hasattr(sys, "get_int_max_str_digits"):  # interpreters from before the limit
         yield
         return
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
+    with _digits_lock:
+        if not _digits_users:
+            _digits_saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _digits_users += 1
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(limit)
+        with _digits_lock:
+            _digits_users -= 1
+            if not _digits_users:
+                sys.set_int_max_str_digits(_digits_saved)

@@ -36,15 +36,15 @@ from .checker import RtpFlags
 from .model import (
     Certificate,
     Constraint,
-    Multipliers,
     Problem,
     Reason,
+    Row,
     Sign,
     Unsplit,
     constraint_at,
     total_constraints,
 )
-from .rational import Rational, ZERO, unlimited_int_digits
+from .rational import unlimited_int_digits
 
 _RZERO = "0"
 _RONE = "1"
@@ -61,10 +61,6 @@ def _frac(numerator: int, denominator: int) -> str:
     magnitude = abs(numerator)
     text = str(magnitude) if denominator == 1 else f"(/ {magnitude} {denominator})"
     return f"(- {text})" if numerator < 0 else text
-
-
-def _rat(value: Rational) -> str:
-    return _frac(value.numerator, value.denominator)
 
 
 def _junction(op: str, unit: str, zero: str, parts: Sequence[str]) -> str:
@@ -180,7 +176,7 @@ def _dis_expr(ci: Constraint, cj: Constraint, int_vars: frozenset[int]) -> str:
 
 
 def _symbolic_combination(
-    problem: Problem, certificate: Certificate, multipliers: Multipliers
+    problem: Problem, certificate: Certificate, multipliers: Row
 ) -> tuple[dict[int, str], str, bool, bool]:
     """Per-variable sum expressions and the bound sum for a combination,
     plus the folded sign flags.  Zero-parsed factors never appear."""
@@ -188,14 +184,14 @@ def _symbolic_combination(
     b_terms: list[str] = []
     geq = True
     leq = True
-    for i, weight in multipliers.items_sorted():
+    for i, weight in sorted(multipliers.terms.items()):
         constraint = constraint_at(problem, certificate, i)
         weighted_sign = weight * constraint.sign.value
         if weighted_sign < 0:
             geq = False
         if weighted_sign > 0:
             leq = False
-        w = _rat(weight)
+        w = _frac(weight, multipliers.scale)
         scale = constraint.scale
         for j, a in sorted(constraint.terms.items()):
             a_terms.setdefault(j, []).append(f"(* {w} {_frac(a, scale)})")
@@ -205,19 +201,19 @@ def _symbolic_combination(
     return a_exprs, _sum(b_terms), geq, leq
 
 
-def _dot(terms: dict[int, int], scale: int, coords) -> str:
-    """sum_j (terms[j] / scale) * coords[j] over the nonzero coordinates."""
+def _dot(terms: dict[int, int], scale: int, point: Row) -> str:
+    """sum_j (terms[j] / scale) * point[j] over the nonzero coordinates."""
     products = []
     for j, a in sorted(terms.items()):
-        value = coords.get(j, ZERO)
-        if value:
-            products.append(f"(* {_frac(a, scale)} {_rat(value)})")
+        c = point.terms.get(j)
+        if c:
+            products.append(f"(* {_frac(a, scale)} {_frac(c, point.scale)})")
     return _sum(products)
 
 
-def _satisfied_parts(constraint: Constraint, coords) -> list[str]:
+def _satisfied_parts(constraint: Constraint, point: Row) -> list[str]:
     """Does the point satisfy the constraint: one comparison per side."""
-    dot = _dot(constraint.terms, constraint.scale, coords)
+    dot = _dot(constraint.terms, constraint.scale, point)
     rhs = _frac(constraint.bound, constraint.scale)
     s = constraint.sign.value
     parts = []
@@ -240,8 +236,8 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
         return "true"
 
     if derived.reason in (Reason.LIN, Reason.RND):
-        assert isinstance(derived.data, Multipliers)
-        indices = sorted(derived.data.weights)
+        assert isinstance(derived.data, Row)
+        indices = sorted(derived.data.terms)
         if any(not 1 <= i <= d for i in indices):
             return "false"
         prv = [f"(< {i} {k})" for i in indices]
@@ -294,12 +290,13 @@ def sol_expr(problem: Problem, certificate: Certificate, flags: RtpFlags) -> str
         return "true" if not certificate.sol else "false"
     parts: list[str] = []
     for point in certificate.sol:
+        coords = point.coords
         for j in sorted(problem.int_vars):
-            value = point.coordinate(j)
-            if value:
-                parts.append(f"(is_int {_rat(value)})")
+            c = coords.terms.get(j)
+            if c:
+                parts.append(f"(is_int {_frac(c, coords.scale)})")
         for constraint in problem.constraints:
-            parts.extend(_satisfied_parts(constraint, point.coords))
+            parts.extend(_satisfied_parts(constraint, coords))
     bound = flags.solution_bound
     if bound is not None:
         parts.append(

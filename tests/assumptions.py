@@ -32,7 +32,7 @@ def reference_assumption_sets(problem: Problem, certificate: Certificate) -> tup
             current = frozenset((k,))
         elif derived.reason in (Reason.LIN, Reason.RND):
             union: set[int] = set()
-            for i in data.weights:
+            for i in data.terms:
                 if 1 <= i < k:
                     union |= sets[i - 1]
             current = frozenset(union)

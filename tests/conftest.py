@@ -9,20 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from rows import constraint, lhs, objective, rhs
+from rows import constraint, lhs, multipliers, objective, point, rhs
 from viprcert.model import (
     Certificate,
     Constraint,
     DerivedConstraint,
-    Multipliers,
     Problem,
     Reason,
+    Row,
     Rtp,
     Sense,
     Sign,
     SolutionPoint,
     Unsplit,
-    dot,
 )
 from viprcert.parser import parse_certificate, serialize_certificate
 from viprcert.rational import Rational
@@ -110,13 +109,13 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
             candidates = [
                 i
                 for i, dc in enumerate(certificate.der)
-                if dc.reason in (Reason.LIN, Reason.RND) and dc.data.weights
+                if dc.reason in (Reason.LIN, Reason.RND) and dc.data.terms
             ]
             if not candidates:
                 continue
             i = rng.choice(candidates)
             dc = certificate.der[i]
-            weights = dict(dc.data.weights)
+            weights = lhs(dc.data)
             key = rng.choice(sorted(weights))
             if kind == "multiplier":
                 weights[key] = _mutate_rational(rng, weights[key])
@@ -124,7 +123,7 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
                 weights.pop(key)
                 weights[rng.randint(1, d)] = Rational(rng.randint(1, 3))
             der = list(certificate.der)
-            der[i] = replace(dc, data=Multipliers(weights))
+            der[i] = replace(dc, data=multipliers(weights))
             return problem, replace(certificate, der=tuple(der))
         if kind == "uns":
             candidates = [
@@ -151,12 +150,12 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
             return problem, replace(certificate, rtp=mutated)
         if kind == "sol" and certificate.sol:
             i = rng.randrange(len(certificate.sol))
-            point = certificate.sol[i]
+            name = certificate.sol[i].name
             j = rng.randint(1, problem.n)
-            coords = dict(point.coords)
-            coords[j] = _mutate_rational(rng, point.coordinate(j))
+            coords = lhs(certificate.sol[i].coords)
+            coords[j] = _mutate_rational(rng, coords.get(j, Rational(0)))
             sol = list(certificate.sol)
-            sol[i] = SolutionPoint(point.name, coords)
+            sol[i] = point(name, coords)
             return problem, replace(certificate, sol=tuple(sol))
         if kind == "objective" and problem.n:
             j = rng.randint(1, problem.n)
@@ -225,7 +224,7 @@ def random_certificate(rng: random.Random):
         ub = None if rng.random() < 0.3 else random_rhs()
         rtp = Rtp.make_range(lb, ub)
         sol = tuple(
-            SolutionPoint(
+            point(
                 f"s{i}",
                 {j: Rational(rng.randint(-2, 2)) for j in range(1, n + 1) if rng.random() < 0.7},
             )
@@ -241,7 +240,7 @@ def random_certificate(rng: random.Random):
         if reason in (Reason.ASM, Reason.SOL):
             data = None
         elif reason in (Reason.LIN, Reason.RND):
-            data = Multipliers(
+            data = multipliers(
                 {
                     rng.randint(1, d): Rational(rng.randint(-2, 2))
                     for _ in range(rng.randint(0, 3))
@@ -295,7 +294,7 @@ def random_valid_certificate(rng: random.Random):
     if kind == "witnessed":
         # points first, then constraints every point satisfies
         points = tuple(
-            SolutionPoint(
+            point(
                 f"p{i}",
                 {
                     j: Rational(
@@ -310,9 +309,10 @@ def random_valid_certificate(rng: random.Random):
             for i in range(rng.randint(1, 2))
         )
         constraints = []
+        coords = [lhs(p.coords) for p in points]
         for i in range(1, m + 1):
             terms = any_expr()
-            values = [dot(terms, p.coords) for p in points]
+            values = [sum(c * x.get(j, 0) for j, c in terms.items()) for x in coords]
             if rng.random() < 0.5:
                 body = constraint(f"C{i}", terms, Sign.GEQ, min(values) - rng.randint(0, 2))
             else:
@@ -354,7 +354,7 @@ def random_valid_certificate(rng: random.Random):
     def resolve(i):
         return constraint_at(problem, Certificate(Rtp.make_range(None, None), (), tuple(der)), i)
 
-    def suitable_multipliers(limit: int, problem_only: bool = False) -> Multipliers:
+    def suitable_multipliers(limit: int, problem_only: bool = False) -> Row:
         direction = rng.choice([1, -1])  # +1: weights agree with signs (geq)
         weights = {}
         pool = range(1, (m if problem_only else limit) + 1)
@@ -365,16 +365,16 @@ def random_valid_certificate(rng: random.Random):
                 weights[i] = magnitude * rng.choice([1, -1])
             else:
                 weights[i] = magnitude * s * direction
-        return Multipliers(weights)
+        return multipliers(weights)
 
-    def derived_from_combination(name, multipliers) -> DerivedConstraint:
-        combo = linear_combination(multipliers, resolve)
+    def derived_from_combination(name, weights) -> DerivedConstraint:
+        combo = linear_combination(weights, resolve)
         slack = Rational(rng.randint(0, 2))
         if combo.geq:
             body = constraint(name, lhs(combo), Sign.GEQ, rhs(combo) - slack)
         else:
             body = constraint(name, lhs(combo), Sign.LEQ, rhs(combo) + slack)
-        return DerivedConstraint(body, Reason.LIN, multipliers)
+        return DerivedConstraint(body, Reason.LIN, weights)
 
     steps = rng.randint(1, 6)
     for step in range(steps):
@@ -396,10 +396,10 @@ def random_valid_certificate(rng: random.Random):
         elif op == "lin":
             der.append(derived_from_combination(f"L{step}", suitable_multipliers(k - 1)))
         elif op == "rnd":
-            multipliers = suitable_multipliers(k - 1)
-            combo = linear_combination(multipliers, resolve)
+            weights = suitable_multipliers(k - 1)
+            combo = linear_combination(weights, resolve)
             if not combo.roundable(int_vars):
-                der.append(derived_from_combination(f"L{step}", multipliers))
+                der.append(derived_from_combination(f"L{step}", weights))
                 continue
             terms, bound = lhs(combo), rhs(combo)
             if combo.geq:
@@ -414,7 +414,7 @@ def random_valid_certificate(rng: random.Random):
                     body = constraint(f"R{step}", terms, Sign.LEQ, floor)
                 else:
                     body = constraint(f"R{step}", terms, Sign.LEQ, floor + rng.randint(0, 1))
-            der.append(DerivedConstraint(body, Reason.RND, multipliers))
+            der.append(DerivedConstraint(body, Reason.RND, weights))
         else:  # uns over a fresh split pair, reusing a dominating ancestor
             shared = integral_expr()
             delta = rng.randint(-2, 2)
@@ -442,15 +442,14 @@ def random_valid_certificate(rng: random.Random):
             DerivedConstraint(
                 constraint("final", {}, Sign.GEQ, Rational(1)),
                 Reason.LIN,
-                Multipliers({absurd_index: Rational(1)}),
+                multipliers({absurd_index: Rational(1)}),
             )
         )
         rtp = Rtp.make_infeasible()
     else:
         # close with a combination of problem constraints only (A = empty),
         # and point the objective at its left-hand side
-        multipliers = suitable_multipliers(m, problem_only=True)
-        closing = derived_from_combination("final", multipliers)
+        closing = derived_from_combination("final", suitable_multipliers(m, problem_only=True))
         der.append(closing)
         problem = replace(problem, objective=objective(lhs(closing.constraint)))
         bound = rhs(closing.constraint)

@@ -24,7 +24,7 @@ from conftest import (
     load_fixture,
     mutated_variant,
 )
-from rows import constraint, lhs, rhs
+from rows import constraint, lhs, multipliers, rhs
 
 from viprcert.algebra import (
     PseudoConstraint,
@@ -37,7 +37,7 @@ from viprcert.checker import (
     compute_assumption_sets,
     default_jobs,
 )
-from viprcert.model import Constraint, Multipliers, Sign
+from viprcert.model import Constraint, Sign
 from viprcert.oracle import BoxBounds, brute_force
 from viprcert.parser import ParseError, parse_certificate, serialize_certificate
 from viprcert.cli import main as cli_main
@@ -242,7 +242,7 @@ def test_criterion_4_randomized_law_suites(capsys):
         c2 = _random_constraint(rng, n=2)
         pool = {1: c1, 2: c2}
         # singleton law
-        single = linear_combination(Multipliers({1: Rational(1)}), pool.__getitem__)
+        single = linear_combination(multipliers({1: Rational(1)}), pool.__getitem__)
         assert lhs(single) == lhs(c1) and rhs(single) == rhs(c1)
         s = c1.sign.value
         assert single.geq == (s >= 0) and single.leq == (s <= 0)
@@ -250,9 +250,9 @@ def test_criterion_4_randomized_law_suites(capsys):
         w1 = Rational(rng.randint(-4, 4), rng.choice([1, 2]))
         w2 = Rational(rng.randint(-4, 4), rng.choice([1, 2]))
         scale = Rational(rng.randint(1, 5), rng.choice([1, 2]))
-        base = linear_combination(Multipliers({1: w1, 2: w2}), pool.__getitem__)
+        base = linear_combination(multipliers({1: w1, 2: w2}), pool.__getitem__)
         scaled = linear_combination(
-            Multipliers({1: w1 * scale, 2: w2 * scale}), pool.__getitem__
+            multipliers({1: w1 * scale, 2: w2 * scale}), pool.__getitem__
         )
         assert lhs(scaled) == {j: v * scale for j, v in lhs(base).items()}
         assert rhs(scaled) == rhs(base) * scale

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import load_fixture
-from rows import constraint, lhs, rhs, scaled_row
+from rows import constraint, lhs, multipliers, rhs, scaled_row
 
 from viprcert.algebra import (
     PseudoConstraint,
@@ -12,7 +12,7 @@ from viprcert.algebra import (
     is_split_disjunction,
     linear_combination,
 )
-from viprcert.model import IndexOutOfRange, Multipliers, Sign, constraint_at
+from viprcert.model import IndexOutOfRange, Sign, constraint_at
 from viprcert.rational import Rational
 
 I12 = frozenset({1, 2})
@@ -75,7 +75,7 @@ def cert0_resolver():
 
 def test_linear_combination_row10(cert0_resolver):
     combo = linear_combination(
-        Multipliers({2: Rational(-1, 4), 5: Rational(3, 4)}), cert0_resolver
+        multipliers({2: Rational(-1, 4), 5: Rational(3, 4)}), cert0_resolver
     )
     assert lhs(combo) == {2: Rational(1)}
     assert rhs(combo) == Rational(1, 4)
@@ -83,7 +83,7 @@ def test_linear_combination_row10(cert0_resolver):
 
 
 def test_linear_combination_empty(cert0_resolver):
-    combo = linear_combination(Multipliers({}), cert0_resolver)
+    combo = linear_combination(multipliers({}), cert0_resolver)
     assert not lhs(combo)
     assert rhs(combo) == 0
     assert combo.geq and combo.leq and combo.eq
@@ -91,7 +91,7 @@ def test_linear_combination_empty(cert0_resolver):
 
 def test_linear_combination_row9_yields_absurdity(cert0_resolver):
     combo = linear_combination(
-        Multipliers({3: Rational(-1, 3), 4: Rational(-1, 3), 8: Rational(2)}),
+        multipliers({3: Rational(-1, 3), 4: Rational(-1, 3), 8: Rational(2)}),
         cert0_resolver,
     )
     assert not lhs(combo)
@@ -105,7 +105,7 @@ def test_linear_combination_unresolvable():
         raise IndexOutOfRange(i)
 
     with pytest.raises(IndexOutOfRange):
-        linear_combination(Multipliers({3: Rational(1)}), resolve)
+        linear_combination(multipliers({3: Rational(1)}), resolve)
 
 
 def test_roundable_flags_examples():
@@ -170,7 +170,7 @@ def test_split_disjunction_is_symmetric(ci, cj):
 
 @given(constraints())
 def test_singleton_combination_mirrors_the_constraint(c):
-    combo = linear_combination(Multipliers({1: Rational(1)}), lambda i: c)
+    combo = linear_combination(multipliers({1: Rational(1)}), lambda i: c)
     assert lhs(combo) == lhs(c)
     assert rhs(combo) == rhs(c)
     s = c.sign.value
@@ -182,9 +182,9 @@ def test_singleton_combination_mirrors_the_constraint(c):
        st.integers(min_value=1, max_value=5))
 def test_positive_scaling_preserves_flags(c1, c2, w1, w2, scale):
     pool = {1: c1, 2: c2}
-    base = linear_combination(Multipliers({1: w1, 2: w2}), pool.__getitem__)
+    base = linear_combination(multipliers({1: w1, 2: w2}), pool.__getitem__)
     scaled = linear_combination(
-        Multipliers({1: w1 * scale, 2: w2 * scale}), pool.__getitem__
+        multipliers({1: w1 * scale, 2: w2 * scale}), pool.__getitem__
     )
     assert lhs(scaled) == {j: v * scale for j, v in lhs(base).items()}
     assert rhs(scaled) == rhs(base) * scale

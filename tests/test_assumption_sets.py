@@ -23,7 +23,7 @@ from assumptions import (
     reference_assumption_sets,
     sequential_splits_text,
 )
-from rows import objective
+from rows import multipliers, objective
 from test_scale_agreement import gen
 
 from viprcert.checker import check_certificate, compute_assumption_sets
@@ -31,7 +31,6 @@ from viprcert.model import (
     Certificate,
     Constraint,
     DerivedConstraint,
-    Multipliers,
     Problem,
     Reason,
     Rtp,
@@ -90,7 +89,7 @@ def _random_certificate(rng: random.Random, m: int, count: int) -> Certificate:
         elif r < 0.6:
             weights = {index(): Rational(1) for _ in range(rng.randint(1, 3))}
             reason = rng.choice([Reason.LIN, Reason.RND])
-            der.append(DerivedConstraint(_ROW, reason, Multipliers(weights)))
+            der.append(DerivedConstraint(_ROW, reason, multipliers(weights)))
         elif r < 0.93:
             data = Unsplit(index(), label(), index(), label())
             der.append(DerivedConstraint(_ROW, Reason.UNS, data))

@@ -4,7 +4,7 @@ import pytest
 
 from assumptions import assumption_set_at
 from conftest import load_fixture
-from rows import constraint, lhs, objective, rhs
+from rows import constraint, lhs, multipliers, objective, point, rhs
 
 from viprcert.checker import (
     EmptyConstraintSystem,
@@ -22,13 +22,11 @@ from viprcert.checker import (
 from viprcert.model import (
     Certificate,
     DerivedConstraint,
-    Multipliers,
     Problem,
     Reason,
     Rtp,
     Sense,
     Sign,
-    SolutionPoint,
     Unsplit,
 )
 from viprcert.rational import Rational
@@ -91,11 +89,11 @@ def test_assumption_sets_match_the_worked_example():
 def test_phi_feas():
     problem, certificate = load_fixture("forged1")
     assert phi_feas(problem, certificate.sol[0])
-    assert not phi_feas(problem, SolutionPoint("half", {1: Rational(1, 2)}))
+    assert not phi_feas(problem, point("half", {1: Rational(1, 2)}))
     # out-of-bounds point
-    assert not phi_feas(problem, SolutionPoint("big", {1: Rational(2)}))
+    assert not phi_feas(problem, point("big", {1: Rational(2)}))
     empty = Problem(1, ("x",), frozenset(), Sense.MIN, objective({}), ())
-    assert phi_feas(empty, SolutionPoint("p", {1: Rational(7, 3)}))
+    assert phi_feas(empty, point("p", {1: Rational(7, 3)}))
 
 
 def test_phi_sol_examples():
@@ -110,7 +108,7 @@ def test_phi_sol_failures_are_localized():
     flags = RtpFlags.of(problem, certificate)
     bad = Certificate(
         rtp=certificate.rtp,
-        sol=(SolutionPoint("ghost", {1: Rational(1)}),),
+        sol=(point("ghost", {1: Rational(1)}),),
         der=certificate.der,
     )
     failures = sol_violations(problem, bad, flags)
@@ -121,7 +119,7 @@ def test_phi_sol_failures_are_localized():
     problem1, forged1 = load_fixture("forged1")
     infeasible_point = Certificate(
         rtp=forged1.rtp,
-        sol=(SolutionPoint("bad", {1: Rational(-1)}),),
+        sol=(point("bad", {1: Rational(-1)}),),
         der=forged1.der,
     )
     failures = sol_violations(problem1, infeasible_point, RtpFlags.of(problem1, forged1))
@@ -129,7 +127,7 @@ def test_phi_sol_failures_are_localized():
     # the bound disjunction ranges over every listed point, feasible or not
     high_point = Certificate(
         rtp=forged1.rtp,
-        sol=(SolutionPoint("bad", {1: Rational(5)}),),
+        sol=(point("bad", {1: Rational(5)}),),
         der=forged1.der,
     )
     failures = sol_violations(problem1, high_point, RtpFlags.of(problem1, forged1))
@@ -137,9 +135,9 @@ def test_phi_sol_failures_are_localized():
 
 
 def test_phi_prv():
-    assert phi_prv(10, Multipliers({2: Rational(1), 5: Rational(2)}))
-    assert not phi_prv(7, Multipliers({7: Rational(1)}))
-    assert phi_prv(7, Multipliers({}))
+    assert phi_prv(10, multipliers({2: Rational(1), 5: Rational(2)}))
+    assert not phi_prv(7, multipliers({7: Rational(1)}))
+    assert phi_prv(7, multipliers({}))
 
 
 def test_phi_der_k_examples():
@@ -250,7 +248,7 @@ def test_unsplit_labels_need_not_be_live_assumptions():
         DerivedConstraint(
             constraint("L1", _expr(1), Sign.GEQ, Rational(1)),
             Reason.LIN,
-            Multipliers({1: Rational(1)}),
+            multipliers({1: Rational(1)}),
         ),
         DerivedConstraint(
             constraint("U1", _expr(1), Sign.GEQ, Rational(1)),
@@ -333,7 +331,7 @@ def test_min_sense_lower_bound_final_obligation():
         DerivedConstraint(
             constraint("D1", {1: Rational(1)}, Sign.GEQ, Rational(2)),
             Reason.LIN,
-            Multipliers({1: Rational(1)}),
+            multipliers({1: Rational(1)}),
         ),
     )
     good = Certificate(Rtp.make_range(Rational(2), None), (), der)
@@ -358,15 +356,15 @@ def test_inverted_range_makes_both_obligations_active():
         DerivedConstraint(
             constraint("D1", {1: Rational(1)}, Sign.GEQ, Rational(2)),
             Reason.LIN,
-            Multipliers({1: Rational(1)}),
+            multipliers({1: Rational(1)}),
         ),
     )
-    point = SolutionPoint("p", {1: Rational(2)})
-    inverted = Certificate(Rtp.make_range(Rational(2), Rational(1)), (point,), der)
+    two = point("p", {1: Rational(2)})
+    inverted = Certificate(Rtp.make_range(Rational(2), Rational(1)), (two,), der)
     verdict = check_certificate(problem, inverted)
     assert not verdict.valid
     assert verdict.predicate_id == "sol-bound"  # no point reaches <= 1
-    achievable = Certificate(Rtp.make_range(Rational(2), Rational(2)), (point,), der)
+    achievable = Certificate(Rtp.make_range(Rational(2), Rational(2)), (two,), der)
     assert check_certificate(problem, achievable).valid
 
 
@@ -379,7 +377,7 @@ def test_long_chain_first_failure_is_localized():
         DerivedConstraint(
             constraint(f"D{k}", {1: Rational(1)}, Sign.GEQ, Rational(1)),
             Reason.LIN,
-            Multipliers({k - 1: Rational(1)}),
+            multipliers({k - 1: Rational(1)}),
         )
         for k in range(2, 402)
     )
@@ -389,7 +387,7 @@ def test_long_chain_first_failure_is_localized():
     # poison one multiplier in the middle: the failure is found there
     broken = list(der)
     broken[200] = DerivedConstraint(
-        broken[200].constraint, Reason.LIN, Multipliers({1: Rational(-1)})
+        broken[200].constraint, Reason.LIN, multipliers({1: Rational(-1)})
     )
     poisoned = Certificate(certificate.rtp, (), tuple(broken))
     verdict = check_certificate(problem, poisoned)

@@ -5,13 +5,14 @@
   they replaced, kept here as the reference.
 - `parse_rational` against its regular-expression definition.
 - The parser's list reader against its token-by-token path on all four
-  list kinds, and constraint bodies and the objective against
-  `parse_rational` plus `scaled_row`.
+  list kinds, and every list kind's row against `parse_rational` plus
+  `scaled_row`.
 - Parse-error positions, which the parser computes only when it raises,
   against an eager tokenizer that records every token's line and column.
 - The parser's bounded token window, at several chunk sizes, against a
   reader that holds every token of the text in one list.
-- The package keeps no rational view of a row.
+- The package keeps no rational view of a row, and no second list type:
+  `check` builds no `Fraction` per multiplier or coordinate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS, fixture_path, load_fixture
-from rows import constraint, lhs, rhs, scaled_row
+from rows import constraint, lhs, multipliers, rhs, scaled_row
 from test_parser import BROKEN
 from test_scale_agreement import gen
 
@@ -36,8 +37,9 @@ from viprcert.algebra import (
     is_split_disjunction,
     linear_combination,
 )
-from viprcert import model, parser
-from viprcert.model import Constraint, Multipliers, Objective, Sign
+from viprcert import model, parser, rational
+from viprcert.checker import check_certificate_report
+from viprcert.model import Constraint, Row, Sign
 from viprcert.parser import ParseError, ParseErrorKind, _token_position, parse_certificate
 from viprcert.rational import RationalSyntaxError, parse_rational, unlimited_int_digits
 
@@ -66,14 +68,14 @@ def reference_dominates(terms, bound, eq, geq, leq, target: Constraint) -> bool:
 
 
 def reference_combination(
-    multipliers: Multipliers, resolve: Callable[[int], Constraint]
+    weights: Row, resolve: Callable[[int], Constraint]
 ) -> tuple[dict[int, Fraction], Fraction, bool, bool]:
     """The combined coefficients, with no zero among them, and bound."""
     accumulated: dict[int, Fraction] = {}
     bound = Fraction(0)
     geq = True
     leq = True
-    for i, weight in multipliers.items_sorted():
+    for i, weight in sorted(lhs(weights).items()):
         constraint = resolve(i)
         weighted_sign = weight * constraint.sign.value
         if weighted_sign < 0:
@@ -155,7 +157,7 @@ def combinations(draw):
             weights = {}
         weights[a] = w
         weights[len(pool)] = -w / factor
-    return pool, Multipliers(weights)
+    return pool, multipliers(weights)
 
 
 @st.composite
@@ -171,10 +173,10 @@ def targets_near(draw, terms: dict[int, Fraction], bound: Fraction):
 @settings(max_examples=400)
 @given(combinations(), st.data())
 def test_combination_domination_and_rounding_match_the_fraction_reference(case, data):
-    pool, multipliers = case
+    pool, weights = case
     resolve = lambda i: pool[i - 1]  # noqa: E731
-    combo = linear_combination(multipliers, resolve)
-    terms, bound, geq, leq = reference_combination(multipliers, resolve)
+    combo = linear_combination(weights, resolve)
+    terms, bound, geq, leq = reference_combination(weights, resolve)
     assert (lhs(combo), rhs(combo), combo.geq, combo.leq) == (terms, bound, geq, leq)
     assert combo.eq == (geq and leq)
 
@@ -289,13 +291,17 @@ def test_parse_rational_matches_the_regex_definition(token):
 
 # --- the list reader against the token-by-token path and the reference -------
 
-# each list kind: the text before it, and a valid list for its place
+# each list kind: the text before it, and a valid list for its place; there
+# are d = 3 constraints as there are n = 3 variables, so every list's
+# indices range over 0..2
 LISTS = {
     "objective": ("VER 1.0\nVAR 3\nx y z\nINT 0\nOBJ min\n", "2 0 1/2 2 -3"),
     "constraint": ("\nCON 1 0\nC1 G ", "1 1 0 1"),
     "solution": ("\nRTP range -inf inf\nSOL 1\npt ", "0"),
-    "multipliers": ("\nDER 1\nD1 G 0 0 { lin ", "1 0 1"),
+    "multipliers": ("\nDER 2\nD0 G 0 0 { asm } -1\nD1 G 0 0 { lin ", "1 0 1"),
 }
+# the lists read to a `Row`
+ROW_LISTS = ("objective", "solution", "multipliers")
 
 
 def list_certificate(kind: str, tokens: str, cut: bool = False) -> str:
@@ -331,12 +337,19 @@ def _row_outcome(body: str, token_path: bool = False):
     return constraint.scale, constraint.terms, constraint.bound
 
 
-def _objective_outcome(listed: str, token_path: bool = False):
-    """The parsed objective row of the list `listed`, or the error's outcome."""
-    outcome = _parse_outcome(list_certificate("objective", listed), token_path)
+def _list_row(kind: str, problem, certificate) -> Row:
+    """The parsed `Row` of the `kind` list."""
+    if kind == "objective":
+        return problem.objective
+    return certificate.sol[0].coords if kind == "solution" else certificate.der[-1].data
+
+
+def _list_outcome(kind: str, listed: str, token_path: bool = False):
+    """The parsed row of `listed` as the `kind` list, or the error's outcome."""
+    outcome = _parse_outcome(list_certificate(kind, listed), token_path)
     if isinstance(outcome[0], ParseErrorKind):
         return outcome
-    return tuple(outcome[0].objective)
+    return tuple(_list_row(kind, *outcome))
 
 
 def reference_row(rhs: str, pairs: list[tuple[str, str]]):
@@ -345,9 +358,9 @@ def reference_row(rhs: str, pairs: list[tuple[str, str]]):
     return scaled_row({j: v for j, v in values.items() if v}, parse_rational(rhs))
 
 
-def reference_objective(pairs: list[tuple[str, str]]):
-    """The reference row of a valid objective list, reduced: `(D, {j: a_j})`
-    over the least D."""
+def reference_list(pairs: list[tuple[str, str]]):
+    """The reference row of a valid objective, solution or multiplier
+    list, reduced: `(D, {i: a_i})` over the least D."""
     scale, terms, _ = reference_row("0", pairs)
     g = math.gcd(scale, *terms.values())
     return scale // g, {j: a // g for j, a in terms.items()}
@@ -395,15 +408,16 @@ def test_row_reader_edge_tokens(rhs, pairs, expected):
         with unlimited_int_digits():
             assert outcome == reference_row(rhs, read)
 
-    # the same pairs as the objective's list
-    objective = _objective_outcome(listed)
-    assert objective == _objective_outcome(listed, token_path=True)
-    with unlimited_int_digits():
-        rhs_valid = isinstance(_outcome(parse_rational, rhs), Fraction)
-        if isinstance(expected, ParseErrorKind) and rhs_valid:
-            assert objective[0] is expected  # the error is in the pairs
-        else:
-            assert objective == reference_objective(read)
+    # the same pairs as each list read to a Row
+    for kind in ROW_LISTS:
+        row = _list_outcome(kind, listed)
+        assert row == _list_outcome(kind, listed, token_path=True), kind
+        with unlimited_int_digits():
+            rhs_valid = isinstance(_outcome(parse_rational, rhs), Fraction)
+            if isinstance(expected, ParseErrorKind) and rhs_valid:
+                assert row[0] is expected, kind  # the error is in the pairs
+            else:
+                assert row == reference_list(read), kind
 
 
 def _keyword_outcome(objective: str, rhs: str, token_path: bool = False):
@@ -424,8 +438,8 @@ def test_row_reader_objective_keyword():
     # given unreduced and with a negative denominator, 2/4 x + 3/-2 z is
     # the row 1/2 x - 3/2 z
     unreduced = "2 0 2/4 2 3/-2"
-    assert _objective_outcome(unreduced) == (2, {1: 1, 3: -3})
-    assert _objective_outcome(unreduced) == reference_objective([("0", "2/4"), ("2", "3/-2")])
+    assert _list_outcome("objective", unreduced) == (2, {1: 1, 3: -3})
+    assert _list_outcome("objective", unreduced) == reference_list([("0", "2/4"), ("2", "3/-2")])
     for rhs, row in (("1/3", (6, {1: 3, 3: -9}, 2)), ("1/-2", (2, {1: 1, 3: -3}, -1))):
         assert _keyword_outcome(unreduced, rhs) == row, rhs
         assert _keyword_outcome(unreduced, rhs, token_path=True) == row, rhs
@@ -459,9 +473,8 @@ index_tokens = st.sampled_from(["0", "1", "2", "0", "1", "2", "3", "+1", "-0", "
 @settings(max_examples=500)
 @given(value_tokens(), st.lists(st.tuples(index_tokens, value_tokens()), max_size=4), st.data())
 def test_row_reader_matches_the_token_path_and_the_reference(rhs, pairs, data):
-    """Every list kind reads the same with and without the one-slice case;
-    a constraint body or an objective that reads back also matches the
-    reference row."""
+    """Every list kind reads the same with and without the one-slice case,
+    and one that reads back also matches the reference row."""
     kind = data.draw(st.sampled_from(list(LISTS)))
     count = str(len(pairs))
     if data.draw(st.integers(0, 9)) == 0:
@@ -478,19 +491,17 @@ def test_row_reader_matches_the_token_path_and_the_reference(rhs, pairs, data):
     # an empty token vanishes from the body and shifts the rest, so the
     # reference only applies when the body reads back as the drawn tokens
     if (
-        kind not in ("constraint", "objective")
-        or isinstance(outcome[0], ParseErrorKind)
+        isinstance(outcome[0], ParseErrorKind)
         or count != str(len(pairs))
         or listed.split() != tokens
     ):
         return
     read = [(str(int(j)), v) for j, v in pairs]
-    problem = outcome[0]
     with unlimited_int_digits():
         if kind == "constraint":
-            assert tuple(problem.constraints[0])[2:] == reference_row(rhs, read)
+            assert tuple(outcome[0].constraints[0])[2:] == reference_row(rhs, read)
         else:
-            assert tuple(problem.objective) == reference_objective(read)
+            assert tuple(_list_row(kind, *outcome)) == reference_list(read)
 
 
 # --- error positions computed on demand against an eager tokenizer ----------
@@ -674,13 +685,48 @@ def test_window_matches_the_whole_list_reader_on_mutants(text, chunk):
 
 
 def test_the_package_keeps_no_rational_view_of_a_row():
+    """Nor a second type for a list: the objective, solution points and
+    multipliers are each a `Row`."""
     views = {
         Constraint: ("lhs", "rhs"),
         PseudoConstraint: ("lhs", "rhs"),
-        Objective: ("lhs", "rhs"),
-        model: ("LinearExpr", "scaled_row"),
+        Row: ("lhs", "rhs"),
+        model: ("LinearExpr", "scaled_row", "Multipliers", "Objective"),
+        rational: ("ZERO", "is_integer"),
     }
     present = [
         (owner, name) for owner, names in views.items() for name in names if hasattr(owner, name)
     ]
     assert present == []
+
+
+def _fractions_built(text: str) -> tuple[int, int]:
+    """`Fraction`s built by `parse_certificate` and `check_certificate_report`
+    on `text`, and the number of multipliers and solution coordinates it
+    lists."""
+    built = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", counting):
+        problem, certificate = parse_certificate(text)
+        check_certificate_report(problem, certificate)
+    listed = sum(len(d.data.terms) for d in certificate.der if isinstance(d.data, Row))
+    listed += sum(len(point.coords.terms) for point in certificate.sol)
+    return built, listed
+
+
+def test_check_builds_no_fraction_per_multiplier_or_coordinate():
+    """What `Fraction`s remain are single numbers: bounds of the relation
+    to prove, `OBJ` bodies and `sol` steps.  So from one size to four
+    times that, their number grows far less than the lists do."""
+    small, large = (
+        _fractions_built(_generated(derivations, 100, 300, "optimal"))
+        for derivations in (500, 2000)
+    )
+    assert large[1] - small[1] > 1000
+    assert large[0] - small[0] < (large[1] - small[1]) / 20, (small, large)

@@ -12,9 +12,8 @@ from viprcert.model import (
     Constraint,
     DerivedConstraint,
     IndexOutOfRange,
-    Multipliers,
-    Objective,
     Reason,
+    Row,
     Sign,
     Unsplit,
     Verdict,
@@ -37,14 +36,15 @@ def test_sign_values_are_bijective():
 
 def test_objective_is_canonical_and_builds_its_bound():
     # 2 x_1 - 1/2 x_3, given over 8 with a zero coefficient
-    goal = Objective(8, {1: 16, 2: 0, 3: -4})
-    assert goal == Objective(2, {1: 4, 3: -1})
+    goal = Row(8, {1: 16, 2: 0, 3: -4})
+    assert goal == Row(2, {1: 4, 3: -1})
     assert set(goal.terms) == {1, 3}
     assert goal == objective({1: Rational(2), 2: Rational(0), 3: Rational(-1, 2)})
-    assert goal.value({1: Rational(1), 3: Rational(4)}) == 0
-    assert goal.value({1: Rational(1, 3)}) == Rational(2, 3)
-    assert goal.value({}) == 0
-    assert Objective(5, {}) == Objective(1, {})
+    # its value at the points (1, 0, 4), (1/3, 0, 0) and the origin
+    assert goal.value(Row(1, {1: 1, 3: 4})) == 0
+    assert goal.value(Row(3, {1: 1})) == Rational(2, 3)
+    assert goal.value(Row(1, {})) == 0
+    assert Row(5, {}) == Row(1, {})
     for sign in Sign:
         for value in (Rational(0), Rational(7), Rational(-5, 6), Rational(3, 4)):
             expected = constraint("b", lhs(goal), sign, value)
@@ -66,8 +66,8 @@ def test_constraint_reduces_its_row():
     [
         Constraint("c", Sign.LEQ, 6, {1: 4, 2: -2}, 8),
         Constraint("z", Sign.EQ, 1, {}, 0),
-        Objective(6, {1: 4, 3: -2}),
-        Objective(1, {}),
+        Row(6, {1: 4, 3: -2}),
+        Row(1, {}),
     ],
 )
 def test_rows_copy_and_pickle_to_equal_values(value):
@@ -111,7 +111,7 @@ def test_nz_examples():
     row7 = certificate.der[3]  # C_7 in the unified numbering
     assert row7.reason is Reason.LIN
     assert nz(row7.data) == {1, 4, 6}
-    assert nz(Multipliers({})) == frozenset()
+    assert nz(Row(1, {})) == frozenset()
     row11 = certificate.der[7]
     assert nz(row11.data) == {10}
 
@@ -119,11 +119,11 @@ def test_nz_examples():
 def test_derived_constraint_data_invariants():
     body = Constraint("c", Sign.GEQ, 1, {}, 1)
     with pytest.raises(ValueError):
-        DerivedConstraint(body, Reason.ASM, Multipliers({1: Rational(1)}))
+        DerivedConstraint(body, Reason.ASM, Row(1, {1: 1}))
     with pytest.raises(ValueError):
         DerivedConstraint(body, Reason.LIN, None)
     with pytest.raises(ValueError):
-        DerivedConstraint(body, Reason.UNS, Multipliers({}))
+        DerivedConstraint(body, Reason.UNS, Row(1, {}))
     DerivedConstraint(body, Reason.UNS, Unsplit(1, 2, 3, 4))  # fine
 
 
@@ -136,8 +136,8 @@ def test_verdict_invariants_and_locations():
 
 
 def test_multipliers_drop_zero_weights():
-    m = Multipliers({1: Rational(0), 2: Rational(5)})
-    assert set(m.weights) == {2}
+    m = Row(1, {1: 0, 2: 5})
+    assert set(m.terms) == {2}
 
 
 def test_problem_rejects_out_of_range_variable_references():

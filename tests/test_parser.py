@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -35,8 +36,8 @@ def test_parse_forged1_model():
     assert len(certificate.sol) == 1
     point = certificate.sol[0]
     assert point.name == "opt"
-    assert point.coords == {2: Rational(1)}
-    assert point.coordinate(1) == 0
+    assert lhs(point.coords) == {2: Rational(1)}
+    assert 1 not in point.coords.terms  # an absent coordinate is zero
     assert len(certificate.der) == 1
     derived = certificate.der[0]
     assert derived.reason is Reason.SOL
@@ -52,7 +53,7 @@ def test_parse_manipulated1_multipliers_are_shifted_to_one_based():
     row7 = certificate.der[3]
     assert not lhs(row7.constraint)
     assert rhs(row7.constraint) == 1
-    assert row7.data.weights == {1: Rational(1), 4: Rational(-2), 6: Rational(-3)}
+    assert lhs(row7.data) == {1: Rational(1), 4: Rational(-2), 6: Rational(-3)}
     assert row7.legacy_index == 12
     row14 = certificate.der[10]
     assert row14.reason is Reason.UNS
@@ -219,7 +220,7 @@ def test_zero_multipliers_are_dropped():
         "RTP infeas\nSOL 0\nDER 1\nD1 G 1 0 { lin 2 0 0 1 1 } -1\n"
     )
     _, certificate = parse_certificate(text)
-    assert certificate.der[0].data.weights == {2: Rational(1)}
+    assert lhs(certificate.der[0].data) == {2: Rational(1)}
 
 
 def test_obj_keyword_also_works_in_the_constraint_section():
@@ -279,6 +280,28 @@ def test_serializer_writes_exact_rationals():
     body = text.split("\n", 1)[1]  # everything after the VER header
     assert not re.search(r"\d\.\d", body)
     assert text.endswith("\n") and not text.endswith("\n\n")
+
+
+def test_serializer_round_trips_huge_literals_on_its_own():
+    """5000-digit values in a constraint, an RTP bound, a solution
+    coordinate and a multiplier print back verbatim, under the
+    interpreter's default digit limit, which stays as it was."""
+    huge = "1" + "0" * 4998 + "7"
+    text = (
+        "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n1 0 1\nCON 1 0\n"
+        f"c G {huge} 1 0 1\nRTP range {huge}/3 inf\nSOL 1\npt 1 0 -{huge}/7\n"
+        f"DER 1\nd G 0 1 0 1 {{ lin 1 0 1/{huge} }} -1\n"
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        problem, certificate = parse_certificate(text)
+        printed = serialize_certificate(problem, certificate)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == text
+    assert parse_certificate(printed) == (problem, certificate)
 
 
 def test_fuzzed_out_of_range_indices_are_rejected_not_clamped():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +13,8 @@ from viprcert.rational import (
     Rational,
     ZeroDenominatorError,
     format_rational,
-    is_integer,
     parse_rational,
+    unlimited_int_digits,
 )
 
 nonzero_ints = st.integers(min_value=-10**12, max_value=10**12)
@@ -53,8 +55,8 @@ def test_multiplication_and_comparison_examples():
 def test_floor_ceil_examples():
     assert math.ceil(Rational(1, 4)) == 1
     assert math.floor(Rational(-1, 4)) == -1
-    assert not is_integer(Rational(14, 3))
-    assert is_integer(Rational(6, 3))
+    assert Rational(14, 3).denominator != 1
+    assert Rational(6, 3).denominator == 1
 
 
 @pytest.mark.parametrize(
@@ -124,3 +126,46 @@ def test_field_laws(a, b, c):
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
+
+
+def test_digit_limit_stays_lifted_until_the_last_overlapping_block_leaves():
+    """Thread A enters, then thread B, then A leaves: B still converts a
+    5000-digit integer, and once both have left the interpreter's limit
+    is what it was, also after a nested entry."""
+    huge = "7" * 5000
+    a_entered, b_entered, a_left = threading.Event(), threading.Event(), threading.Event()
+    converted = []
+
+    def thread_a():
+        with unlimited_int_digits():
+            a_entered.set()
+            b_entered.wait(30)
+        a_left.set()
+
+    def thread_b():
+        a_entered.wait(30)
+        with unlimited_int_digits():
+            b_entered.set()
+            a_left.wait(30)
+            try:
+                converted.append(len(str(int(huge))))
+            except ValueError as exc:
+                converted.append(exc)
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert converted == [5000]
+        assert sys.get_int_max_str_digits() == 4300
+        with unlimited_int_digits():
+            with unlimited_int_digits():
+                pass
+            assert len(str(int(huge))) == 5000
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)

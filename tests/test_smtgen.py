@@ -122,7 +122,7 @@ def test_each_combined_sum_is_bound_once():
             assert node[0] == "let" and len(node) == 3, expression
             _, bindings, body = node
             support = set()
-            for i in derived.data.weights:
+            for i in derived.data.terms:
                 support |= set(constraint_at(problem, certificate, i).terms)
             names = [name for name, _ in bindings]
             assert names == [f"a{j}" for j in sorted(support)] + ["b"], expression
