@@ -15,7 +15,7 @@ then derivations by ascending index, then the final obligation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .algebra import constraint_dominates, is_split_disjunction, linear_combination
@@ -48,20 +48,18 @@ def _relation(bound: Constraint) -> str:
     return f"{'>=' if bound.sign is Sign.GEQ else '<='} {value}"
 
 
-@dataclass(frozen=True)
-class RtpFlags:
+class RtpFlags(namedtuple("RtpFlags", "has_range solution_bound final_target")):
     """What the relation to prove asks, decided once per certificate.
 
+    `has_range` is true unless the relation to prove is infeasibility.
     `solution_bound` is the objective bound some listed solution must
     satisfy: the upper bound of a min problem or the lower bound of a
     max problem.  `final_target` is the constraint the last constraint
     C_d must dominate: 0 >= 1 for infeasibility, else the other bound.
-    Each is None when its bound is infinite.
+    Each is a `Constraint`, or None when its bound is infinite.
     """
 
-    has_range: bool  # relation to prove is not infeasibility
-    solution_bound: Optional[Constraint]
-    final_target: Optional[Constraint]
+    __slots__ = ()
 
     @classmethod
     def of(cls, problem: Problem, certificate: Certificate) -> "RtpFlags":
@@ -318,14 +316,13 @@ def der_violations(
     return failures
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Verdict plus every individual failure, for diagnosis output."""
+class CheckReport(
+    namedtuple("CheckReport", "verdict failures solutions_checked derivations_checked")
+):
+    """Verdict plus every individual failure (a tuple), for diagnosis
+    output."""
 
-    verdict: Verdict
-    failures: tuple[Verdict, ...]
-    solutions_checked: int
-    derivations_checked: int
+    __slots__ = ()
 
 
 @unlimited_int_digits()

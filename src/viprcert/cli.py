@@ -13,7 +13,6 @@ import json
 import os
 import shlex
 import sys
-import tempfile
 import time
 from typing import Optional
 
@@ -24,7 +23,9 @@ from .checker import (
     default_jobs,
 )
 from .parser import ParseError, parse_certificate
-from .smtgen import Aggregate, EmissionPlan, SolverSpawnError, check_timeout, dispatch, emit
+
+# `smtgen` (with `subprocess`) and `tempfile` are imported where `emit`
+# and `verify` use them, so `check` does not load them.
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -94,6 +95,8 @@ def _positive_int(text: str) -> int:
 
 
 def _timeout_seconds(text: str) -> float:
+    from .smtgen import check_timeout
+
     value = float(text)
     try:
         return check_timeout(value)
@@ -102,6 +105,8 @@ def _timeout_seconds(text: str) -> float:
 
 
 def _emit_files(problem, certificate, out_dir, block_size: Optional[int], jobs: int):
+    from .smtgen import EmissionPlan, emit
+
     asets = compute_assumption_sets(problem, certificate)
     plan = EmissionPlan.create(problem, certificate, block_size=block_size, workers=jobs)
     return emit(problem, certificate, asets, plan, out_dir)
@@ -138,6 +143,10 @@ def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
+    import tempfile
+
+    from .smtgen import Aggregate, SolverSpawnError, dispatch
+
     problem, certificate = parse_certificate(data)
     solver = args.solver or default_solver_command()
     started = time.perf_counter()

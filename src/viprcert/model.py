@@ -1,7 +1,8 @@
 """Domain model for MILP problems, certificates, and verdicts.
 
-Everything here is an immutable value produced by the parser (or built
-directly in tests); the checker and the SMT emitter only ever read it.
+Everything here is an immutable value, a named tuple, produced by the
+parser (or built directly in tests); the checker and the SMT emitter
+only ever read it.
 Constraint indexing is 1-based: problem constraints are C_1..C_m and
 derived constraints continue as C_{m+1}..C_d.  The on-disk format uses
 0-based indices; that shift happens in the parser, nowhere else.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Union
 
@@ -89,7 +89,19 @@ def _least_row(
     return scale, terms, bound
 
 
-class Constraint(namedtuple("Constraint", "name sign scale terms bound")):
+class CheckedTuple:
+    """Base of a named tuple whose `__new__` checks or reduces its fields:
+    `_make`, and so `_replace`, build through `__new__` too, so no copy
+    escapes the checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Constraint(CheckedTuple, namedtuple("Constraint", "name sign scale terms bound")):
     """A named constraint, stored as its sign and its integer row
     `sum_j (terms[j] / scale) x_j ~ bound / scale`.  Built from any row
     with scale > 0 and no zero coefficient, it keeps the row over the
@@ -105,7 +117,7 @@ class Constraint(namedtuple("Constraint", "name sign scale terms bound")):
         return tuple.__new__(cls, (name, sign, *_least_row(scale, terms, bound)))
 
 
-class Row(namedtuple("Row", "scale terms")):
+class Row(CheckedTuple, namedtuple("Row", "scale terms")):
     """The list `{i: terms[i] / scale}` of rationals over an index set, as
     an integer row over the least scale > 0 with no zero entry: the
     objective, a solution point or the multipliers of a `lin`/`rnd` step.
@@ -134,38 +146,47 @@ class Row(namedtuple("Row", "scale terms")):
         )
 
 
-@dataclass(frozen=True)
-class Problem:
-    """A MILP: n variables, integer set, objective with sense, constraints.
+class Problem(
+    CheckedTuple,
+    namedtuple("Problem", "n var_names int_vars sense objective constraints bound_count"),
+):
+    """A MILP: n variables, their names (a tuple), the integer set (a
+    frozenset of 1-based indices), the objective `Row` with its `Sense`,
+    and the constraints (a tuple).
 
     `bound_count` mirrors the second integer of the file's CON header;
     it is round-trip metadata with no semantic weight.
     """
 
-    n: int
-    var_names: tuple[str, ...]
-    int_vars: frozenset[int]
-    sense: Sense
-    objective: Row
-    constraints: tuple[Constraint, ...]
-    bound_count: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.var_names) != self.n:
+    def __new__(
+        cls,
+        n: int,
+        var_names: tuple[str, ...],
+        int_vars: frozenset[int],
+        sense: Sense,
+        objective: Row,
+        constraints: tuple[Constraint, ...],
+        bound_count: int = 0,
+    ) -> "Problem":
+        if len(var_names) != n:
             raise ValueError("var_names length must equal n")
-        if not all(1 <= j <= self.n for j in self.int_vars):
+        if not all(1 <= j <= n for j in int_vars):
             raise ValueError("integer variable index outside [1, n]")
-        for terms in (self.objective.terms, *(c.terms for c in self.constraints)):
-            if any(not 1 <= j <= self.n for j in terms):
+        for terms in (objective.terms, *(c.terms for c in constraints)):
+            if any(not 1 <= j <= n for j in terms):
                 raise ValueError("expression references a variable outside [1, n]")
+        return tuple.__new__(
+            cls, (n, var_names, int_vars, sense, objective, constraints, bound_count)
+        )
 
     @property
     def m(self) -> int:
         return len(self.constraints)
 
 
-@dataclass(frozen=True)
-class Rtp:
+class Rtp(namedtuple("Rtp", "infeasible lb ub", defaults=(None, None))):
     """Relation to prove: infeasibility, or an objective interval.
 
     `lb is None` encodes -inf and `ub is None` encodes +inf.  An empty
@@ -173,9 +194,7 @@ class Rtp:
     obligations active downstream.
     """
 
-    infeasible: bool
-    lb: Optional[Rational] = None
-    ub: Optional[Rational] = None
+    __slots__ = ()
 
     @classmethod
     def make_infeasible(cls) -> "Rtp":
@@ -186,23 +205,17 @@ class Rtp:
         return cls(infeasible=False, lb=lb, ub=ub)
 
 
-@dataclass(frozen=True)
-class SolutionPoint:
+class SolutionPoint(namedtuple("SolutionPoint", "name coords")):
     """Named point; its coordinates are a row over the variables, an
     absent variable being zero."""
 
-    name: str
-    coords: Row
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unsplit:
+class Unsplit(namedtuple("Unsplit", "i1 l1 i2 l2")):
     """Unsplit data (i1, l1, i2, l2) over the unified constraint array."""
 
-    i1: int
-    l1: int
-    i2: int
-    l2: int
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.i1, self.l1, self.i2, self.l2)
@@ -211,35 +224,40 @@ class Unsplit:
 DerivationData = Union[None, Row, Unsplit]  # a `lin`/`rnd` step's multipliers are a Row
 
 
-@dataclass(frozen=True)
-class DerivedConstraint:
+class DerivedConstraint(
+    CheckedTuple, namedtuple("DerivedConstraint", "constraint reason data legacy_index")
+):
     """Constraint plus the reasoning that introduced it.
 
     `legacy_index` mirrors the file format's trailing index attribute;
     it is preserved for round-trips and never consulted by semantics.
     """
 
-    constraint: Constraint
-    reason: Reason
-    data: DerivationData = None
-    legacy_index: int = -1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.reason in (Reason.ASM, Reason.SOL):
-            ok = self.data is None
-        elif self.reason in (Reason.LIN, Reason.RND):
-            ok = isinstance(self.data, Row)
+    def __new__(
+        cls,
+        constraint: Constraint,
+        reason: Reason,
+        data: DerivationData = None,
+        legacy_index: int = -1,
+    ) -> "DerivedConstraint":
+        if reason in (Reason.ASM, Reason.SOL):
+            ok = data is None
+        elif reason in (Reason.LIN, Reason.RND):
+            ok = isinstance(data, Row)
         else:
-            ok = isinstance(self.data, Unsplit)
+            ok = isinstance(data, Unsplit)
         if not ok:
-            raise ValueError(f"reason {self.reason.value} incompatible with data {self.data!r}")
+            raise ValueError(f"reason {reason.value} incompatible with data {data!r}")
+        return tuple.__new__(cls, (constraint, reason, data, legacy_index))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    rtp: Rtp
-    sol: tuple[SolutionPoint, ...]
-    der: tuple[DerivedConstraint, ...]
+class Certificate(namedtuple("Certificate", "rtp sol der")):
+    """The relation to prove, the solution points and the derived
+    constraints (tuples), as listed in the file."""
+
+    __slots__ = ()
 
 
 def total_constraints(problem: Problem, certificate: Certificate) -> int:
@@ -262,18 +280,21 @@ def nz(multipliers: Row) -> frozenset[int]:
     return frozenset(multipliers.terms)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(CheckedTuple, namedtuple("Verdict", "valid location predicate_id message")):
     """A failure's location is `Sol(<point name>)`, `Der(<k>)` or `Final`."""
 
-    valid: bool
-    location: Optional[str] = None
-    predicate_id: Optional[str] = None
-    message: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.valid and (self.location is None or self.predicate_id is None):
+    def __new__(
+        cls,
+        valid: bool,
+        location: Optional[str] = None,
+        predicate_id: Optional[str] = None,
+        message: str = "",
+    ) -> "Verdict":
+        if not valid and (location is None or predicate_id is None):
             raise ValueError("invalid verdict must carry a location and predicate_id")
+        return tuple.__new__(cls, (valid, location, predicate_id, message))
 
     @classmethod
     def ok(cls) -> "Verdict":

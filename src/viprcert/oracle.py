@@ -9,10 +9,10 @@ that a certificate's claimed relation is actually true.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping, Optional
 
-from .model import Problem, Row, Sense, dot
+from .model import CheckedTuple, Problem, Row, Sense, dot
 from .rational import Rational
 
 ENUMERATION_LIMIT = 10**6
@@ -26,17 +26,16 @@ class EnumerationTooLarge(Exception):
     """The box contains more points than the enumeration limit."""
 
 
-@dataclass(frozen=True)
-class BoxBounds:
+class BoxBounds(CheckedTuple, namedtuple("BoxBounds", "lower upper")):
     """Inclusive integer bounds per variable (1-based index)."""
 
-    lower: Mapping[int, int]
-    upper: Mapping[int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for j, lo in self.lower.items():
-            if lo > self.upper[j]:
-                raise ValueError(f"empty box for variable {j}: [{lo}, {self.upper[j]}]")
+    def __new__(cls, lower: Mapping[int, int], upper: Mapping[int, int]) -> "BoxBounds":
+        for j, lo in lower.items():
+            if lo > upper[j]:
+                raise ValueError(f"empty box for variable {j}: [{lo}, {upper[j]}]")
+        return tuple.__new__(cls, (lower, upper))
 
     @classmethod
     def uniform(cls, n: int, lower: int, upper: int) -> "BoxBounds":
@@ -44,11 +43,13 @@ class BoxBounds:
         return cls({j: lower for j in indices}, {j: upper for j in indices})
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    feasible: bool
-    value: Optional[Rational] = None
-    witness: Optional[tuple[int, ...]] = None
+class BruteForceResult(
+    namedtuple("BruteForceResult", "feasible value witness", defaults=(None, None))
+):
+    """Whether the box holds a feasible point and, if so, the optimal
+    value and a point (a tuple of ints) that attains it."""
+
+    __slots__ = ()
 
 
 def brute_force(

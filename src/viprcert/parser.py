@@ -428,16 +428,25 @@ def parse_certificate(source: Union[str, bytes]) -> tuple[Problem, Certificate]:
 # --- serialization ----------------------------------------------------------
 
 
+def _format_ratio(numerator: int, scale: int) -> str:
+    """numerator / scale, scale > 0, in lowest terms as `format_rational`
+    prints it: `p` or `p/q`."""
+    g = math.gcd(numerator, scale)
+    if g == scale:
+        return str(numerator // g)
+    return f"{numerator // g}/{scale // g}"
+
+
 def _format_terms(row: Union[Constraint, Row]) -> str:
     """`t j_1 c_1 ... j_t c_t` of a row's values, 0-based."""
     parts = [str(len(row.terms))]
     for j, a in sorted(row.terms.items()):
-        parts.append(f"{j - 1} {format_rational(Rational(a, row.scale))}")
+        parts.append(f"{j - 1} {_format_ratio(a, row.scale)}")
     return " ".join(parts)
 
 
 def _format_constraint(constraint: Constraint) -> str:
-    rhs = format_rational(Rational(constraint.bound, constraint.scale))
+    rhs = _format_ratio(constraint.bound, constraint.scale)
     return f"{constraint.name} {constraint.sign.letter} {rhs} {_format_terms(constraint)}"
 
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import threading
+from collections import namedtuple
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -322,12 +322,11 @@ def final_expr(
 # --- emission plan and file writing ----------------------------------------
 
 
-@dataclass(frozen=True)
-class EmissionPlan:
-    """Partition of the per-derivation conjuncts into consecutive blocks."""
+class EmissionPlan(namedtuple("EmissionPlan", "block_size blocks")):
+    """Partition of the per-derivation conjuncts into consecutive blocks,
+    each a pair (first k, last k)."""
 
-    block_size: int
-    blocks: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @classmethod
     def create(
@@ -350,12 +349,13 @@ class EmissionPlan:
         return cls(block_size=block_size, blocks=blocks)
 
 
-@dataclass(frozen=True)
-class EmittedFile:
-    path: Path
-    kind: str  # "sol" | "block" | "final"
-    first_k: Optional[int] = None
-    last_k: Optional[int] = None
+class EmittedFile(
+    namedtuple("EmittedFile", "path kind first_k last_k", defaults=(None, None))
+):
+    """A written file's `Path`, its kind ("sol", "block" or "final") and,
+    for a block, its first and last derivation index."""
+
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -431,16 +431,17 @@ class Aggregate(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class FileOutcome:
-    path: Path
-    status: str  # "sat" | "unsat" | "timeout" | "error" | "cancelled"
-    detail: str = ""
+class FileOutcome(namedtuple("FileOutcome", "path status detail", defaults=("",))):
+    """A file's `Path` and what the solver made of it: status "sat",
+    "unsat", "timeout", "error" or "cancelled", and a detail text."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DispatchResult:
-    outcomes: tuple[FileOutcome, ...]
+class DispatchResult(namedtuple("DispatchResult", "outcomes")):
+    """One `FileOutcome` per file, in file order."""
+
+    __slots__ = ()
 
     @property
     def aggregate(self) -> Aggregate:
@@ -477,7 +478,8 @@ def dispatch(
     jobs: int = 1,
     timeout_s: float = 300.0,
 ) -> DispatchResult:
-    """Run the solver over every file with a bounded subprocess pool.
+    """Run the solver over every file, `jobs` at a time: up to `jobs`
+    threads take the files' indices in order from one iterator.
 
     Files start in order, and a file is not started once an earlier one
     came back unsat.  Every file after the first unsat one is reported
@@ -485,9 +487,14 @@ def dispatch(
     timing.  A timeout, a nonzero exit status or an unparseable solver
     response is recorded as a failure of that file and makes the
     aggregate an error, never a pass.  A `timeout_s` that `check_timeout`
-    refuses raises ValueError before any file starts.
+    refuses, or `jobs` < 1, raises ValueError before any file starts.  A
+    solver that cannot be started raises SolverSpawnError: no further
+    file starts, and the error of the earliest such file is raised once
+    every thread has stopped.
     """
     check_timeout(timeout_s)
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     paths = [f.path if isinstance(f, EmittedFile) else Path(f) for f in files]
     unsat_at: list[int] = []  # indices of the files that came back unsat
 
@@ -516,8 +523,29 @@ def dispatch(
         detail = answer or (stderr.strip() or stdout.strip() or "no output")
         return FileOutcome(path, "error", detail[:500])
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(run_one, range(len(paths))))
+    outcomes: list[Optional[FileOutcome]] = [None] * len(paths)
+    raised: dict[int, Exception] = {}  # file index -> what running it raised
+    indices = iter(range(len(paths)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while not raised:  # once a file raised, start no further file
+            with lock:
+                index = next(indices, None)
+            if index is None:
+                return
+            try:
+                outcomes[index] = run_one(index)
+            except Exception as exc:  # re-raised below, once every worker stopped
+                raised[index] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(jobs, len(paths)))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if raised:
+        raise raised[min(raised)]
     first = next((i for i, o in enumerate(outcomes) if o.status == "unsat"), len(outcomes))
     for i in range(first + 1, len(outcomes)):
         outcomes[i] = FileOutcome(outcomes[i].path, "cancelled", _CANCELLED)

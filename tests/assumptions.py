@@ -9,15 +9,13 @@ package's replay is compared with.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from viprcert.checker import compute_assumption_sets
 from viprcert.model import Certificate, Problem, Reason
 
 
 def assumption_set_at(problem: Problem, certificate: Certificate, k: int) -> frozenset[int]:
     """A(k) as the package computes it: A(d) of the prefix ending at C_k."""
-    prefix = replace(certificate, der=certificate.der[: max(0, k - problem.m)])
+    prefix = certificate._replace(der=certificate.der[: max(0, k - problem.m)])
     return compute_assumption_sets(problem, prefix)
 
 

@@ -4,7 +4,6 @@ import os
 import random
 import shlex
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -68,11 +67,11 @@ def _replace_constraint(problem, certificate, index, constraint):
     if index <= problem.m:
         constraints = list(problem.constraints)
         constraints[index - 1] = constraint
-        return replace(problem, constraints=tuple(constraints)), certificate
+        return problem._replace(constraints=tuple(constraints)), certificate
     der = list(certificate.der)
     old = der[index - problem.m - 1]
-    der[index - problem.m - 1] = replace(old, constraint=constraint)
-    return problem, replace(certificate, der=tuple(der))
+    der[index - problem.m - 1] = old._replace(constraint=constraint)
+    return problem, certificate._replace(der=tuple(der))
 
 
 def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random):
@@ -123,8 +122,8 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
                 weights.pop(key)
                 weights[rng.randint(1, d)] = Rational(rng.randint(1, 3))
             der = list(certificate.der)
-            der[i] = replace(dc, data=multipliers(weights))
-            return problem, replace(certificate, der=tuple(der))
+            der[i] = dc._replace(data=multipliers(weights))
+            return problem, certificate._replace(der=tuple(der))
         if kind == "uns":
             candidates = [
                 i for i, dc in enumerate(certificate.der) if dc.reason is Reason.UNS
@@ -136,8 +135,8 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
             values = list(dc.data.as_tuple())
             values[rng.randrange(4)] = rng.randint(1, d)
             der = list(certificate.der)
-            der[i] = replace(dc, data=Unsplit(*values))
-            return problem, replace(certificate, der=tuple(der))
+            der[i] = dc._replace(data=Unsplit(*values))
+            return problem, certificate._replace(der=tuple(der))
         if kind == "rtp":
             rtp = certificate.rtp
             if rtp.infeasible:
@@ -147,7 +146,7 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
             else:
                 lb = rtp.lb if rtp.lb is not None else Rational(0)
                 mutated = Rtp.make_range(_mutate_rational(rng, lb), rtp.ub)
-            return problem, replace(certificate, rtp=mutated)
+            return problem, certificate._replace(rtp=mutated)
         if kind == "sol" and certificate.sol:
             i = rng.randrange(len(certificate.sol))
             name = certificate.sol[i].name
@@ -156,12 +155,12 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
             coords[j] = _mutate_rational(rng, coords.get(j, Rational(0)))
             sol = list(certificate.sol)
             sol[i] = point(name, coords)
-            return problem, replace(certificate, sol=tuple(sol))
+            return problem, certificate._replace(sol=tuple(sol))
         if kind == "objective" and problem.n:
             j = rng.randint(1, problem.n)
             terms = lhs(problem.objective)
             terms[j] = _mutate_rational(rng, terms.get(j, Rational(0)))
-            return replace(problem, objective=objective(terms)), certificate
+            return problem._replace(objective=objective(terms)), certificate
     raise AssertionError("no applicable mutation found")
 
 
@@ -451,13 +450,13 @@ def random_valid_certificate(rng: random.Random):
         # and point the objective at its left-hand side
         closing = derived_from_combination("final", suitable_multipliers(m, problem_only=True))
         der.append(closing)
-        problem = replace(problem, objective=objective(lhs(closing.constraint)))
+        problem = problem._replace(objective=objective(lhs(closing.constraint)))
         bound = rhs(closing.constraint)
         if closing.constraint.sign is Sign.GEQ:
-            problem = replace(problem, sense=Sense.MIN)
+            problem = problem._replace(sense=Sense.MIN)
             rtp = Rtp.make_range(bound - rng.randint(0, 2), None)
         else:
-            problem = replace(problem, sense=Sense.MAX)
+            problem = problem._replace(sense=Sense.MAX)
             rtp = Rtp.make_range(None, bound + rng.randint(0, 2))
 
     certificate = Certificate(rtp=rtp, sol=sol, der=tuple(der))

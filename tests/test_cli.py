@@ -219,6 +219,42 @@ def test_console_script_entry_point():
     assert result.stdout.splitlines()[0] == "VALID"
 
 
+# Runs `main(argv)` in a fresh interpreter and prints, in the order
+# given, which of the comma-separated modules it newly imported: modules
+# present before the import of the CLI (a `.pth` file may preload some)
+# do not count.
+_COLD_START_PROBE = """\
+import sys
+before = set(sys.modules)
+from viprcert.cli import main
+code = main(sys.argv[2:])
+print([m for m in sys.argv[1].split(",") if m in sys.modules and m not in before])
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, watched, loaded",
+    [
+        (
+            "check",
+            ("viprcert.checker", "viprcert.smtgen", "subprocess", "concurrent.futures", "dataclasses"),
+            ["viprcert.checker"],
+        ),
+        ("verify", ("viprcert.smtgen", "concurrent.futures", "dataclasses"), ["viprcert.smtgen"]),
+    ],
+)
+def test_each_command_imports_only_the_code_it_runs(command, watched, loaded):
+    argv = [command, str(fixture_path("cert0"))]
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_START_PROBE, ",".join(watched), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == repr(loaded)
+
+
 def test_nonpositive_block_size_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["emit", str(fixture_path("cert0")), "--out", str(tmp_path), "--block-size", "0"])

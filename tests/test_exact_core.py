@@ -12,15 +12,18 @@
 - The parser's bounded token window, at several chunk sizes, against a
   reader that holds every token of the text in one list.
 - The package keeps no rational view of a row, and no second list type:
-  `check` builds no `Fraction` per multiplier or coordinate.
+  `check` builds no `Fraction` per multiplier or coordinate, nor does the
+  serializer per printed value, which prints each ratio as
+  `format_rational` does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 from unittest import mock
 
 import pytest
@@ -40,7 +43,13 @@ from viprcert.algebra import (
 from viprcert import model, parser, rational
 from viprcert.checker import check_certificate_report
 from viprcert.model import Constraint, Row, Sign
-from viprcert.parser import ParseError, ParseErrorKind, _token_position, parse_certificate
+from viprcert.parser import (
+    ParseError,
+    ParseErrorKind,
+    _token_position,
+    parse_certificate,
+    serialize_certificate,
+)
 from viprcert.rational import RationalSyntaxError, parse_rational, unlimited_int_digits
 
 # --- Fraction reference for the constraint algebra ----------------------------
@@ -700,24 +709,36 @@ def test_the_package_keeps_no_rational_view_of_a_row():
     assert present == []
 
 
+@contextlib.contextmanager
+def _counting_fractions() -> Iterator[list[int]]:
+    """Counts, in the one item of the list it yields, the `Fraction`s
+    built inside the block."""
+    built = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", counting):
+        yield built
+
+
+def _listed(certificate) -> int:
+    """The number of multipliers and solution coordinates a certificate
+    lists."""
+    listed = sum(len(d.data.terms) for d in certificate.der if isinstance(d.data, Row))
+    return listed + sum(len(point.coords.terms) for point in certificate.sol)
+
+
 def _fractions_built(text: str) -> tuple[int, int]:
     """`Fraction`s built by `parse_certificate` and `check_certificate_report`
     on `text`, and the number of multipliers and solution coordinates it
     lists."""
-    built = 0
-    new = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return new(cls, *args, **kwargs)
-
-    with mock.patch.object(Fraction, "__new__", counting):
+    with _counting_fractions() as built:
         problem, certificate = parse_certificate(text)
         check_certificate_report(problem, certificate)
-    listed = sum(len(d.data.terms) for d in certificate.der if isinstance(d.data, Row))
-    listed += sum(len(point.coords.terms) for point in certificate.sol)
-    return built, listed
+    return built[0], _listed(certificate)
 
 
 def test_check_builds_no_fraction_per_multiplier_or_coordinate():
@@ -730,3 +751,25 @@ def test_check_builds_no_fraction_per_multiplier_or_coordinate():
     )
     assert large[1] - small[1] > 1000
     assert large[0] - small[0] < (large[1] - small[1]) / 20, (small, large)
+
+
+def test_serializer_builds_no_fraction_per_value():
+    """It prints each value `a_j / D` of a row from the row's integers, so
+    the `Fraction`s it builds do not grow with the lists."""
+    built, listed = [], []
+    for derivations in (500, 2000):
+        problem, certificate = parse_certificate(_generated(derivations, 100, 300, "optimal"))
+        with _counting_fractions() as counted:
+            serialize_certificate(problem, certificate)
+        built.append(counted[0])
+        listed.append(_listed(certificate))
+    assert listed[1] - listed[0] > 1000
+    assert built[1] == built[0], built
+
+
+@given(st.integers(), st.integers(min_value=1), st.integers(min_value=1, max_value=10**30))
+@example(0, 7, 1)
+@example(-6, 4, 1)
+def test_serializer_prints_a_ratio_as_format_rational_does(numerator, scale, common):
+    expected = rational.format_rational(Fraction(numerator, scale))
+    assert parser._format_ratio(numerator * common, scale * common) == expected

@@ -81,6 +81,48 @@ def test_rows_copy_and_pickle_to_equal_values(value):
         assert clone == value
 
 
+def test_model_values_copy_and_pickle_to_equal_values():
+    problem, certificate = load_fixture("cert0")
+    verdict = Verdict.invalid("Der(5)", "sol-domination", "boom")
+    for value in (problem, certificate, *certificate.der, verdict):
+        for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value)
+            assert clone == value
+
+
+def test_replace_keeps_every_check():
+    """`_replace` builds through `__new__`: a copy passes the same checks
+    as a new value, and a copied row is reduced again."""
+    problem, certificate = load_fixture("cert0")
+    by_reason = {d.reason: d for d in certificate.der}
+    with pytest.raises(ValueError):
+        by_reason[Reason.ASM]._replace(data=Row(1, {1: 1}))
+    with pytest.raises(ValueError):
+        by_reason[Reason.LIN]._replace(data=Unsplit(1, 2, 3, 4))
+    with pytest.raises(ValueError):
+        by_reason[Reason.UNS]._replace(data=None)
+    with pytest.raises(ValueError):
+        by_reason[Reason.UNS]._replace(reason=Reason.RND)
+    with pytest.raises(ValueError):
+        Verdict.invalid("Final", "der-final", "boom")._replace(location=None)
+    with pytest.raises(ValueError):
+        Verdict.ok()._replace(valid=False)
+    with pytest.raises(ValueError):
+        problem._replace(objective=objective({problem.n + 1: Rational(1)}))
+    with pytest.raises(ValueError):
+        problem._replace(int_vars=frozenset({0}))
+    with pytest.raises(ValueError):
+        problem._replace(var_names=problem.var_names[1:])
+    with pytest.raises(ValueError):
+        Constraint("c", Sign.GEQ, 1, {}, 1)._replace(name="")
+    assert Constraint("c", Sign.GEQ, 1, {1: 2}, 4)._replace(scale=6) == Constraint(
+        "c", Sign.GEQ, 3, {1: 1}, 2
+    )
+    assert Row(1, {1: 3, 2: 0})._replace(scale=6) == Row(2, {1: 1})
+    valid = by_reason[Reason.UNS]
+    assert valid._replace(legacy_index=7) == (*valid[:3], 7)
+
+
 def test_constraint_requires_name():
     with pytest.raises(ValueError):
         Constraint("", Sign.GEQ, 1, {}, 1)

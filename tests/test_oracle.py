@@ -77,3 +77,5 @@ def test_enumeration_limit():
 def test_box_bounds_must_be_ordered():
     with pytest.raises(ValueError):
         BoxBounds({1: 2}, {1: 1})
+    with pytest.raises(ValueError):
+        BoxBounds.uniform(1, 0, 1)._replace(upper={1: -1})

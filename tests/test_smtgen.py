@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -180,6 +182,50 @@ def test_dispatch_spawn_error(tmp_path):
     files = _emit_fixture("forged2", tmp_path / "s")
     with pytest.raises(SolverSpawnError):
         dispatch(files, "/nonexistent/solver {}", jobs=1)
+
+
+def test_two_workers_raise_the_spawn_error_once_both_stopped(tmp_path):
+    files = _emit_fixture("forged1", tmp_path / "s", block_size=1)
+    before = threading.active_count()
+    with pytest.raises(SolverSpawnError):
+        dispatch(files, "/nonexistent/solver {}", jobs=2)
+    assert threading.active_count() == before
+    with pytest.raises(ValueError):  # shlex: no closing quotation
+        dispatch(files, "'/nonexistent/solver {}", jobs=2)
+    with pytest.raises(ValueError):
+        dispatch(files, SOLVER_COMMAND, jobs=0)
+    assert threading.active_count() == before
+
+
+def test_many_workers_run_every_file_once_in_order(tmp_path):
+    """More workers than cores, switching threads as often as the
+    interpreter allows: a lost update of the shared index iterator would
+    run a file twice or never."""
+    log = tmp_path / "ran.log"
+    paths = []
+    for i in range(40):
+        paths.append(tmp_path / f"f{i:02d}.smt2")
+        paths[-1].write_text("(check-sat)\n")
+    solver = f"sh -c 'echo \"$0\" >> {log}; echo sat' {{}}"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = dispatch(paths, solver, jobs=8, timeout_s=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(o.path, o.status) for o in result.outcomes] == [(p, "sat") for p in paths]
+    assert sorted(log.read_text().split()) == [str(p) for p in paths]
+
+
+def test_two_workers_cancel_what_follows_an_unsat_first_block(tmp_path):
+    # forged1's one derivation fails, so its block is unsat; the final
+    # file may start beside it and is still reported cancelled
+    files = _emit_fixture("forged1", tmp_path / "b", workers=2)
+    assert [f.kind for f in files] == ["sol", "block", "final"]
+    for _ in range(3):
+        result = dispatch(files, SOLVER_COMMAND, jobs=2, timeout_s=120)
+        assert [o.status for o in result.outcomes] == ["sat", "unsat", "cancelled"]
+        assert result.aggregate is Aggregate.INVALID
 
 
 def test_dispatch_timeout_is_never_valid(tmp_path):
