@@ -351,5 +351,8 @@ def check_certificate(problem: Problem, certificate: Certificate) -> Verdict:
 
 def default_jobs() -> int:
     """Default `--jobs`: the block count of `emit` and the solver
-    concurrency of `verify`."""
+    concurrency of `verify`.  The CPUs this process may run on, as
+    `nproc` counts them, where the platform says; else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shlex
 import sys
 import time
 from typing import Optional
@@ -25,7 +24,8 @@ from .checker import (
 from .parser import ParseError, parse_certificate
 
 # `smtgen` (with `subprocess`) and `tempfile` are imported where `emit`
-# and `verify` use them, so `check` does not load them.
+# and `verify` use them, so `check` does not load them; `smtgen` also
+# holds the bundled evaluator's command, which it runs as workers.
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -40,7 +40,9 @@ def default_solver_command() -> str:
     configured = os.environ.get(SOLVER_ENV_VAR)
     if configured:
         return configured
-    return f"{shlex.quote(sys.executable)} -m viprcert.smteval {{}}"
+    from .smtgen import bundled_solver_command
+
+    return bundled_solver_command()
 
 
 def cmd_check(args: argparse.Namespace, data: bytes) -> int:

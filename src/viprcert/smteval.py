@@ -17,10 +17,22 @@ Usage: viprcert-smteval FILE  (or `python -m viprcert.smteval FILE`).
 Prints one answer per `(check-sat)` and exits 0; a rejected script
 prints nothing on stdout and one `(error "...")` line on stderr, and
 exits 1; an unreadable FILE exits 2.
+
+Usage: viprcert-smteval --serve  (or `python -m viprcert.smteval --serve`).
+Evaluates many files in one process, as `viprcert.smtgen.dispatch` runs
+the bundled evaluator: each stdin line is a path as a JSON string, and
+each answer is one stdout line, the JSON list `[status, stdout, stderr]`
+of what `viprcert-smteval PATH` would exit with and print.  Each file is
+read afresh, so nothing carries from one file to the next.  While
+serving, the process writes nothing else on stdout and nothing on
+stderr; it exits 0 at the end of stdin, and exits 2 with one
+`(error "...")` line on stderr at a line that is not a JSON string.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import operator
 import sys
@@ -218,23 +230,49 @@ def run_script(text: str, out=sys.stdout) -> bool:
     return all(answers)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: viprcert-smteval FILE", file=sys.stderr)
-        return 2
+def evaluate_file(path: str, out, err) -> int:
+    """Evaluate the script at `path`, printing its answers on `out` and
+    an error on `err`; the exit status of `viprcert-smteval path`."""
     try:
-        with open(args[0], encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"(error \"cannot read {args[0]}: {exc}\")", file=sys.stderr)
+        print(f"(error \"cannot read {path}: {exc}\")", file=err)
         return 2
     try:
-        run_script(text)
+        run_script(text, out)
     except EvalError as exc:
-        print(f"(error \"{exc}\")", file=sys.stderr)
+        print(f"(error \"{exc}\")", file=err)
         return 1
     return 0
+
+
+def serve() -> int:
+    """Answer each stdin line, a path as a JSON string, with one stdout
+    line `[status, stdout, stderr]`: what `evaluate_file` returns and prints."""
+    for line in sys.stdin:
+        try:
+            path = json.loads(line)
+        except ValueError:
+            path = None
+        if not isinstance(path, str):
+            print(f"(error \"not a JSON string: {line.strip()[:100]}\")", file=sys.stderr)
+            return 2
+        out, err = io.StringIO(), io.StringIO()
+        status = evaluate_file(path, out, err)
+        sys.stdout.write(json.dumps([status, out.getvalue(), err.getvalue()]) + "\n")
+        sys.stdout.flush()
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args == ["--serve"]:
+        return serve()
+    if len(args) != 1:
+        print("usage: viprcert-smteval FILE | viprcert-smteval --serve", file=sys.stderr)
+        return 2
+    return evaluate_file(args[0], sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -22,10 +22,15 @@ therefore exactly the whole-certificate verdict.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import select
 import shlex
 import subprocess
+import sys
 import threading
+import time
 from collections import namedtuple
 from enum import Enum
 from functools import partial
@@ -472,6 +477,115 @@ def _parse_solver_output(stdout: str) -> Optional[str]:
     return None
 
 
+def _outcome(path: Path, returncode: int, stdout: str, stderr: str) -> FileOutcome:
+    """What a solver's exit status and output make of the file at `path`."""
+    if returncode != 0:
+        output = stderr.strip() or stdout.strip()
+        detail = f"exit {returncode}" + (f": {output}" if output else "")
+        return FileOutcome(path, "error", detail[:500])
+    answer = _parse_solver_output(stdout)
+    if answer in ("sat", "unsat"):
+        return FileOutcome(path, answer)
+    detail = answer or (stderr.strip() or stdout.strip() or "no output")
+    return FileOutcome(path, "error", detail[:500])
+
+
+def _timed_out(path: Path, timeout_s: float) -> FileOutcome:
+    return FileOutcome(path, "timeout", f"no answer within {timeout_s}s")
+
+
+def _spawn_error(argv: list[str], exc: OSError) -> SolverSpawnError:
+    return SolverSpawnError(f"cannot start solver {argv[0]!r}: {exc}")
+
+
+def _run_once(argv: list[str], path: Path, timeout_s: float) -> FileOutcome:
+    """Start the solver command on the one file at `path`."""
+    try:
+        process = subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
+    except OSError as exc:
+        raise _spawn_error(argv, exc) from exc
+    except subprocess.TimeoutExpired:
+        return _timed_out(path, timeout_s)
+    return _outcome(path, process.returncode, process.stdout, process.stderr)
+
+
+def bundled_solver_command() -> str:
+    """The bundled evaluator, `viprcert.smteval`, as a solver command.
+    `dispatch` runs this command as one `--serve` worker per thread
+    instead of once per file."""
+    return f"{shlex.quote(sys.executable)} -m viprcert.smteval {{}}"
+
+
+class _Worker:
+    """A dispatch thread's bundled evaluator: one `smteval --serve`
+    process, started at the first file it is asked about, that answers
+    every file the thread takes (see `viprcert.smteval`).  A worker that
+    times out, exits or answers outside the protocol is stopped, and the
+    next file starts a new one.  Its stderr is read only as it stops."""
+
+    def __init__(self, argv: list[str]) -> None:
+        self.argv = argv
+        self.process: Optional[subprocess.Popen] = None
+
+    def ask(self, path: Path, timeout_s: float) -> FileOutcome:
+        if self.process is None:
+            pipe = subprocess.PIPE
+            try:
+                self.process = subprocess.Popen(self.argv, stdin=pipe, stdout=pipe, stderr=pipe)
+            except OSError as exc:
+                raise _spawn_error(self.argv, exc) from exc
+        deadline = time.monotonic() + timeout_s  # the first file's includes the start
+        try:
+            self.process.stdin.write(json.dumps(str(path)).encode() + b"\n")
+            self.process.stdin.flush()
+        except BrokenPipeError:  # it has exited: the empty answer below says how
+            pass
+        line = self._read_line(deadline)
+        if line is None:
+            self.stop(kill=True)
+            return _timed_out(path, timeout_s)
+        if not line.endswith(b"\n"):  # it exited without an answer
+            returncode, stderr = self.stop()
+            return _outcome(path, returncode, "", stderr)
+        try:
+            answer = json.loads(line)
+            returncode, stdout, stderr = answer
+            if list(map(type, answer)) != [int, str, str]:
+                raise TypeError
+        except (ValueError, TypeError):
+            self.stop(kill=True)
+            return FileOutcome(path, "error", f"malformed worker answer: {line[:400]!r}")
+        return _outcome(path, returncode, stdout, stderr)
+
+    def _read_line(self, deadline: float) -> Optional[bytes]:
+        """The worker's stdout up to and including its next newline, or up
+        to its end; None if `deadline` passes first."""
+        fd = self.process.stdout.fileno()
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        line = b""
+        while not line.endswith(b"\n"):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not poller.poll(math.ceil(remaining * 1000)):
+                return None
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                break
+            line += chunk
+        return line
+
+    def stop(self, kill: bool = False) -> tuple[int, str]:
+        """End the worker, at once if `kill` and otherwise by closing its
+        stdin, and wait for it: its exit status and stderr."""
+        process, self.process = self.process, None
+        if process is None:
+            return 0, ""
+        if kill:
+            process.kill()
+        _, stderr = process.communicate()
+        return process.returncode, stderr.decode(errors="replace")
+
+
 def dispatch(
     files: Sequence[Union[Path, EmittedFile]],
     solver_command: str,
@@ -480,6 +594,12 @@ def dispatch(
 ) -> DispatchResult:
     """Run the solver over every file, `jobs` at a time: up to `jobs`
     threads take the files' indices in order from one iterator.
+
+    Any solver command is started once per file, except the bundled
+    evaluator's own (`bundled_solver_command`): each thread runs that one
+    as a `--serve` worker that answers every file the thread takes, so a
+    run starts `min(jobs, files)` evaluators (and one more after each
+    worker that failed).  Both give each file the same outcome.
 
     Files start in order, and a file is not started once an earlier one
     came back unsat.  Every file after the first unsat one is reported
@@ -490,38 +610,29 @@ def dispatch(
     refuses, or `jobs` < 1, raises ValueError before any file starts.  A
     solver that cannot be started raises SolverSpawnError: no further
     file starts, and the error of the earliest such file is raised once
-    every thread has stopped.
+    every thread, and every worker, has stopped.
     """
     check_timeout(timeout_s)
     if jobs < 1:
         raise ValueError("jobs must be positive")
     paths = [f.path if isinstance(f, EmittedFile) else Path(f) for f in files]
     unsat_at: list[int] = []  # indices of the files that came back unsat
+    # `select.poll` waits on a worker's pipe; where it is missing, every file
+    # gets its own process
+    serve = solver_command == bundled_solver_command() and hasattr(select, "poll")
+    worker_argv = _solver_argv(solver_command, "--serve") if serve else None
 
-    def run_one(index: int) -> FileOutcome:
+    def run_one(index: int, worker: Optional[_Worker]) -> FileOutcome:
         path = paths[index]
         if any(i < index for i in unsat_at):
             return FileOutcome(path, "cancelled", _CANCELLED)
-        argv = _solver_argv(solver_command, path)
-        try:
-            process = subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
-        except OSError as exc:
-            raise SolverSpawnError(f"cannot start solver {argv[0]!r}: {exc}") from exc
-        except subprocess.TimeoutExpired:
-            return FileOutcome(path, "timeout", f"no answer within {timeout_s}s")
-        stdout, stderr = process.stdout, process.stderr
-        if process.returncode != 0:
-            output = stderr.strip() or stdout.strip()
-            detail = f"exit {process.returncode}" + (f": {output}" if output else "")
-            return FileOutcome(path, "error", detail[:500])
-        answer = _parse_solver_output(stdout)
-        if answer == "sat":
-            return FileOutcome(path, "sat")
-        if answer == "unsat":
+        if worker is not None:
+            outcome = worker.ask(path, timeout_s)
+        else:
+            outcome = _run_once(_solver_argv(solver_command, path), path, timeout_s)
+        if outcome.status == "unsat":
             unsat_at.append(index)
-            return FileOutcome(path, "unsat")
-        detail = answer or (stderr.strip() or stdout.strip() or "no output")
-        return FileOutcome(path, "error", detail[:500])
+        return outcome
 
     outcomes: list[Optional[FileOutcome]] = [None] * len(paths)
     raised: dict[int, Exception] = {}  # file index -> what running it raised
@@ -529,15 +640,20 @@ def dispatch(
     lock = threading.Lock()
 
     def work() -> None:
-        while not raised:  # once a file raised, start no further file
-            with lock:
-                index = next(indices, None)
-            if index is None:
-                return
-            try:
-                outcomes[index] = run_one(index)
-            except Exception as exc:  # re-raised below, once every worker stopped
-                raised[index] = exc
+        worker = _Worker(worker_argv) if serve else None
+        try:
+            while not raised:  # once a file raised, start no further file
+                with lock:
+                    index = next(indices, None)
+                if index is None:
+                    return
+                try:
+                    outcomes[index] = run_one(index, worker)
+                except Exception as exc:  # re-raised below, once every thread stopped
+                    raised[index] = exc
+        finally:
+            if worker is not None:
+                worker.stop()
 
     workers = [threading.Thread(target=work) for _ in range(min(jobs, len(paths)))]
     for worker in workers:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from assumptions import assumption_set_at
@@ -12,6 +16,7 @@ from viprcert.checker import (
     check_certificate,
     check_certificate_report,
     compute_assumption_sets,
+    default_jobs,
     der_violation,
     der_violations,
     final_violation,
@@ -409,3 +414,23 @@ def test_sol_reasoning_with_empty_solution_list_fails_naturally():
     certificate = Certificate(Rtp.make_range(None, None), (), der)
     verdict = check_certificate(problem, certificate)
     assert not verdict.valid and verdict.predicate_id == "sol-domination"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_default_jobs_counts_the_cpus_this_process_may_run_on():
+    probe = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from viprcert.checker import default_jobs; print(default_jobs())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "1"
+
+
+def test_default_jobs_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert default_jobs() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_jobs() == 1

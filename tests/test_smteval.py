@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import io
+import json
+import random
 import re
 import subprocess
 import sys
@@ -8,11 +10,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SOLVER_COMMAND
+from conftest import CORPUS, SOLVER_COMMAND, load_fixture
 
 from viprcert.rational import Rational
 from viprcert.smteval import MAX_DEPTH, EvalError, _Reader, _tokens, main, run_script
-from viprcert.smtgen import dispatch
+from viprcert.checker import compute_assumption_sets
+from viprcert.smtgen import EmissionPlan, dispatch, emit
 
 
 def evaluate(text: str):
@@ -208,7 +211,7 @@ def test_deep_nesting_is_an_eval_error(tmp_path, capsys):
     assert code == 1 and err.startswith('(error "') and err.count("\n") == 1
 
 
-def test_solver_child_loads_only_the_evaluator():
+def test_solver_child_loads_only_the_evaluator(tmp_path):
     heavy = ["parser", "checker", "smtgen", "model", "algebra", "oracle"]
     probe = (
         "import sys, viprcert.smteval; "
@@ -218,6 +221,20 @@ def test_solver_child_loads_only_the_evaluator():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+    # a `--serve` worker, as `dispatch` starts it, after answering a file
+    script = tmp_path / "script.smt2"
+    script.write_text("(set-logic ALL)\n(assert (< 1 2))\n(check-sat)\n")
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "viprcert.smteval", "--serve"],
+        input=json.dumps(str(script)) + "\n",
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == [0, "sat\n", ""]
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert "viprcert.rational" in imported  # `-m` runs smteval itself as `__main__`
+    assert [m for m in heavy if "viprcert." + m in imported] == []
 
 
 def test_let_binds_names_in_its_body():
@@ -339,3 +356,62 @@ def test_split_tokens_match_the_regex_tokens(text):
 def test_split_and_regex_agree_on_every_code_point():
     text = "x".join(map(chr, range(0x110000)))
     assert _tokens(text) == regex_tokens(text)
+
+
+# --- the `--serve` worker --------------------------------------------------------
+
+
+def _serve(paths) -> list:
+    """One `--serve` worker's answers to `paths`, all sent to it at once."""
+    result = subprocess.run(
+        [sys.executable, "-m", "viprcert.smteval", "--serve"],
+        input="".join(json.dumps(str(path)) + "\n" for path in paths),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    return [json.loads(line) for line in result.stdout.splitlines()]
+
+
+def test_a_worker_answers_every_file_as_the_command_does(tmp_path, capsys):
+    paths = []
+    for name in CORPUS:
+        problem, certificate = load_fixture(name)
+        plan = EmissionPlan.create(problem, certificate, block_size=1)
+        asets = compute_assumption_sets(problem, certificate)
+        paths += [f.path for f in emit(problem, certificate, asets, plan, tmp_path / name)]
+    scripts = [f"(set-logic ALL)\n{command}\n(check-sat)\n" for command in DROPPED_LANGUAGE.values()]
+    scripts += [f"(set-logic ALL)\n(assert {term})\n(check-sat)\n" for term in LET_FAIL_CLOSED.values()]
+    for i, script in enumerate(scripts):
+        paths.append(tmp_path / f"rejected{i}.smt2")
+        paths[-1].write_text(script)
+    paths.append(tmp_path / "undecodable.smt2")
+    paths[-1].write_bytes(b"(assert (= 1 1))\xff\n(check-sat)\n")
+    paths += [tmp_path / "missing.smt2", tmp_path]  # no such file; a directory
+    random.Random(15).shuffle(paths)
+    answers = _serve(paths)
+    assert len(answers) == len(paths)
+    statuses = set()
+    for path, answer in zip(paths, answers):
+        status = main([str(path)])
+        captured = capsys.readouterr()
+        assert answer == [status, captured.out, captured.err], path
+        statuses.add(status)
+    assert statuses == {0, 1, 2}
+
+
+def test_a_worker_stops_at_a_line_that_is_not_a_path(tmp_path):
+    script = tmp_path / "script.smt2"
+    script.write_text("(assert true)(check-sat)")
+    for bad in ("not json", "7", '["a.smt2"]'):
+        result = subprocess.run(
+            [sys.executable, "-m", "viprcert.smteval", "--serve"],
+            input=f"{json.dumps(str(script))}\n{bad}\n{json.dumps(str(script))}\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert [json.loads(line) for line in result.stdout.splitlines()] == [[0, "sat\n", ""]]
+        assert result.stderr.startswith('(error "not a JSON string')

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -16,6 +19,8 @@ from viprcert.smtgen import (
     Aggregate,
     EmissionPlan,
     SolverSpawnError,
+    _Worker,
+    bundled_solver_command,
     der_constraint_expr,
     dispatch,
     emit,
@@ -280,6 +285,138 @@ def test_solver_command_placeholder_and_append(tmp_path):
     assert [o.status for o in with_placeholder.outcomes] == [
         o.status for o in appended.outcomes
     ]
+
+
+# --- the bundled evaluator as one worker per thread ------------------------------
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started through `subprocess.Popen` during the test."""
+    processes = []
+    real = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        process = real(*args, **kwargs)
+        processes.append(process)
+        return process
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return processes
+
+
+def _scripts(directory, asserted):
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i, term in enumerate(asserted):
+        paths.append(directory / f"f{i:02d}.smt2")
+        paths[-1].write_text(f"(set-logic ALL)\n(assert {term})\n(check-sat)\n")
+    return paths
+
+
+def _statuses(result):
+    return [o.status for o in result.outcomes]
+
+
+def _all_stopped(processes):
+    return all(p.returncode is not None and p.stdout.closed for p in processes)
+
+
+def test_the_bundled_command_is_the_default_one(monkeypatch):
+    from viprcert.cli import default_solver_command
+
+    monkeypatch.delenv("VIPRCERT_SOLVER", raising=False)
+    assert default_solver_command() == bundled_solver_command() == SOLVER_COMMAND
+
+
+def test_each_thread_starts_one_worker(tmp_path, started):
+    paths = _scripts(tmp_path, ["true", "(< 1 2)", "(= 2 (+ 1 1))"])
+    result = dispatch(paths, SOLVER_COMMAND, jobs=8, timeout_s=120)
+    assert _statuses(result) == ["sat"] * 3
+    assert 1 <= len(started) <= 3
+    assert all(p.args[-1] == "--serve" for p in started)
+    assert _all_stopped(started)
+
+
+def test_workers_answer_as_one_process_per_file_does(tmp_path, started):
+    for name in CORPUS:
+        files = _emit_fixture(name, tmp_path / name, block_size=1)
+        for jobs in (1, 2):
+            del started[:]
+            served = dispatch(files, SOLVER_COMMAND, jobs=jobs, timeout_s=120)
+            workers = len(started)
+            assert workers <= jobs and _all_stopped(started)
+            once = dispatch(files, SOLVER_COMMAND.replace(" {}", ""), jobs=jobs, timeout_s=120)
+            ran = sum(o.status != "cancelled" for o in once.outcomes)
+            assert len(started) - workers >= ran  # one process per file
+            assert served == once, name
+
+
+def test_a_worker_reads_paths_with_newlines_and_spaces(tmp_path):
+    odd = _scripts(tmp_path / "a b\nc", ["true", "false"])
+    odd = [p.rename(p.with_name(f"x \n{p.name}")) for p in odd]
+    result = dispatch(odd, SOLVER_COMMAND, jobs=1, timeout_s=120)
+    assert result.outcomes == ((odd[0], "sat", ""), (odd[1], "unsat", ""))
+
+
+def test_a_worker_that_times_out_is_replaced(tmp_path, started):
+    hang = tmp_path / "hang.smt2"
+    os.mkfifo(hang)  # opening it for reading blocks: no writer ever comes
+    paths = [hang, *_scripts(tmp_path / "s", ["true"])]
+    result = dispatch(paths, SOLVER_COMMAND, jobs=1, timeout_s=2)
+    assert _statuses(result) == ["timeout", "sat"]
+    assert len(started) == 2 and _all_stopped(started)
+
+
+def test_a_worker_that_is_killed_is_replaced(tmp_path, started):
+    hang = tmp_path / "hang.smt2"
+    os.mkfifo(hang)
+    paths = [hang, *_scripts(tmp_path / "s", ["true", "false"])]
+
+    def kill_the_first_worker():
+        deadline = time.monotonic() + 60
+        while not started and time.monotonic() < deadline:
+            time.sleep(0.01)
+        started[0].kill()
+
+    killer = threading.Thread(target=kill_the_first_worker)
+    killer.start()
+    result = dispatch(paths, SOLVER_COMMAND, jobs=1, timeout_s=60)
+    killer.join()
+    assert _statuses(result) == ["error", "sat", "unsat"]
+    assert result.outcomes[0].detail == "exit -9"
+    assert len(started) == 2 and _all_stopped(started)
+
+
+def test_a_worker_that_answers_outside_the_protocol_is_stopped(tmp_path, started):
+    liar = "import sys; sys.stdin.readline(); print('sat', flush=True); sys.stdin.readline()"
+    worker = _Worker([sys.executable, "-c", liar])
+    outcome = worker.ask(tmp_path / "f.smt2", 60)
+    assert outcome.status == "error" and outcome.detail.startswith("malformed worker answer")
+    assert worker.process is None and _all_stopped(started)
+
+
+@pytest.mark.parametrize("fixture", ["cert0", "forged1"])  # valid; an unsat block
+def test_no_worker_outlives_dispatch(fixture, tmp_path, started):
+    files = _emit_fixture(fixture, tmp_path, block_size=1)
+    result = dispatch(files, SOLVER_COMMAND, jobs=2, timeout_s=120)
+    assert result.aggregate is (Aggregate.VALID if fixture == "cert0" else Aggregate.INVALID)
+    assert started and _all_stopped(started)
+
+
+def test_no_worker_outlives_a_spawn_error(tmp_path, started, monkeypatch):
+    popen, calls = subprocess.Popen, iter(range(6))
+
+    def fail_after_the_first(*args, **kwargs):
+        if next(calls):
+            raise OSError("no more processes")
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", fail_after_the_first)
+    paths = _scripts(tmp_path, ["true"] * 6)
+    with pytest.raises(SolverSpawnError, match="no more processes"):
+        dispatch(paths, SOLVER_COMMAND, jobs=2, timeout_s=120)
+    assert len(started) == 1 and _all_stopped(started)
 
 
 def _evaluated_aggregate(files) -> bool:
