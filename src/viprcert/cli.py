@@ -149,7 +149,9 @@ def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
 
     from .smtgen import Aggregate, SolverSpawnError, dispatch
 
+    started = time.perf_counter()
     problem, certificate = parse_certificate(data)
+    parse_seconds = time.perf_counter() - started
     solver = args.solver or default_solver_command()
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="viprcert-") as scratch:
@@ -173,7 +175,7 @@ def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
                     for f, o in reports
                 ],
                 "bytes": _total_bytes(files),
-                "timings": {"verify_s": elapsed},
+                "timings": {"parse_s": parse_seconds, "verify_s": elapsed},
             }
             print(json.dumps(payload))
         else:

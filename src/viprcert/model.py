@@ -80,8 +80,10 @@ def dot(terms: Mapping[int, int], coords: Mapping[int, int]) -> int:
 def _least_row(
     scale: int, terms: dict[int, int], bound: int = 0
 ) -> tuple[int, dict[int, int], int]:
-    """A row with scale > 0 over its least scale: divided by the gcd of
-    its integers."""
+    """A row with scale > 0 with no zero entry, over its least scale:
+    divided by the gcd of its integers."""
+    if 0 in terms.values():
+        terms = {j: a for j, a in terms.items() if a}
     g = math.gcd(scale, bound, *terms.values())
     if g > 1:
         scale, bound = scale // g, bound // g
@@ -104,7 +106,7 @@ class CheckedTuple:
 class Constraint(CheckedTuple, namedtuple("Constraint", "name sign scale terms bound")):
     """A named constraint, stored as its sign and its integer row
     `sum_j (terms[j] / scale) x_j ~ bound / scale`.  Built from any row
-    with scale > 0 and no zero coefficient, it keeps the row over the
+    with scale > 0, it drops zero coefficients and keeps the row over the
     least scale, so equal rows are equal constraints."""
 
     __slots__ = ()
@@ -127,8 +129,6 @@ class Row(CheckedTuple, namedtuple("Row", "scale terms")):
     __slots__ = ()
 
     def __new__(cls, scale: int, terms: dict[int, int]) -> "Row":
-        if 0 in terms.values():
-            terms = {j: a for j, a in terms.items() if a}
         return tuple.__new__(cls, _least_row(scale, terms)[:2])
 
     def value(self, point: "Row") -> Rational:

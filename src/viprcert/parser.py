@@ -11,6 +11,11 @@ constraint body to a `model.Constraint`, the objective, a solution point
 and a multiplier list to a `model.Row`; an `OBJ` body is the row of
 `Row.bound`.  The serializer prints each value `a_j / D` from the row.
 
+A record whose length follows from its counts (the objective, a
+constraint body, a solution point, a derivation) is read from one slice
+of tokens.  Anything unexpected sends it, from its first token, to the
+token-by-token reader, the one place an error is located.
+
 The text is split a chunk of about `CHUNK` characters at a time, so a
 parse holds a bounded window of tokens, never those of the whole file;
 a token's position is its global index in `text.split()`.
@@ -22,7 +27,7 @@ import gc
 import math
 import re
 from enum import Enum
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .model import (
     Certificate,
@@ -36,6 +41,7 @@ from .model import (
     Sign,
     SolutionPoint,
     Unsplit,
+    _SIGN_BY_LETTER,
 )
 from .rational import (
     DecimalNotationError,
@@ -79,12 +85,7 @@ _TOKEN_RE = re.compile(r"\S+")
 CHUNK = 1 << 16
 _SPACE = re.compile(r"\s")
 
-# valid `p` and `p/q` values joined by single spaces: `\d` is exactly the
-# Unicode Nd digits `str.isdecimal` accepts, and a denominator needs an
-# ASCII digit 1-9, so it is not zero; any other value is checked by
-# `parse_rational`
-_VALUE = r"[+-]?\d+(?:/[+-]?\d*[1-9]\d*)?"
-_VALUES = re.compile(f"{_VALUE}(?: {_VALUE})*")
+_REASONS = {reason.value: reason for reason in Reason}
 
 
 def _token_position(text: str, index: int) -> tuple[int, int]:
@@ -104,15 +105,45 @@ def _token_position(text: str, index: int) -> tuple[int, int]:
     raise IndexError(f"token {index} outside the text's {seen} tokens")
 
 
-def _ratios(values: list[str]) -> tuple[int, list[int]]:
-    """Valid `p` or `p/q` values over their least common denominator D:
-    (D, [p * D / q, ...])."""
-    if "/" not in "".join(values):
-        return 1, list(map(int, values))
-    parts = [value.partition("/") for value in values]
-    denominators = [int(q) if q else 1 for _, _, q in parts]
+def _ratios(values: list[str]) -> Optional[tuple[int, list[int]]]:
+    """`p` and `p/q` values over their least common denominator D:
+    (D, [p * D / q, ...]), or None unless all are valid.  `int` reads
+    what `is_integer_literal` accepts, a sign and Unicode decimal digits,
+    and also `_` between digits: so values with no `_` that `int` reads,
+    with no zero `q`, are valid."""
+    joined = " ".join(values)
+    if "_" in joined:
+        return None
+    try:
+        if "/" not in joined:
+            return 1, list(map(int, values))
+        numerators, denominators = [], []
+        for value in values:
+            p, slash, q = value.partition("/")
+            numerators.append(int(p))
+            denominators.append(int(q) if slash else 1)
+    except ValueError:  # an empty `p` or `q` too
+        return None
+    if 0 in denominators:
+        return None
     scale = math.lcm(*denominators)  # positive; exact for a negative q too
-    return scale, [int(p) * (scale // q) for (p, _, _), q in zip(parts, denominators)]
+    return scale, [p * (scale // q) for p, q in zip(numerators, denominators)]
+
+
+def _keyed(indices: list[str], numbers: list[int], keys: dict[str, int]) -> Optional[dict]:
+    """`{keys[i]: a}` over indices and numbers in order, or None on a repeat or a non-key."""
+    try:
+        terms = dict(zip(map(keys.__getitem__, indices), numbers))
+    except KeyError:
+        return None
+    return terms if len(terms) == len(indices) else None
+
+
+def _row(record: list[str], start: int, end: int, keys: dict[str, int]) -> Optional[Row]:
+    """`record[start:end]`, a list `t (i v)^t`, or None."""
+    ratios = _ratios(record[start + 2 : end : 2])
+    terms = ratios and _keyed(record[start + 1 : end : 2], ratios[1], keys)
+    return None if terms is None else Row(ratios[0], terms)
 
 
 class _Parser:
@@ -124,6 +155,10 @@ class _Parser:
         self.text = text
         self.tokens: list[str] = []
         self.base = self.pos = self.offset = 0
+        # each 0-based index text a record may hold, to its 1-based index:
+        # every variable, and each constraint before the derivation read
+        self.variables: dict[str, int] = {}
+        self.earlier: dict[str, int] = {}
 
     # --- token-level primitives -------------------------------------------
 
@@ -146,9 +181,12 @@ class _Parser:
         line, column = _token_position(self.text, self.pos - 1 if index is None else index)
         return ParseError(line, column, kind, message)
 
-    def peek(self) -> Optional[str]:
-        self._fill(1)
-        i = self.pos - self.base
+    def peek(self, offset: int = 0) -> Optional[str]:
+        """The token `offset` places past `pos`, or None past the end."""
+        i = self.pos - self.base + offset
+        if i >= len(self.tokens):
+            self._fill(offset + 1)
+            i = self.pos - self.base + offset
         return self.tokens[i] if i < len(self.tokens) else None
 
     def next(self, context: str, kind: ParseErrorKind = ParseErrorKind.UNEXPECTED_TOKEN) -> str:
@@ -167,9 +205,6 @@ class _Parser:
         text = self.next(f"{expected!r}", kind)
         if text != expected:
             raise self.error(kind, f"expected {expected!r}, found {text!r}")
-
-    def name(self, context: str) -> str:
-        return self.next(context)
 
     def integer(self, context: str, kind: ParseErrorKind) -> int:
         text = self.next(context, kind)
@@ -203,33 +238,13 @@ class _Parser:
 
     def sense_letter(self, context: str) -> Sign:
         text = self.next(context, ParseErrorKind.UNKNOWN_SENSE)
-        try:
-            return Sign.from_letter(text)
-        except ValueError:
-            raise self.error(
-                ParseErrorKind.UNKNOWN_SENSE, f"expected E, G or L, found {text!r}"
-            ) from None
+        if text not in _SIGN_BY_LETTER:
+            raise self.error(ParseErrorKind.UNKNOWN_SENSE, f"expected E, G or L, found {text!r}")
+        return _SIGN_BY_LETTER[text]
 
-    def pairs(
-        self, count: int, limit: int, what: str, index_kind: str, value_kind: str
-    ) -> tuple[list[int], list[str]]:
-        """`count` pairs `i v`: a 0-based index below `limit`, returned
-        1-based and at most once, and the token of a valid rational value.
-        Distinct indices below `limit` number at most `limit`, so a longer
-        count goes token by token without filling the window for it."""
-        self._fill(2 * min(count, limit))
-        start = self.pos - self.base
-        end = start + 2 * count
-        indices = self.tokens[start:end:2]
-        values = self.tokens[start + 1 : end : 2]
-        if len(values) == count and all(map(str.isdecimal, indices)):
-            keys = list(map((1).__add__, map(int, indices)))
-            distinct = not count or (max(keys) <= limit and len(set(keys)) == count)
-            if distinct and _VALUES.fullmatch(" ".join(values)):
-                self.pos += 2 * count
-                return keys, values
-        # anything else (a signed index, say) goes token by token and
-        # raises the located error, if there is one
+    def row(self, count: int, limit: int, what: str, index_kind: str, value_kind: str) -> Row:
+        """`count` pairs `i v`, token by token, as a row: a 0-based index
+        below `limit`, at most once, and a rational value."""
         checked: dict[int, str] = {}
         for _ in range(count):
             i = self.shifted_index(limit, f"{what} {index_kind} index")
@@ -239,13 +254,82 @@ class _Parser:
                 )
             checked[i] = self.next(f"{what} {value_kind}")
             self.rational_value(checked[i])
-        return list(checked), list(checked.values())
+        scale, numbers = _ratios(list(checked.values()))
+        return Row(scale, dict(zip(checked, numbers)))
 
-    def row(self, count: int, limit: int, what: str, index_kind: str, value_kind: str) -> Row:
-        """`pairs` read as an integer row."""
-        keys, values = self.pairs(count, limit, what, index_kind, value_kind)
-        scale, numbers = _ratios(values)
-        return Row(scale, dict(zip(keys, numbers)))
+    # --- whole records, each read from one slice, or None -------------------
+
+    def _span(self, offset: int, keys: dict[str, int]) -> int:
+        """`offset` plus the tokens of the list `t (i v)^t` there, or 0 unless
+        `t` is decimal and at most `len(keys)`, so a larger one fills nothing."""
+        count = self.peek(offset)
+        t = int(count) if count and count.isdecimal() else -1
+        return offset + 1 + 2 * t if 0 <= t <= len(keys) else 0
+
+    def _take(self, length: int, read: Callable[[list[str]], Any]) -> Any:
+        """`read` of the next `length` > 0 tokens, stepped past, or None."""
+        self._fill(length)
+        start = self.pos - self.base
+        record = self.tokens[start : start + length]
+        value = read(record) if length and len(record) == length else None
+        if value is not None:
+            self.pos += length
+        return value
+
+    def fast_row(self, offset: int) -> Optional[Row]:
+        """The variable list `t (j v)^t` `offset` tokens past `pos`; steps past both."""
+        end = self._span(offset, self.variables)
+        return self._take(end, lambda record: _row(record, offset, end, self.variables))
+
+    def fast_solution_point(self) -> Optional[SolutionPoint]:
+        name, coords = self.peek(), self.fast_row(1)
+        return coords and SolutionPoint(name, coords)
+
+    def _constraint(self, record: list[str], end: int) -> Optional[Constraint]:
+        """`record[:end]`, a body `name sense rhs (OBJ | t (j c)^t)`, or None."""
+        name, letter, rhs = record[:3]
+        sign = _SIGN_BY_LETTER.get(letter)
+        ratios = _ratios(record[5:end:2] + [rhs])
+        if sign is None or ratios is None:
+            return None
+        scale, numbers = ratios
+        if record[3] == "OBJ":
+            return self.objective.bound(name, sign, Rational(numbers[0], scale))
+        terms = _keyed(record[4:end:2], numbers, self.variables)
+        return None if terms is None else Constraint(name, sign, scale, terms, numbers[-1])
+
+    def _body_span(self) -> int:
+        """Tokens of the body `name sense rhs (OBJ | t (j c)^t)`, or 0."""
+        return 4 if self.peek(3) == "OBJ" else self._span(3, self.variables)
+
+    def fast_constraint_body(self) -> Optional[Constraint]:
+        end = self._body_span()
+        return self._take(end, lambda record: self._constraint(record, end))
+
+    def fast_derivation(self) -> Optional[DerivedConstraint]:
+        """`body { reason data } index`."""
+        body = self._body_span()
+        reason = _REASONS.get(self.peek(body + 1)) if body else None
+        end = 0 if reason is None else body + (8 if reason is Reason.UNS else 4)
+        if reason in (Reason.LIN, Reason.RND):
+            end = self._span(body + 2, self.earlier)
+            end = end and end + 2
+        return self._take(end, lambda record: self._derivation(record, body, reason))
+
+    def _derivation(self, record: list[str], body: int, reason: Reason):
+        """`record`, a derivation of valid length, or None."""
+        if record[body] != "{" or record[-2] != "}" or not is_integer_literal(record[-1]):
+            return None
+        data = None
+        if reason is Reason.UNS:
+            data = list(map(self.earlier.get, record[body + 2 : -2]))
+            data = None if None in data else Unsplit(*data)
+        elif reason in (Reason.LIN, Reason.RND):
+            data = _row(record, body + 2, len(record) - 2, self.earlier)
+        constraint = self._constraint(record, body)
+        if constraint is None or (data is None) != (reason in (Reason.ASM, Reason.SOL)):
+            return None
+        return DerivedConstraint(constraint, reason, data, int(record[-1]))
 
     # --- sections ----------------------------------------------------------
 
@@ -260,7 +344,8 @@ class _Parser:
 
         self.keyword("VAR")
         n = self.count("variable count")
-        var_names = tuple(self.name("variable name") for _ in range(n))
+        var_names = tuple(self.next("variable name") for _ in range(n))
+        self.variables = {str(j): j + 1 for j in range(n)}
 
         self.keyword("INT")
         int_count = self.count("integer-variable count")
@@ -273,8 +358,9 @@ class _Parser:
                 ParseErrorKind.UNKNOWN_SENSE, f"expected min or max, found {sense_text!r}"
             )
         sense = Sense(sense_text)
-        t = self.count("objective term count")
-        objective = self.row(t, n, "objective", "variable", "coefficient")
+        objective = self.objective = self.fast_row(0) or self.row(
+            self.count("objective term count"), n, "objective", "variable", "coefficient"
+        )
 
         self.keyword("CON")
         m = self.count("constraint count")
@@ -283,18 +369,27 @@ class _Parser:
             raise self.error(
                 ParseErrorKind.BAD_COUNT, f"bound-constraint count {bound_count} outside [0, {m}]"
             )
-        constraints = tuple(self.constraint_body(n, objective, f"constraint {i}") for i in range(m))
+        constraints = tuple(
+            self.fast_constraint_body() or self.constraint_body(n, f"constraint {i}")
+            for i in range(m)
+        )
 
         rtp = self.parse_rtp()
 
         self.keyword("SOL")
         sol_count = self.count("solution count")
-        sol = tuple(self.solution_point(n, i) for i in range(sol_count))
+        sol = tuple(
+            self.fast_solution_point() or self.solution_point(n, i) for i in range(sol_count)
+        )
 
         self.keyword("DER")
         der_count = self.count("derived-constraint count")
         d = m + der_count
-        der = tuple(self.derived_constraint(n, d, objective, i) for i in range(der_count))
+        self.earlier = {str(k): k + 1 for k in range(m)}
+        der = []
+        for i in range(der_count):
+            der.append(self.fast_derivation() or self.derived_constraint(n, d, i))
+            self.earlier[str(m + i)] = m + i + 1
 
         trailing = self.peek()
         if trailing is not None:
@@ -313,28 +408,21 @@ class _Parser:
             constraints=constraints,
             bound_count=bound_count,
         )
-        certificate = Certificate(rtp=rtp, sol=sol, der=der)
+        certificate = Certificate(rtp=rtp, sol=sol, der=tuple(der))
         return problem, certificate
 
-    def constraint_body(self, n: int, objective: Row, what: str) -> Constraint:
+    def constraint_body(self, n: int, what: str) -> Constraint:
         """`name sense rhs` and then `t j_1 c_1 ... j_t c_t` with 0-based
         variable indices, or the single keyword OBJ for the objective's
         coefficients."""
-        name = self.name(f"{what} name")
+        name = self.next(f"{what} name")
         sign = self.sense_letter(f"{what} sense")
-        rhs = self.next(f"{what} right-hand side")
-        if _VALUES.fullmatch(rhs) is None:
-            self.rational_value(rhs)  # raises the located error, if there is one
+        value = self.rational_value(self.next(f"{what} right-hand side"))
         if self.peek() == "OBJ":
             self.pos += 1
-            return objective.bound(name, sign, parse_rational(rhs))
+            return self.objective.bound(name, sign, value)
         t = self.count(f"{what} term count")
-        keys, values = self.pairs(t, n, what, "variable", "coefficient")
-        scale, numbers = _ratios([rhs, *values])
-        terms = dict(zip(keys, numbers[1:]))
-        if 0 in terms.values():
-            terms = {j: a for j, a in terms.items() if a}
-        return Constraint(name, sign, scale, terms, numbers[0])
+        return self.row(t, n, what, "variable", "coefficient").bound(name, sign, value)
 
     def parse_rtp(self) -> Rtp:
         self.keyword("RTP")
@@ -353,36 +441,25 @@ class _Parser:
 
     def solution_point(self, n: int, ordinal: int) -> SolutionPoint:
         what = f"solution {ordinal}"
-        name = self.name(f"{what} name")
+        name = self.next(f"{what} name")
         t = self.count(f"{what} term count")
         return SolutionPoint(name, self.row(t, n, what, "variable", "value"))
 
-    def derived_constraint(
-        self, n: int, d: int, objective: Row, ordinal: int
-    ) -> DerivedConstraint:
+    def derived_constraint(self, n: int, d: int, ordinal: int) -> DerivedConstraint:
         what = f"derivation {ordinal}"
-        constraint = self.constraint_body(n, objective, what)
+        constraint = self.constraint_body(n, what)
         self.keyword("{", ParseErrorKind.UNEXPECTED_TOKEN)
         reason_text = self.next("reason", ParseErrorKind.UNKNOWN_REASON)
-        try:
-            reason = Reason(reason_text)
-        except ValueError:
-            raise self.error(
-                ParseErrorKind.UNKNOWN_REASON, f"unknown reason {reason_text!r}"
-            ) from None
+        reason = _REASONS.get(reason_text)
+        if reason is None:
+            raise self.error(ParseErrorKind.UNKNOWN_REASON, f"unknown reason {reason_text!r}")
 
-        data: Union[None, Row, Unsplit]
-        if reason in (Reason.ASM, Reason.SOL):
-            data = None
-        elif reason in (Reason.LIN, Reason.RND):
+        data: Union[None, Row, Unsplit] = None
+        if reason in (Reason.LIN, Reason.RND):
             c = self.count(f"{what} multiplier count")
             data = self.row(c, d, what, "constraint", "multiplier")
-        else:  # uns: exactly four indices, no weights
-            i1 = self.shifted_index(d, f"{what} unsplit index")
-            l1 = self.shifted_index(d, f"{what} unsplit index")
-            i2 = self.shifted_index(d, f"{what} unsplit index")
-            l2 = self.shifted_index(d, f"{what} unsplit index")
-            data = Unsplit(i1, l1, i2, l2)
+        elif reason is Reason.UNS:  # exactly four indices, no weights
+            data = Unsplit(*(self.shifted_index(d, f"{what} unsplit index") for _ in range(4)))
         self.keyword("}", ParseErrorKind.UNEXPECTED_TOKEN)
         legacy = self.integer(f"{what} index attribute", ParseErrorKind.UNEXPECTED_TOKEN)
         return DerivedConstraint(constraint=constraint, reason=reason, data=data, legacy_index=legacy)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from rows import constraint, lhs, multipliers, objective, point, rhs
 from viprcert.model import (
@@ -34,6 +35,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
 )
 CORPUS = ("cert0", "forged1", "forged2", "manipulated1")
+
+# `--hypothesis-profile=ci` runs five times the examples of every property
+# test that does not set its own count, and prints a failure's reproducer.
+settings.register_profile("ci", max_examples=500, print_blob=True)
 
 # Bundled ground-formula evaluator, used wherever tests need an external
 # SMT-LIB executable.

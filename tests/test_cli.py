@@ -81,7 +81,7 @@ def test_check_json_format(capsys):
     assert payload["location"] == "Der(5)"
     assert payload["predicate_id"] == "sol-domination"
     assert payload["solutions_checked"] == 1
-    assert "timings" in payload and "check_s" in payload["timings"]
+    assert set(payload["timings"]) == {"parse_s", "check_s"}
 
 
 def test_check_diagnose_lists_every_failure(tmp_path, capsys):
@@ -172,6 +172,8 @@ def test_verify_json(capsys):
     assert payload["verdict"] == "invalid"
     statuses = {entry["kind"]: entry["status"] for entry in payload["files"]}
     assert statuses["final"] == "unsat"
+    assert set(payload["timings"]) == {"parse_s", "verify_s"}
+    assert all(seconds >= 0 for seconds in payload["timings"].values())
 
 
 def test_emit_and_verify_json_report_the_bytes_written(tmp_path, capsys):

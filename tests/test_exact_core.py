@@ -4,9 +4,11 @@
   split test of `viprcert.algebra` against the `Fraction` implementation
   they replaced, kept here as the reference.
 - `parse_rational` against its regular-expression definition.
-- The parser's list reader against its token-by-token path on all four
-  list kinds, and every list kind's row against `parse_rational` plus
-  `scaled_row`.
+- The parser's one-slice record readers against its token-by-token path
+  on all four list kinds and on whole derivations, constraint bodies and
+  solution points at every window size, and every list kind's row
+  against `parse_rational` plus `scaled_row`; valid generated
+  certificates never reach the token-by-token readers.
 - Parse-error positions, which the parser computes only when it raises,
   against an eager tokenizer that records every token's line and column.
 - The parser's bounded token window, at several chunk sizes, against a
@@ -327,10 +329,10 @@ def list_certificate(kind: str, tokens: str, cut: bool = False) -> str:
 
 def _parse_outcome(text: str, token_path: bool = False):
     """The parsed model, or the error's kind, position and message; with
-    `token_path` the values pattern never matches, so every list is read
+    `token_path` no record is taken in one slice, so every record is read
     token by token."""
-    values = re.compile("(?!)") if token_path else parser._VALUES
-    with mock.patch.object(parser, "_VALUES", values):
+    forced = mock.patch.object(parser._Parser, "_take", lambda *_: None)
+    with forced if token_path else contextlib.nullcontext():
         try:
             return parse_certificate(text)
         except ParseError as exc:
@@ -400,6 +402,12 @@ ROW_CASES = [
     ("1", [("1_0", "1")], ParseErrorKind.BAD_INDEX),
     ("1", [("0", "1/٣")], (3, {1: 1}, 3)),  # valid, but missed by the pattern
     ("0/00", [], ParseErrorKind.UNEXPECTED_TOKEN),
+    # where `int` and a pattern of signs and digits could part: every one
+    # of these is refused, on both paths
+    *(("1", [("0", "1"), ("1", token)], ParseErrorKind.UNEXPECTED_TOKEN) for token in (
+        "5/", "/5", "1/2/3", "+-1", "--1", "1/+0", "٣/٠", "1__0", "1/_2", "0/-0",
+    )),
+    *((token, [("0", "1")], ParseErrorKind.UNEXPECTED_TOKEN) for token in ("5/", "/5", "1__0")),
 ]
 
 
@@ -604,9 +612,6 @@ class WholeListParser(parser._Parser):
     def _fill(self, need: int) -> None:
         pass
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def next(self, context, kind=ParseErrorKind.UNEXPECTED_TOKEN):
         if self.pos == len(self.tokens):
             if self.tokens:  # just past the last token
@@ -688,6 +693,140 @@ def window_mutants(draw):
 @given(window_mutants(), st.sampled_from(WINDOW_CHUNKS))
 def test_window_matches_the_whole_list_reader_on_mutants(text, chunk):
     assert_window_matches_the_whole_list(text, chunk)
+
+
+# --- whole records: the one-slice readers against the token path -----------
+
+# a certificate with n = 3 variables, m = 2 constraints, one solution and
+# two derivations around the record under test, which is a constraint, a
+# solution point or a derivation; with it, d = 5
+RECORD_KINDS = ("constraint", "solution", "derivation")
+
+
+def record_certificate(kind: str, record: str, cut: bool = False) -> str:
+    """The certificate whose record of `kind` is `record`; with `cut`,
+    the text ends right after it."""
+    extra = {place: int(place == kind) for place in RECORD_KINDS}
+    parts = [
+        "VER 1.0\nVAR 3\nx y z\nINT 1\n0\nOBJ min\n2 0 1/2 2 -3\n",
+        f"CON {2 + extra['constraint']} 0\nC1 G 1 1 0 1\n", "constraint",
+        "\nC2 L 4 2 1 1 2 1\nRTP range -inf 7\n",
+        f"SOL {1 + extra['solution']}\n", "solution", "\np1 1 0 2\n",
+        f"DER {2 + extra['derivation']}\nD0 G 0 0 {{ asm }} -1\n", "derivation",
+        "\nD1 L 9 OBJ { sol } -1\n",
+    ]
+    at = parts.index(kind)
+    parts[at] = record
+    for place in RECORD_KINDS:
+        if place != kind:
+            parts.remove(place)
+    return "".join(parts[: parts.index(record) + 1] if cut else parts)
+
+
+# tokens that replace one of a record's: signed, leading-zero, Unicode,
+# out-of-range and huge counts and indices, and malformed values
+RECORD_FAULTS = [
+    "+1", "-0", "٢", "00", "3", "5", "-1", "10000000000", "x", "1.0", "OBJ", "{", "}",
+    "5/", "/5", "1/2/3", "+-1", "1/+0", "٣/٠", "1__0", "0/-0", "1/-2", "Lin", "X",
+]
+
+
+@st.composite
+def index_lists(draw, limit: int):
+    """`t (i v)^t` with indices below `limit`, now and then repeated."""
+    unique = draw(st.integers(0, 5)) > 0
+    indices = draw(st.lists(st.integers(0, limit - 1), max_size=4, unique=unique))
+    tokens = [str(len(indices))]
+    for i in indices:
+        tokens += [_digits(draw, str(i)), draw(value_tokens())]
+    return tokens
+
+
+@st.composite
+def records(draw):
+    """A random record of a random kind: valid, or with one token
+    replaced or deleted, or cut short."""
+    kind = draw(st.sampled_from(RECORD_KINDS))
+    name = draw(st.sampled_from(["r", "OBJ", "x_1", "٣"]))
+    if kind == "solution":
+        tokens = [name, *draw(index_lists(3))]
+    else:
+        body = ["OBJ"] if draw(st.integers(0, 4)) == 0 else draw(index_lists(3))
+        tokens = [name, draw(st.sampled_from("EGL")), draw(value_tokens()), *body]
+    if kind == "derivation":
+        # constraints 0-2 precede the record, which is 3; 4 follows it
+        reason = draw(st.sampled_from(["asm", "lin", "rnd", "uns", "sol"]))
+        data = draw(index_lists(5)) if reason in ("lin", "rnd") else []
+        if reason == "uns":
+            data = [str(draw(st.integers(0, 4))) for _ in range(4)]
+        brace, close = draw(st.sampled_from([("{", "}")] * 4 + [("(", "}"), ("{", "]")]))
+        tokens += [brace, reason, *data, close, draw(st.sampled_from(["-1", "-1", "0", "+3"]))]
+    fault = draw(st.sampled_from(["none", "none", "replace", "replace", "delete", "cut"]))
+    at = draw(st.integers(0, len(tokens) - 1))
+    if fault == "replace":
+        tokens[at] = draw(st.sampled_from(RECORD_FAULTS))
+    elif fault in ("delete", "cut"):
+        del tokens[at : at + 1 if fault == "delete" else len(tokens)]
+    return kind, " ".join(tokens), fault == "cut"
+
+
+@given(records())
+@example(("derivation", "r G 0 1 0 1 { lin 1 0 1 ] -1", False))
+@example(("derivation", "r G 0 OBJ { uns 0 1 2 5 } -1", False))
+@example(("derivation", "r G 0 0 { sol } x", False))
+@example(("solution", "r 2 0 1 0 2", False))
+@settings(deadline=None)
+def test_record_readers_match_the_token_path_at_every_window_size(record):
+    """A record gives the same model, or the same located error, whether
+    it is read from one slice or token by token, at every chunk size."""
+    text = record_certificate(*record)
+    expected = _parse_outcome(text, token_path=True)
+    for chunk in WINDOW_CHUNKS:
+        with mock.patch.object(parser, "CHUNK", chunk):
+            assert _parse_outcome(text) == expected, chunk
+            assert _parse_outcome(text, token_path=True) == expected, chunk
+
+
+def test_record_certificates_are_valid_around_a_valid_record():
+    """The text around the record under test is valid, so an error in a
+    drawn record is that record's."""
+    records_of_kind = {
+        "constraint": ["r G 1/2 2 0 1 2 -1/3", "r E 3 OBJ", "r L 0 0"],
+        "solution": ["r 3 0 1 1 -1/2 2 5"],
+        "derivation": [
+            "r G 1 1 0 1 { lin 2 0 1/2 1 -3 } -1", "r L 1 OBJ { rnd 1 2 1 } 7",
+            "r E 0 0 { uns 0 1 2 3 } -1", "r G 0 0 { sol } -1", "r G 0 0 { asm } -1",
+        ],
+    }
+    for kind, bodies in records_of_kind.items():
+        for body in bodies:
+            problem, certificate = parse_certificate(record_certificate(kind, body))
+            assert problem.m == (3 if kind == "constraint" else 2)
+            assert len(certificate.sol) == (2 if kind == "solution" else 1)
+            assert len(certificate.der) == (3 if kind == "derivation" else 2)
+
+
+def test_valid_certificates_never_leave_the_record_readers():
+    """Every record of a valid generated certificate, of every relation
+    kind with all five reasons and `OBJ` bodies, is read from one slice:
+    with the token-by-token readers made to raise, each still parses to
+    the token path's model.  A silent fallback would only be slower."""
+    seen = set()
+    for i, kind in enumerate(gen.KINDS):
+        spec = gen.Spec(n=6, m=10, derivations=60, kind=kind, split_depth=1 + i % 3)
+        text = gen.render(gen.build(spec, 7 + i))[0].decode()
+        expected = _parse_outcome(text, token_path=True)
+        broken = mock.Mock(side_effect=AssertionError("read token by token"))
+        readers = ("row", "constraint_body", "solution_point", "derived_constraint")
+        with contextlib.ExitStack() as stack:
+            for reader in readers:
+                stack.enter_context(mock.patch.object(parser._Parser, reader, broken))
+            assert parse_certificate(text) == expected, kind
+        problem, certificate = expected
+        seen |= {derived.reason.value for derived in certificate.der}
+        seen |= {"OBJ"} if " OBJ " in text else set()
+        assert certificate.sol or kind == "infeas"
+    assert seen == {"asm", "lin", "rnd", "uns", "sol", "OBJ"}
 
 
 # --- one numeric representation ---------------------------------------------
