@@ -3,10 +3,9 @@
 The check is the conjunction of a solution-side predicate (every listed
 point feasible, the claimed bound witnessed) and a derivation-side
 predicate (every derived constraint implied by its stated reasoning,
-and the last constraint clinching the claimed relation).  Assumption
-sets are not stored in certificate files; they are recomputed here by
-a sequential replay, which discharges their correctness by construction
-and returns only A(d), the one set the final obligation reads.
+and the last constraint clinching the claimed relation).  What the
+relation to prove asks and the assumption set A(d) come from `spec`,
+which the SMT route reads too; this module only evaluates.
 
 Failure reporting is deterministic: solution points in listed order,
 then derivations by ascending index, then the final obligation.
@@ -36,109 +35,13 @@ from .model import (
     total_constraints,
 )
 from .rational import Rational, format_rational, unlimited_int_digits
-
-
-class EmptyConstraintSystem(Exception):
-    """The final obligation needs a last constraint, but d = 0."""
+from .spec import RtpFlags, compute_assumption_sets
 
 
 def _relation(bound: Constraint) -> str:
     """`>= b` or `<= b` for a one-sided bound constraint."""
     value = format_rational(Rational(bound.bound, bound.scale))
     return f"{'>=' if bound.sign is Sign.GEQ else '<='} {value}"
-
-
-class RtpFlags(namedtuple("RtpFlags", "has_range solution_bound final_target")):
-    """What the relation to prove asks, decided once per certificate.
-
-    `has_range` is true unless the relation to prove is infeasibility.
-    `solution_bound` is the objective bound some listed solution must
-    satisfy: the upper bound of a min problem or the lower bound of a
-    max problem.  `final_target` is the constraint the last constraint
-    C_d must dominate: 0 >= 1 for infeasibility, else the other bound.
-    Each is a `Constraint`, or None when its bound is infinite.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, problem: Problem, certificate: Certificate) -> "RtpFlags":
-        """Raises EmptyConstraintSystem when a final target applies but
-        the unified constraint array is empty."""
-        rtp = certificate.rtp
-        if rtp.infeasible:
-            flags = cls(False, None, Constraint("absurdity", Sign.GEQ, 1, {}, 1))
-        else:
-            def bound(sign: Sign, value: Optional[Rational]) -> Optional[Constraint]:
-                if value is None:
-                    return None
-                return problem.objective.bound("objective-bound", sign, value)
-
-            sign = problem.sense.bound_sign
-            witnessed, closing = (rtp.ub, rtp.lb) if sign is Sign.LEQ else (rtp.lb, rtp.ub)
-            flags = cls(True, bound(sign, witnessed), bound(Sign(-sign.value), closing))
-        if flags.final_target is not None and total_constraints(problem, certificate) == 0:
-            raise EmptyConstraintSystem(
-                "the relation to prove requires a last constraint, but there are none"
-            )
-        return flags
-
-
-def _sources(m: int, k: int, data) -> list[tuple[int, int]]:
-    """The derived constraints A(k) is built from, each with the `asm`
-    step it discharges (0 for none).  A problem constraint's set is
-    empty, and an unsplit step has none unless i1, i2 are in [1, k)."""
-    if isinstance(data, Row):
-        return [(i, 0) for i in data.terms if m < i < k]
-    if isinstance(data, Unsplit) and 0 < data.i1 < k and 0 < data.i2 < k:
-        if data.i1 == data.i2:  # A(i) less l1 union A(i) less l2
-            pairs = ((data.i1, data.l1 if data.l1 == data.l2 else 0),)
-        else:
-            pairs = ((data.i1, data.l1), (data.i2, data.l2))
-        return [(i, label) for i, label in pairs if i > m]
-    return []
-
-
-def compute_assumption_sets(problem: Problem, certificate: Certificate) -> frozenset[int]:
-    """A(d), the assumption set of the last constraint C_d, as 1-based
-    constraint indices; empty when there is no derivation.
-
-    Only A(d) is returned because only A(d) is read: the certificate
-    proves its claim when C_d dominates the final target and depends on
-    no assumption.  A(k) is {k} for an `asm` step, the union of its
-    sources' sets for `lin`/`rnd`, A(i1) less l1 union A(i2) less l2 for
-    an unsplit step, and empty otherwise.
-
-    A first pass finds each constraint's last reader; the replay keeps
-    A(k) only until then, and a step extends in place the largest set it
-    reads for the last time.  So memory holds only the sets still to be
-    read, and a chain of unions costs each step only its new indices.
-    """
-    m = problem.m
-    last_read = [0] * (m + len(certificate.der) + 1)
-    for k, derived in enumerate(certificate.der, m + 1):
-        for i, _ in _sources(m, k, derived.data):
-            last_read[i] = k
-    live: dict[int, set[int]] = {}  # nonempty A(i) that a later step still reads
-    current: set[int] = set()
-    for k, derived in enumerate(certificate.der, m + 1):
-        sources = [(i, label) for i, label in _sources(m, k, derived.data) if i in live]
-        ending = [source for source in sources if last_read[source[0]] == k]
-        current = set()
-        if derived.reason is Reason.ASM:
-            current.add(k)
-        elif ending:
-            grown = max(ending, key=lambda source: len(live[source[0]]))
-            sources.remove(grown)
-            current = live[grown[0]]
-            current.discard(grown[1])
-        for i, label in sources:
-            current |= live[i] - {label} if label in live[i] else live[i]
-        for i, _ in ending:
-            del live[i]
-        if current and last_read[k]:
-            live[k] = current
-    return frozenset(current)
 
 
 def _satisfies(constraint: Constraint, point: Row) -> bool:
@@ -242,7 +145,7 @@ def der_violation(
     if derived.reason is Reason.UNS:
         assert isinstance(derived.data, Unsplit)
         data = derived.data
-        if not all(1 <= i < k for i in data.as_tuple()):
+        if not all(1 <= i < k for i in data):
             return fail("uns-index", "unsplit data must refer to strictly earlier constraints")
         for i in (data.i1, data.i2):
             if not constraint_dominates(constraint_at(problem, certificate, i), target):

@@ -15,13 +15,9 @@ import sys
 import time
 from typing import Optional
 
-from .checker import (
-    EmptyConstraintSystem,
-    check_certificate_report,
-    compute_assumption_sets,
-    default_jobs,
-)
+from .checker import check_certificate_report, default_jobs
 from .parser import ParseError, parse_certificate
+from .spec import EmptyConstraintSystem, compute_assumption_sets
 
 # `smtgen` (with `subprocess`) and `tempfile` are imported where `emit`
 # and `verify` use them, so `check` does not load them; `smtgen` also
@@ -152,7 +148,7 @@ def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
     started = time.perf_counter()
     problem, certificate = parse_certificate(data)
     parse_seconds = time.perf_counter() - started
-    solver = args.solver or default_solver_command()
+    solver = default_solver_command() if args.solver is None else args.solver
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="viprcert-") as scratch:
         try:

@@ -48,13 +48,6 @@ class Sign(Enum):
     GEQ = 1
     LEQ = -1
 
-    @classmethod
-    def from_letter(cls, letter: str) -> "Sign":
-        try:
-            return _SIGN_BY_LETTER[letter]
-        except KeyError:
-            raise ValueError(f"unknown sense letter: {letter!r}") from None
-
     @property
     def letter(self) -> str:
         return {Sign.EQ: "E", Sign.GEQ: "G", Sign.LEQ: "L"}[self]
@@ -216,9 +209,6 @@ class Unsplit(namedtuple("Unsplit", "i1 l1 i2 l2")):
     """Unsplit data (i1, l1, i2, l2) over the unified constraint array."""
 
     __slots__ = ()
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.i1, self.l1, self.i2, self.l2)
 
 
 DerivationData = Union[None, Row, Unsplit]  # a `lin`/`rnd` step's multipliers are a Row

@@ -533,7 +533,7 @@ def _format_reason(derived: DerivedConstraint) -> str:
     if isinstance(derived.data, Row):
         return f"{{ {derived.reason.value} {_format_terms(derived.data)} }}"
     assert isinstance(derived.data, Unsplit)
-    indices = " ".join(str(i - 1) for i in derived.data.as_tuple())
+    indices = " ".join(str(i - 1) for i in derived.data)
     return f"{{ uns {indices} }}"
 
 

@@ -1,10 +1,11 @@
 """Emission of the validity formula as partitioned SMT-LIB files, and
 orchestration of an external solver over them.
 
-The split of labor: this side computes only assumption sets and the
-sign flags of linear combinations, folding them into the emitted text
-as Boolean constants; every sum, product, comparison, floor/ceiling,
-and integrality test is written out symbolically for the solver to
+The split of labor: this side folds into the emitted text, as Boolean
+constants, only the `spec` facts (what the relation to prove asks, and
+the A(d) it is handed), index ranges and the sign flags of linear
+combinations; every sum, product, comparison, floor/ceiling, and
+integrality test is written out symbolically for the solver to
 re-derive.  Each file is a ground script: one `(set-logic ALL)`, one
 `(assert ...)` with no declared symbols, one `(check-sat)`, so `sat`
 means "this slice of the formula holds".
@@ -37,7 +38,6 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .checker import RtpFlags
 from .model import (
     Certificate,
     Constraint,
@@ -50,6 +50,7 @@ from .model import (
     total_constraints,
 )
 from .rational import unlimited_int_digits
+from .spec import RtpFlags
 
 _RZERO = "0"
 _RONE = "1"
@@ -269,10 +270,10 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
     if derived.reason is Reason.UNS:
         assert isinstance(derived.data, Unsplit)
         data = derived.data
-        if any(not 1 <= i <= d for i in data.as_tuple()):
+        if any(not 1 <= i <= d for i in data):
             return "false"
         at = partial(constraint_at, problem, certificate)
-        parts = [f"(> {k} {i})" for i in data.as_tuple()]
+        parts = [f"(> {k} {i})" for i in data]
         parts += [_constraint_dom_expr(at(i), target) for i in (data.i1, data.i2)]
         parts.append(_dis_expr(at(data.l1), at(data.l2), problem.int_vars))
         return _conj(parts)

@@ -9,8 +9,8 @@ package's replay is compared with.
 
 from __future__ import annotations
 
-from viprcert.checker import compute_assumption_sets
 from viprcert.model import Certificate, Problem, Reason
+from viprcert.spec import compute_assumption_sets
 
 
 def assumption_set_at(problem: Problem, certificate: Certificate, k: int) -> frozenset[int]:

@@ -137,7 +137,7 @@ def mutate_model(problem: Problem, certificate: Certificate, rng: random.Random)
                 continue
             i = rng.choice(candidates)
             dc = certificate.der[i]
-            values = list(dc.data.as_tuple())
+            values = list(dc.data)
             values[rng.randrange(4)] = rng.randint(1, d)
             der = list(certificate.der)
             der[i] = dc._replace(data=Unsplit(*values))

@@ -32,11 +32,7 @@ from viprcert.algebra import (
     is_split_disjunction,
     linear_combination,
 )
-from viprcert.checker import (
-    check_certificate,
-    compute_assumption_sets,
-    default_jobs,
-)
+from viprcert.checker import check_certificate, default_jobs
 from viprcert.model import Constraint, Sign
 from viprcert.oracle import BoxBounds, brute_force
 from viprcert.parser import ParseError, parse_certificate, serialize_certificate
@@ -44,6 +40,7 @@ from viprcert.cli import main as cli_main
 from viprcert.rational import Rational, format_rational, parse_rational
 from viprcert.smteval import run_script
 from viprcert.smtgen import Aggregate, EmissionPlan, dispatch, emit
+from viprcert.spec import compute_assumption_sets
 
 TABLE_ASSUMPTIONS = {
     4: {4},

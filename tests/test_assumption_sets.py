@@ -26,7 +26,7 @@ from assumptions import (
 from rows import multipliers, objective
 from test_scale_agreement import gen
 
-from viprcert.checker import check_certificate, compute_assumption_sets
+from viprcert.checker import check_certificate
 from viprcert.model import (
     Certificate,
     Constraint,
@@ -40,6 +40,7 @@ from viprcert.model import (
 )
 from viprcert.parser import parse_certificate
 from viprcert.rational import Rational
+from viprcert.spec import compute_assumption_sets
 
 # the replay reads only reasons and indices, never a row
 _ROW = Constraint("r", Sign.GEQ, 1, {}, 0)

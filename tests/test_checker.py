@@ -11,11 +11,8 @@ from conftest import load_fixture
 from rows import constraint, lhs, multipliers, objective, point, rhs
 
 from viprcert.checker import (
-    EmptyConstraintSystem,
-    RtpFlags,
     check_certificate,
     check_certificate_report,
-    compute_assumption_sets,
     default_jobs,
     der_violation,
     der_violations,
@@ -35,6 +32,7 @@ from viprcert.model import (
     Unsplit,
 )
 from viprcert.rational import Rational
+from viprcert.spec import EmptyConstraintSystem, RtpFlags, compute_assumption_sets
 
 # Assumption sets of the running infeasibility example, one row per
 # derived constraint (unified indices 4..14).

@@ -9,16 +9,11 @@ import pytest
 
 from conftest import SOLVER_COMMAND, fixture_path
 
-from viprcert.checker import (
-    RtpFlags,
-    check_certificate_report,
-    compute_assumption_sets,
-    final_violation,
-    sol_violations,
-)
+from viprcert.checker import check_certificate_report, final_violation, sol_violations
 from viprcert.cli import main
 from viprcert.parser import parse_certificate
 from viprcert.smtgen import EmissionPlan, der_constraint_expr, emit, final_expr, sol_expr
+from viprcert.spec import RtpFlags, compute_assumption_sets
 
 
 def run_cli(*argv, capsys=None):
@@ -163,6 +158,15 @@ def test_verify_solver_spawn_error(capsys):
     assert "cannot start solver" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", ["", " "])
+def test_verify_empty_solver_command_is_an_infrastructure_failure(solver, monkeypatch, capsys):
+    monkeypatch.setenv("VIPRCERT_SOLVER", SOLVER_COMMAND)
+    assert main(["verify", str(fixture_path("cert0")), "--solver", solver]) == 3
+    captured = capsys.readouterr()
+    assert "empty solver command" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_json(capsys):
     code = main(
         ["verify", str(fixture_path("forged2")), "--solver", SOLVER_COMMAND, "--format", "json"]
@@ -240,10 +244,21 @@ sys.exit(code)
     [
         (
             "check",
-            ("viprcert.checker", "viprcert.smtgen", "subprocess", "concurrent.futures", "dataclasses"),
-            ["viprcert.checker"],
+            (
+                "viprcert.checker",
+                "viprcert.spec",
+                "viprcert.smtgen",
+                "subprocess",
+                "concurrent.futures",
+                "dataclasses",
+            ),
+            ["viprcert.checker", "viprcert.spec"],
         ),
-        ("verify", ("viprcert.smtgen", "concurrent.futures", "dataclasses"), ["viprcert.smtgen"]),
+        (
+            "verify",
+            ("viprcert.spec", "viprcert.smtgen", "concurrent.futures", "dataclasses"),
+            ["viprcert.spec", "viprcert.smtgen"],
+        ),
     ],
 )
 def test_each_command_imports_only_the_code_it_runs(command, watched, loaded):
@@ -255,6 +270,15 @@ def test_each_command_imports_only_the_code_it_runs(command, watched, loaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_the_smt_route_loads_no_native_checker():
+    probe = "import json, sys, viprcert.smtgen; print(json.dumps(list(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout))
+    assert "viprcert.smtgen" in loaded
+    assert not {"viprcert.checker", "viprcert.algebra"} & loaded
 
 
 def test_nonpositive_block_size_is_a_usage_error(tmp_path, capsys):

@@ -1,0 +1,74 @@
+"""The two validity routes share only the spec.  Read with `ast`, never
+imported: every package-relative import of every module under
+`viprcert`, at the top level or inside a function, is an edge, and the
+modules each one reaches must keep the native check (`checker`,
+`algebra`) and the SMT route (`smtgen`, `smteval`) apart.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import viprcert
+
+_PACKAGE = Path(viprcert.__file__).resolve().parent
+NATIVE = {"checker", "algebra"}
+SMT = {"smtgen", "smteval"}
+
+
+def _imports(path: Path) -> set[str]:
+    """The package modules that the module at `path` imports."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                modules.add(node.module.split(".")[0])
+            else:  # `from . import name`
+                modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("viprcert."):
+            modules.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            modules.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("viprcert.")
+            )
+    return modules
+
+
+GRAPH = {path.stem: _imports(path) for path in _PACKAGE.glob("*.py") if path.stem != "__init__"}
+
+
+def reach(module: str) -> set[str]:
+    """Every package module that importing `module` loads, itself excluded."""
+    seen: set[str] = set()
+    todo = [module]
+    while todo:
+        for imported in GRAPH[todo.pop()] - seen:
+            seen.add(imported)
+            todo.append(imported)
+    return seen - {module}
+
+
+def test_the_graph_covers_every_module():
+    assert {"spec", "checker", "algebra", "smtgen", "smteval", "cli"} <= set(GRAPH)
+    assert all(imported in GRAPH for imports in GRAPH.values() for imported in imports)
+
+
+def test_the_spec_reaches_neither_route():
+    assert not reach("spec") & (NATIVE | SMT | {"cli"})
+
+
+def test_the_smt_route_reaches_no_native_check():
+    for module in SMT:
+        assert not reach(module) & NATIVE, module
+
+
+def test_the_native_check_reaches_no_smt_route():
+    for module in NATIVE:
+        assert not reach(module) & SMT, module
+
+
+def test_the_evaluator_reaches_at_most_rational():
+    assert reach("smteval") <= {"rational"}

@@ -26,12 +26,7 @@ from viprcert.rational import Rational
 
 def test_sign_values_are_bijective():
     assert {s.value for s in Sign} == {-1, 0, 1}
-    assert Sign.from_letter("G") is Sign.GEQ
-    assert Sign.from_letter("L") is Sign.LEQ
-    assert Sign.from_letter("E") is Sign.EQ
     assert Sign.GEQ.letter == "G"
-    with pytest.raises(ValueError):
-        Sign.from_letter("Z")
 
 
 def test_objective_is_canonical_and_builds_its_bound():

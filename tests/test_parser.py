@@ -57,7 +57,7 @@ def test_parse_manipulated1_multipliers_are_shifted_to_one_based():
     assert row7.legacy_index == 12
     row14 = certificate.der[10]
     assert row14.reason is Reason.UNS
-    assert row14.data.as_tuple() == (12, 5, 13, 4)
+    assert tuple(row14.data) == (12, 5, 13, 4)
 
 
 def test_zero_term_objective():

@@ -18,11 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from viprcert.checker import check_certificate, check_certificate_report, compute_assumption_sets
+from viprcert.checker import check_certificate, check_certificate_report
 from viprcert.parser import ParseError, parse_certificate
 from viprcert.rational import format_rational, parse_rational
 from viprcert.smteval import run_script
 from viprcert.smtgen import EmissionPlan, emit
+from viprcert.spec import compute_assumption_sets
 
 _GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 _spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)

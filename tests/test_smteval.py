@@ -14,8 +14,8 @@ from conftest import CORPUS, SOLVER_COMMAND, load_fixture
 
 from viprcert.rational import Rational
 from viprcert.smteval import MAX_DEPTH, EvalError, _Reader, _tokens, main, run_script
-from viprcert.checker import compute_assumption_sets
 from viprcert.smtgen import EmissionPlan, dispatch, emit
+from viprcert.spec import compute_assumption_sets
 
 
 def evaluate(text: str):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import select
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import CORPUS, SOLVER_COMMAND, load_fixture, random_certificate
 
-from viprcert.checker import RtpFlags, check_certificate, compute_assumption_sets, sol_violations
+from viprcert.checker import check_certificate, sol_violations
 from viprcert.model import Reason, constraint_at
 from viprcert.smteval import _tokens, run_script
 from viprcert.smtgen import (
@@ -25,6 +26,7 @@ from viprcert.smtgen import (
     dispatch,
     emit,
 )
+from viprcert.spec import RtpFlags, compute_assumption_sets
 import io
 
 
@@ -417,6 +419,34 @@ def test_no_worker_outlives_a_spawn_error(tmp_path, started, monkeypatch):
     with pytest.raises(SolverSpawnError, match="no more processes"):
         dispatch(paths, SOLVER_COMMAND, jobs=2, timeout_s=120)
     assert len(started) == 1 and _all_stopped(started)
+
+
+def test_without_poll_the_bundled_command_runs_once_per_file(tmp_path, started, monkeypatch):
+    # where `select.poll` is missing (Windows), no worker can be waited on
+    files = {name: _emit_fixture(name, tmp_path / name, block_size=1) for name in CORPUS}
+    served = {name: dispatch(files[name], SOLVER_COMMAND, jobs=1, timeout_s=120) for name in CORPUS}
+    monkeypatch.delattr(select, "poll")
+    runs = []
+    real_run = subprocess.run
+
+    def run(argv, **kwargs):
+        runs.append(argv)
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", run)
+    assert started and all(p.args[-1] == "--serve" for p in started)
+    del started[:]
+    for name in CORPUS:
+        del runs[:]
+        result = dispatch(files[name], bundled_solver_command(), jobs=1, timeout_s=120)
+        assert result == served[name], name
+        assert len(runs) == sum(o.status != "cancelled" for o in result.outcomes), name
+    assert started and all(p.args[-1] != "--serve" for p in started)
+    statuses = _statuses(served["forged1"])
+    first_unsat = statuses.index("unsat")
+    after = statuses[first_unsat + 1 :]
+    assert files["forged1"][first_unsat].kind == "block" and after
+    assert set(after) == {"cancelled"}
 
 
 def _evaluated_aggregate(files) -> bool:
