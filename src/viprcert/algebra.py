@@ -11,6 +11,7 @@ stored as: a row `(D, {j: a_j}, b)` stands for `sum_j (a_j / D) x_j ~ b / D`.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import Callable
 
 from .model import Constraint, Row, Sign
@@ -68,20 +69,13 @@ def constraint_dominates(source: Constraint, target: Constraint) -> bool:
     return _dominates(source.scale, source.terms, source.bound, s == 0, s >= 0, s <= 0, target)
 
 
-class PseudoConstraint:
+class PseudoConstraint(namedtuple("PseudoConstraint", "scale terms bound geq leq")):
     """Result of a linear combination: the integer-scaled row, not
     necessarily over its least scale, and the two sign flags.  `eq` is by
     definition the conjunction of the flags, and the combination is
     suitable iff at least one flag holds."""
 
-    __slots__ = ("scale", "terms", "bound", "geq", "leq")
-
-    def __init__(self, scale: int, terms: dict[int, int], bound: int, geq: bool, leq: bool):
-        self.scale = scale
-        self.terms = terms
-        self.bound = bound
-        self.geq = geq
-        self.leq = leq
+    __slots__ = ()
 
     @property
     def eq(self) -> bool:
@@ -110,10 +104,6 @@ class PseudoConstraint:
         return _dominates(
             self.scale, self.terms, rounded * self.scale, False, self.geq, self.leq, target
         )
-
-    def __repr__(self) -> str:
-        flags = f"geq={self.geq}, leq={self.leq}"
-        return f"PseudoConstraint({self.scale}, {self.terms}, {self.bound}, {flags})"
 
 
 def linear_combination(

@@ -25,13 +25,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import select
 import shlex
 import subprocess
 import sys
 import threading
-import time
 from collections import namedtuple
 from enum import Enum
 from functools import partial
@@ -445,7 +442,8 @@ class FileOutcome(namedtuple("FileOutcome", "path status detail", defaults=("",)
 
 
 class DispatchResult(namedtuple("DispatchResult", "outcomes")):
-    """One `FileOutcome` per file, in file order."""
+    """One `FileOutcome` per file, in file order.  The aggregate is
+    valid only when there is at least one outcome and every one is sat."""
 
     __slots__ = ()
 
@@ -454,7 +452,7 @@ class DispatchResult(namedtuple("DispatchResult", "outcomes")):
         statuses = [o.status for o in self.outcomes]
         if any(s == "unsat" for s in statuses):
             return Aggregate.INVALID
-        if all(s == "sat" for s in statuses):
+        if statuses and all(s == "sat" for s in statuses):
             return Aggregate.VALID
         return Aggregate.ERROR
 
@@ -520,9 +518,10 @@ def bundled_solver_command() -> str:
 class _Worker:
     """A dispatch thread's bundled evaluator: one `smteval --serve`
     process, started at the first file it is asked about, that answers
-    every file the thread takes (see `viprcert.smteval`).  A worker that
-    times out, exits or answers outside the protocol is stopped, and the
-    next file starts a new one.  Its stderr is read only as it stops."""
+    every file the thread takes (see `viprcert.smteval`).  A timer kills
+    the worker when a file's time limit passes; a worker that times out,
+    exits or answers outside the protocol is stopped, and the next file
+    starts a new one.  Its stderr is read only as it stops."""
 
     def __init__(self, argv: list[str]) -> None:
         self.argv = argv
@@ -535,14 +534,25 @@ class _Worker:
                 self.process = subprocess.Popen(self.argv, stdin=pipe, stdout=pipe, stderr=pipe)
             except OSError as exc:
                 raise _spawn_error(self.argv, exc) from exc
-        deadline = time.monotonic() + timeout_s  # the first file's includes the start
+        process, expired = self.process, threading.Event()
+
+        def expire() -> None:
+            expired.set()
+            process.kill()
+
+        timer = threading.Timer(timeout_s, expire)  # the first file's limit includes the start
+        timer.start()
         try:
-            self.process.stdin.write(json.dumps(str(path)).encode() + b"\n")
-            self.process.stdin.flush()
-        except BrokenPipeError:  # it has exited: the empty answer below says how
-            pass
-        line = self._read_line(deadline)
-        if line is None:
+            try:
+                process.stdin.write(json.dumps(str(path)).encode() + b"\n")
+                process.stdin.flush()
+            except OSError:  # it has exited (EPIPE, or EINVAL on Windows): the read says how
+                pass
+            line = process.stdout.readline()
+        finally:
+            timer.cancel()
+            timer.join()  # it has killed the worker, or never will
+        if expired.is_set():
             self.stop(kill=True)
             return _timed_out(path, timeout_s)
         if not line.endswith(b"\n"):  # it exited without an answer
@@ -557,23 +567,6 @@ class _Worker:
             self.stop(kill=True)
             return FileOutcome(path, "error", f"malformed worker answer: {line[:400]!r}")
         return _outcome(path, returncode, stdout, stderr)
-
-    def _read_line(self, deadline: float) -> Optional[bytes]:
-        """The worker's stdout up to and including its next newline, or up
-        to its end; None if `deadline` passes first."""
-        fd = self.process.stdout.fileno()
-        poller = select.poll()
-        poller.register(fd, select.POLLIN)
-        line = b""
-        while not line.endswith(b"\n"):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not poller.poll(math.ceil(remaining * 1000)):
-                return None
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                break
-            line += chunk
-        return line
 
     def stop(self, kill: bool = False) -> tuple[int, str]:
         """End the worker, at once if `kill` and otherwise by closing its
@@ -597,30 +590,31 @@ def dispatch(
     threads take the files' indices in order from one iterator.
 
     Any solver command is started once per file, except the bundled
-    evaluator's own (`bundled_solver_command`): each thread runs that one
-    as a `--serve` worker that answers every file the thread takes, so a
-    run starts `min(jobs, files)` evaluators (and one more after each
-    worker that failed).  Both give each file the same outcome.
+    evaluator's own (`bundled_solver_command`): on every platform, each
+    thread runs that one as a `--serve` worker that answers every file
+    the thread takes, so a run starts `min(jobs, files)` evaluators (and
+    one more after each worker that failed).  A file's time limit kills
+    the worker, or the process that runs it alone.  Both give each file
+    the same outcome.
 
     Files start in order, and a file is not started once an earlier one
     came back unsat.  Every file after the first unsat one is reported
     cancelled, whether or not it ran, so the outcomes do not depend on
     timing.  A timeout, a nonzero exit status or an unparseable solver
     response is recorded as a failure of that file and makes the
-    aggregate an error, never a pass.  A `timeout_s` that `check_timeout`
-    refuses, or `jobs` < 1, raises ValueError before any file starts.  A
-    solver that cannot be started raises SolverSpawnError: no further
-    file starts, and the error of the earliest such file is raised once
-    every thread, and every worker, has stopped.
+    aggregate an error, never a pass; so does an empty list of files.
+    A `timeout_s` that `check_timeout` refuses, or `jobs` < 1, raises
+    ValueError before any file starts.  A solver that cannot be started
+    raises SolverSpawnError: no further file starts, and the error of the
+    earliest such file is raised.  Every process and thread it started
+    has ended when it returns or raises.
     """
     check_timeout(timeout_s)
     if jobs < 1:
         raise ValueError("jobs must be positive")
     paths = [f.path if isinstance(f, EmittedFile) else Path(f) for f in files]
     unsat_at: list[int] = []  # indices of the files that came back unsat
-    # `select.poll` waits on a worker's pipe; where it is missing, every file
-    # gets its own process
-    serve = solver_command == bundled_solver_command() and hasattr(select, "poll")
+    serve = solver_command == bundled_solver_command()
     worker_argv = _solver_argv(solver_command, "--serve") if serve else None
 
     def run_one(index: int, worker: Optional[_Worker]) -> FileOutcome:

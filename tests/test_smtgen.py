@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import random
 import re
@@ -18,6 +19,7 @@ from viprcert.model import Reason, constraint_at
 from viprcert.smteval import _tokens, run_script
 from viprcert.smtgen import (
     Aggregate,
+    DispatchResult,
     EmissionPlan,
     SolverSpawnError,
     _Worker,
@@ -365,9 +367,11 @@ def test_a_worker_that_times_out_is_replaced(tmp_path, started):
     hang = tmp_path / "hang.smt2"
     os.mkfifo(hang)  # opening it for reading blocks: no writer ever comes
     paths = [hang, *_scripts(tmp_path / "s", ["true"])]
+    before = threading.active_count()
     result = dispatch(paths, SOLVER_COMMAND, jobs=1, timeout_s=2)
     assert _statuses(result) == ["timeout", "sat"]
     assert len(started) == 2 and _all_stopped(started)
+    assert threading.active_count() == before
 
 
 def test_a_worker_that_is_killed_is_replaced(tmp_path, started):
@@ -381,6 +385,7 @@ def test_a_worker_that_is_killed_is_replaced(tmp_path, started):
             time.sleep(0.01)
         started[0].kill()
 
+    before = threading.active_count()
     killer = threading.Thread(target=kill_the_first_worker)
     killer.start()
     result = dispatch(paths, SOLVER_COMMAND, jobs=1, timeout_s=60)
@@ -388,6 +393,7 @@ def test_a_worker_that_is_killed_is_replaced(tmp_path, started):
     assert _statuses(result) == ["error", "sat", "unsat"]
     assert result.outcomes[0].detail == "exit -9"
     assert len(started) == 2 and _all_stopped(started)
+    assert threading.active_count() == before
 
 
 def test_a_worker_that_answers_outside_the_protocol_is_stopped(tmp_path, started):
@@ -401,9 +407,11 @@ def test_a_worker_that_answers_outside_the_protocol_is_stopped(tmp_path, started
 @pytest.mark.parametrize("fixture", ["cert0", "forged1"])  # valid; an unsat block
 def test_no_worker_outlives_dispatch(fixture, tmp_path, started):
     files = _emit_fixture(fixture, tmp_path, block_size=1)
+    before = threading.active_count()
     result = dispatch(files, SOLVER_COMMAND, jobs=2, timeout_s=120)
     assert result.aggregate is (Aggregate.VALID if fixture == "cert0" else Aggregate.INVALID)
     assert started and _all_stopped(started)
+    assert threading.active_count() == before
 
 
 def test_no_worker_outlives_a_spawn_error(tmp_path, started, monkeypatch):
@@ -421,32 +429,64 @@ def test_no_worker_outlives_a_spawn_error(tmp_path, started, monkeypatch):
     assert len(started) == 1 and _all_stopped(started)
 
 
-def test_without_poll_the_bundled_command_runs_once_per_file(tmp_path, started, monkeypatch):
-    # where `select.poll` is missing (Windows), no worker can be waited on
+def test_the_bundled_command_runs_as_workers_without_poll(tmp_path, started, monkeypatch):
+    # a worker is waited on with a timer, so platforms without `select.poll`
+    # (Windows) run the same workers and get the same outcomes
     files = {name: _emit_fixture(name, tmp_path / name, block_size=1) for name in CORPUS}
     served = {name: dispatch(files[name], SOLVER_COMMAND, jobs=1, timeout_s=120) for name in CORPUS}
     monkeypatch.delattr(select, "poll")
-    runs = []
-    real_run = subprocess.run
-
-    def run(argv, **kwargs):
-        runs.append(argv)
-        return real_run(argv, **kwargs)
-
-    monkeypatch.setattr(subprocess, "run", run)
-    assert started and all(p.args[-1] == "--serve" for p in started)
     del started[:]
     for name in CORPUS:
-        del runs[:]
-        result = dispatch(files[name], bundled_solver_command(), jobs=1, timeout_s=120)
-        assert result == served[name], name
-        assert len(runs) == sum(o.status != "cancelled" for o in result.outcomes), name
-    assert started and all(p.args[-1] != "--serve" for p in started)
+        assert dispatch(files[name], SOLVER_COMMAND, jobs=1, timeout_s=120) == served[name], name
+    assert started and all(p.args[-1] == "--serve" for p in started)
+    assert _all_stopped(started)
     statuses = _statuses(served["forged1"])
     first_unsat = statuses.index("unsat")
     after = statuses[first_unsat + 1 :]
     assert files["forged1"][first_unsat].kind == "block" and after
     assert set(after) == {"cancelled"}
+
+
+def test_a_worker_that_hangs_mid_answer_times_out(tmp_path, started):
+    half = "import sys; sys.stdin.readline(); print('[0, \"sat', end='', flush=True); sys.stdin.read()"
+    worker = _Worker([sys.executable, "-c", half])
+    before = threading.active_count()
+    start = time.monotonic()
+    outcome = worker.ask(tmp_path / "f.smt2", 1)
+    assert 1 <= time.monotonic() - start < 30
+    assert outcome == (tmp_path / "f.smt2", "timeout", "no answer within 1s")
+    assert worker.process is None and _all_stopped(started)
+    assert threading.active_count() == before
+
+
+def test_a_write_that_fails_with_einval_is_read_as_the_worker_exit(tmp_path, started, monkeypatch):
+    # on Windows a write to a worker that has exited raises EINVAL, not EPIPE
+    popen = subprocess.Popen
+
+    def exited(argv, **kwargs):
+        process = popen([sys.executable, "-c", "import sys; sys.exit('gone')"], **kwargs)
+        stdin = process.stdin
+
+        class Exited:
+            def write(self, data):
+                process.wait()
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+            def __getattr__(self, name):
+                return getattr(stdin, name)
+
+        process.stdin = Exited()
+        return process
+
+    monkeypatch.setattr(subprocess, "Popen", exited)
+    result = dispatch(_scripts(tmp_path, ["true"]), SOLVER_COMMAND, jobs=1, timeout_s=60)
+    assert result.outcomes[0][1:] == ("error", "exit 1: gone")
+    assert len(started) == 1 and _all_stopped(started)
+
+
+def test_no_files_are_no_evidence():
+    assert dispatch([], SOLVER_COMMAND).aggregate is Aggregate.ERROR
+    assert DispatchResult(()).aggregate is Aggregate.ERROR
 
 
 def _evaluated_aggregate(files) -> bool:
