@@ -43,7 +43,7 @@ from .rational import unlimited_int_digits
 
 Value = Union[bool, int, Fraction]
 
-MAX_DEPTH = 100  # emitted files nest at most 11 deep
+MAX_DEPTH = 100  # emitted files nest at most 11 deep (tests/test_smteval.py pins it)
 
 
 class EvalError(Exception):
@@ -171,24 +171,36 @@ class _Reader:
         """The value of `(op operand ...)` or of a let, whose `(` is read."""
         if depth > MAX_DEPTH:
             raise EvalError(f"terms nest deeper than {MAX_DEPTH}")
-        head = self._next()
+        head = next(self.tokens, None)
         if head == "let":
             return self.let(depth)
         try:
             sorts, fewest, most, meaning = _OPERATORS[head]
         except KeyError:
+            if head is None:
+                raise EvalError("unbalanced '('") from None
             raise EvalError(f"unsupported operator {head!r}") from None
-        values = []
-        for token in self.tokens:
+        values, known = [], self.known
+        for token in self.tokens:  # each operand as `term` and `atom` read it, inline
             if token == ")":
                 break
-            values.append(self.application(depth + 1) if token == "(" else self.atom(token))
+            if token == "(":
+                values.append(self.application(depth + 1))
+            elif (value := known.get(token)) is not None:
+                values.append(value)
+            elif token.isdigit() and token.isascii():
+                values.append(int(token))
+            else:
+                raise EvalError(f"unknown symbol {token!r} (script is not ground)")
         else:
             raise EvalError("unbalanced '('")
+        if head == "-" and len(values) == 1 and type(values[0]) is int:  # a negative numeral
+            return -values[0]
         if not fewest <= len(values) <= most:
             raise EvalError(f"{head} given {len(values)} operands")
-        if not set(map(type, values)) <= sorts:
-            raise EvalError(f"{head} applied to an operand of the wrong sort")
+        for value in values:
+            if type(value) not in sorts:
+                raise EvalError(f"{head} applied to an operand of the wrong sort")
         return meaning(values)
 
     def let(self, depth: int) -> Value:

@@ -10,10 +10,14 @@ re-derive.  Each file is a ground script: one `(set-logic ALL)`, one
 `(assert ...)` with no declared symbols, one `(check-sat)`, so `sat`
 means "this slice of the formula holds".
 
-Integral values are written as numerals (`7`, `(- 7)`), others as
-`(/ p q)` or `(- (/ p q))`.  A `lin` or `rnd` conjunct writes each
-combined coefficient sum and its bound sum once, in one flat
-`(let ((a<j> S_j) ... (b B)) ...)`, and its tests refer to the names.
+A rational p/q in lowest terms is written as the numeral `p` when q is
+1 and as `(/ p q)` otherwise, a negative numerator as `(- 7)`; a product
+w * x of p/q and r/s is one integer quotient `(/ (* p r) (* q s))`,
+written with no factor of 1 and with no `/` when q = s = 1.  A `lin` or
+`rnd` conjunct writes each combined coefficient sum and its bound sum
+once, in one flat `(let ((a<j> S_j) ... (b B)) ...)`, and its tests
+refer to the names.  Every test that several terms are 0 is one chained
+`(= 0 t1 t2 ...)`.
 
 Files partition the formula as: one solution-side file, consecutive
 blocks of per-derivation conjuncts, and one file for the closing
@@ -31,7 +35,7 @@ import sys
 import threading
 from collections import namedtuple
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -53,17 +57,41 @@ _RZERO = "0"
 _RONE = "1"
 
 
+def _ratio(numerator: int, denominator: int) -> tuple[str, str]:
+    """numerator / denominator, denominator > 0, in lowest terms, as the
+    texts of its numerator (`(- 7)` when negative) and denominator."""
+    g = math.gcd(numerator, denominator)
+    numerator //= g
+    top = str(numerator) if numerator >= 0 else f"(- {-numerator})"
+    return top, str(denominator // g)
+
+
+# products repeat their factors (nine calls in ten hit on smt-medium); a
+# target's literals seldom repeat, so `_frac` renders them uncached
+_factor = lru_cache(maxsize=4096)(_ratio)
+
+
 def _frac(numerator: int, denominator: int) -> str:
-    """numerator / denominator, denominator > 0, in lowest terms: an
-    integral value as a numeral, any other as `(/ p q)`; a negative value
-    as the negation of its magnitude."""
-    if denominator != 1:
-        g = math.gcd(numerator, denominator)
-        numerator //= g
-        denominator //= g
-    magnitude = abs(numerator)
-    text = str(magnitude) if denominator == 1 else f"(/ {magnitude} {denominator})"
-    return f"(- {text})" if numerator < 0 else text
+    """numerator / denominator, denominator > 0, as `p` or `(/ p q)` in
+    lowest terms."""
+    top, bottom = _ratio(numerator, denominator)
+    return top if bottom == "1" else f"(/ {top} {bottom})"
+
+
+def _product(w: tuple[str, str], x: tuple[str, str]) -> str:
+    """w * x for `_factor`s w = p/q and x = r/s, as the integer quotient
+    `(/ (* p r) (* q s))` with no factor of 1, and no `/` when q = s = 1."""
+    p, q = w
+    r, s = x
+    top = r if p == "1" else p if r == "1" else f"(* {p} {r})"
+    bottom = s if q == "1" else q if s == "1" else f"(* {q} {s})"
+    return top if bottom == "1" else f"(/ {top} {bottom})"
+
+
+def _zeros(terms: Sequence[str]) -> list[str]:
+    """The one chained test `(= 0 t1 t2 ...)` that every term is 0, or
+    none for no terms."""
+    return [f"(= {_RZERO} {' '.join(terms)})"] if terms else []
 
 
 def _junction(op: str, unit: str, zero: str, parts: Sequence[str]) -> str:
@@ -115,6 +143,7 @@ def _dom_expr(
 ) -> str:
     """Domination of a (possibly symbolic) source over a literal target;
     the source's sign flags are already folded."""
+    support = sorted(a_exprs)
     if eq:
         absurd_tail: Optional[str] = f"(not (= {b_expr} {_RZERO}))"
     elif geq:
@@ -126,13 +155,12 @@ def _dom_expr(
     if absurd_tail is None:
         absurd = "false"
     else:
-        zeros = [f"(= {a_exprs[j]} {_RZERO})" for j in sorted(a_exprs)]
-        absurd = _conj(zeros + [absurd_tail])
+        absurd = _conj(_zeros([a_exprs[j] for j in support]) + [absurd_tail])
 
     scale, terms = target.scale, target.terms
-    support = sorted(set(a_exprs) | set(terms))
-    same_lhs = [
-        f"(= {a_exprs.get(j, _RZERO)} {_frac(terms.get(j, 0), scale)})" for j in support
+    same_lhs = _zeros([a_exprs[j] for j in support if j not in terms])
+    same_lhs += [
+        f"(= {a_exprs.get(j, _RZERO)} {_frac(a, scale)})" for j, a in sorted(terms.items())
     ]
     rhs = _frac(target.bound, scale)
     if target.sign is Sign.EQ:
@@ -164,11 +192,8 @@ def _dis_expr(ci: Constraint, cj: Constraint, int_vars: frozenset[int]) -> str:
     aj, bj = _literal_exprs(cj)
     support = sorted(set(ai) | set(aj))
     parts = [f"(= {ai.get(j, _RZERO)} {aj.get(j, _RZERO)})" for j in support]
-    for j in sorted(ai):
-        if j in int_vars:
-            parts.append(f"(is_int {ai[j]})")
-        else:
-            parts.append(f"(= {ai[j]} {_RZERO})")
+    parts += [f"(is_int {ai[j]})" for j in sorted(ai) if j in int_vars]
+    parts += _zeros([ai[j] for j in sorted(ai) if j not in int_vars])
     parts.append(f"(is_int {bi})")
     parts.append(f"(is_int {bj})")
     if si == 1:
@@ -194,12 +219,12 @@ def _symbolic_combination(
             geq = False
         if weighted_sign > 0:
             leq = False
-        w = _frac(weight, multipliers.scale)
+        w = _factor(weight, multipliers.scale)
         scale = constraint.scale
-        for j, a in sorted(constraint.terms.items()):
-            a_terms.setdefault(j, []).append(f"(* {w} {_frac(a, scale)})")
+        for j, a in constraint.terms.items():  # each sum is in multiplier order
+            a_terms.setdefault(j, []).append(_product(w, _factor(a, scale)))
         if constraint.bound:
-            b_terms.append(f"(* {w} {_frac(constraint.bound, scale)})")
+            b_terms.append(_product(w, _factor(constraint.bound, scale)))
     a_exprs = {j: _sum(terms) for j, terms in a_terms.items()}
     return a_exprs, _sum(b_terms), geq, leq
 
@@ -210,7 +235,7 @@ def _dot(terms: dict[int, int], scale: int, point: Row) -> str:
     for j, a in sorted(terms.items()):
         c = point.terms.get(j)
         if c:
-            products.append(f"(* {_frac(a, scale)} {_frac(c, point.scale)})")
+            products.append(_product(_factor(a, scale), _factor(c, point.scale)))
     return _sum(products)
 
 
@@ -231,6 +256,10 @@ def _satisfied_parts(constraint: Constraint, point: Row) -> list[str]:
 def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> str:
     """Ground formula for the validity of derived constraint C_k; the
     assumption predicate is discharged at emission time."""
+    return _der_expr(problem, certificate, k)
+
+
+def _der_expr(problem: Problem, certificate: Certificate, k: int) -> str:
     derived = certificate.der[k - problem.m - 1]
     target = derived.constraint
     d = total_constraints(problem, certificate)
@@ -253,12 +282,9 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
             return _let(bindings, _conj(prv + [dom]))
         if geq and leq:  # an equality combination is never roundable
             return "false"
-        roundable = []
-        for j in sorted(a_exprs):
-            if j in problem.int_vars:
-                roundable.append(f"(is_int {a_exprs[j]})")
-            else:
-                roundable.append(f"(= {a_exprs[j]} {_RZERO})")
+        int_vars = problem.int_vars
+        roundable = [f"(is_int {a_exprs[j]})" for j in sorted(a_exprs) if j in int_vars]
+        roundable += _zeros([a_exprs[j] for j in sorted(a_exprs) if j not in int_vars])
         # rounding keeps the absurdity test: ceil(b) > 0 iff b > 0, floor(b) < 0 iff b < 0
         rounded = _ceil("b") if geq else _floor("b")
         dom = _dom_expr(a_exprs, rounded, False, geq, leq, target)
@@ -397,9 +423,8 @@ def emit(
 
     width = max(4, len(str(total_constraints(problem, certificate))))
     for first_k, last_k in plan.blocks:
-        conjuncts = [
-            der_constraint_expr(problem, certificate, k) for k in range(first_k, last_k + 1)
-        ]
+        # `emit` lifts the digit limit once for all blocks, not once per conjunct
+        conjuncts = [_der_expr(problem, certificate, k) for k in range(first_k, last_k + 1)]
         path = out / f"der_{first_k:0{width}d}_{last_k:0{width}d}.smt2"
         _write_script(path, _conj(conjuncts))
         files.append(EmittedFile(path, "block", first_k, last_k))

@@ -11,9 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, SOLVER_COMMAND, load_fixture
+from test_scale_agreement import gen
 
-from viprcert.rational import Rational
-from viprcert.smteval import MAX_DEPTH, EvalError, _Reader, _tokens, main, run_script
+from viprcert.parser import parse_certificate
+from viprcert.rational import Rational, unlimited_int_digits
+from viprcert.smteval import (
+    _OPERATORS,
+    MAX_DEPTH,
+    EvalError,
+    _Reader,
+    _tokens,
+    main,
+    run_script,
+)
 from viprcert.smtgen import EmissionPlan, dispatch, emit
 from viprcert.spec import compute_assumption_sets
 
@@ -415,3 +425,159 @@ def test_a_worker_stops_at_a_line_that_is_not_a_path(tmp_path):
         assert result.returncode == 2
         assert [json.loads(line) for line in result.stdout.splitlines()] == [[0, "sat\n", ""]]
         assert result.stderr.startswith('(error "not a JSON string')
+
+
+# --- the inline operand loop against the per-token reader -------------------------
+
+
+class PerTokenReader(_Reader):
+    """The reference reader: each operand read through `atom` and the
+    head through `_next`, the sorts checked as a set, and no unary `-`
+    taken apart from the other operators, as the evaluator read
+    applications before it read numerals inline."""
+
+    def application(self, depth: int):
+        if depth > MAX_DEPTH:
+            raise EvalError(f"terms nest deeper than {MAX_DEPTH}")
+        head = self._next()
+        if head == "let":
+            return self.let(depth)
+        try:
+            sorts, fewest, most, meaning = _OPERATORS[head]
+        except KeyError:
+            raise EvalError(f"unsupported operator {head!r}") from None
+        values = []
+        for token in self.tokens:
+            if token == ")":
+                break
+            values.append(self.application(depth + 1) if token == "(" else self.atom(token))
+        else:
+            raise EvalError("unbalanced '('")
+        if not fewest <= len(values) <= most:
+            raise EvalError(f"{head} given {len(values)} operands")
+        if not set(map(type, values)) <= sorts:
+            raise EvalError(f"{head} applied to an operand of the wrong sort")
+        return meaning(values)
+
+
+def _read(reader_class, text: str, as_term: bool):
+    """What a reader makes of a script, or of one term: the answers or
+    the value with its type, or the error text."""
+    reader = reader_class(_tokens(text))
+    try:
+        with unlimited_int_digits():
+            if not as_term:
+                return reader.script()
+            value = reader.term(1)
+    except EvalError as exc:
+        return "error", str(exc)
+    return type(value), value, next(reader.tokens, None)
+
+
+def assert_reads_as_the_per_token_reader(text: str, as_term: bool = False) -> None:
+    assert _read(_Reader, text, as_term) == _read(PerTokenReader, text, as_term), text
+
+
+def _emitted_scripts(out_dir) -> list[str]:
+    """Every file emitted from the fixtures and from small generated
+    certificates of each kind, valid and forged, at block size 1 and at
+    the default."""
+    models = [load_fixture(name) for name in CORPUS]
+    for kind in gen.KINDS:
+        model = gen.build(gen.Spec(n=6, m=12, derivations=40, kind=kind, split_depth=3), 1)
+        for forgery in (None, "rnd", "split"):
+            models.append(parse_certificate(gen.render(model, forgery, 1)[0]))
+    scripts = []
+    for i, (problem, certificate) in enumerate(models):
+        asets = compute_assumption_sets(problem, certificate)
+        for block_size in (1, None):
+            plan = EmissionPlan.create(problem, certificate, block_size=block_size, workers=2)
+            files = emit(problem, certificate, asets, plan, out_dir / f"{i}-{block_size}")
+            scripts += [f.path.read_text() for f in files]
+    return scripts
+
+
+@pytest.fixture(scope="module")
+def emitted_scripts(tmp_path_factory):
+    return _emitted_scripts(tmp_path_factory.mktemp("emitted"))
+
+
+def test_emitted_files_read_as_the_per_token_reader_reads_them(emitted_scripts):
+    answers = set()
+    for script in emitted_scripts:
+        assert_reads_as_the_per_token_reader(script)
+        answers.update(_read(_Reader, script, as_term=False))
+    assert answers == {True, False}  # the forged certificates have unsat files
+
+
+def test_rejected_language_reads_as_the_per_token_reader_reads_it():
+    scripts = [f"(set-logic ALL)\n{command}\n(check-sat)\n" for command in DROPPED_LANGUAGE.values()]
+    scripts += [f"(set-logic ALL)\n(assert {term})\n(check-sat)\n" for term in LET_FAIL_CLOSED.values()]
+    for script in scripts:
+        assert _read(_Reader, script, as_term=False)[0] == "error"
+        assert_reads_as_the_per_token_reader(script)
+
+
+# atoms of every kind the reader tells apart: numerals, non-ASCII digits
+# (`int` reads some, `isdigit` accepts others), Booleans, unknown and
+# signed or decimal symbols, and tokens that are not atoms
+TERM_ATOMS = ["0", "1", "7", "12", "0007", "٣", "²", "７", "true", "false",
+              "x", "a1", "b", "-1", "1.5", "let", ")"]
+TERM_HEADS = [*_OPERATORS, "let", "foo", "=>", "1", "("]
+TERM_EDGES = ["(-)", "(- true)", "(- (/ 1 2))", "(- 3)", "(- (- 3))", "(- 1 true)",
+              "(/ 1 0)", "(/ (- 1) 4)", "(= 0 true)", "(= true false 1)", "(< 1 (/ 1 2) true)",
+              "(* 2 (/ 1 2))", "(let ((b 2)) (- b))", "(let ((b true)) (- b))", "(+ (- 1)"]
+
+
+@st.composite
+def terms(draw, depth: int = 0):
+    """Term-like text: an atom, an edge case, a deep chain of one
+    operator, or an application of any head to any operands."""
+    choice = draw(st.integers(0, 9 if depth < 4 else 2))
+    if choice <= 1:
+        return draw(st.sampled_from(TERM_ATOMS))
+    if choice == 2:
+        return draw(st.sampled_from(TERM_EDGES))
+    if choice == 3:
+        head = draw(st.sampled_from(["-", "not", "to_real", "to_int", "+"]))
+        nest = draw(st.integers(MAX_DEPTH - 3, MAX_DEPTH + 1))
+        return f"({head} " * nest + draw(terms(depth + 1)) + ")" * nest
+    head = draw(st.sampled_from(TERM_HEADS))
+    operands = draw(st.lists(terms(depth + 1), max_size=4))
+    return f"({' '.join([head, *operands])})"
+
+
+@settings(max_examples=400)
+@given(terms())
+def test_terms_read_as_the_per_token_reader_reads_them(term):
+    assert_reads_as_the_per_token_reader(term, as_term=True)
+    assert_reads_as_the_per_token_reader(f"(set-logic ALL)(assert {term})(check-sat)")
+
+
+def test_the_edge_terms_keep_their_values_and_errors():
+    assert evaluate("(- 3)") == -3 and type(evaluate("(- 3)")) is int
+    assert evaluate("(- (/ 1 2))") == Rational(-1, 2)
+    assert evaluate("(/ (- 1) 4)") == Rational(-1, 4)
+    assert evaluate("(/ (* (- 5) (- 2)) 2)") == 5 and type(evaluate("(/ 10 2)")) is int
+    for term, error in [("(-)", "- given 0 operands"),
+                        ("(- true)", "- applied to an operand of the wrong sort"),
+                        ("(- ٣)", "unknown symbol '٣' (script is not ground)"),
+                        ("(- 1", "unbalanced '('"),
+                        ("(", "unbalanced '('")]:
+        with pytest.raises(EvalError) as raised:
+            evaluate(term)
+        assert str(raised.value) == error
+
+
+def test_emitted_files_nest_at_most_eleven_deep(emitted_scripts):
+    # the depth the reader counts: every `(`, the command's included
+    deepest = 0
+    for script in emitted_scripts:
+        depth = 0
+        for token in _tokens(script):
+            depth += (token == "(") - (token == ")")
+            deepest = max(deepest, depth)
+    # the rounded bound of a `rnd` step in a block: assert, and, let, and, or,
+    # and, >=, to_real, -, to_int, -
+    assert deepest == 11
+    assert 11 < MAX_DEPTH

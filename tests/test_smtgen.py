@@ -9,6 +9,8 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -16,7 +18,7 @@ from conftest import CORPUS, SOLVER_COMMAND, load_fixture, random_certificate
 
 from viprcert.checker import check_certificate, sol_violations
 from viprcert.model import Reason, constraint_at
-from viprcert.smteval import _tokens, run_script
+from viprcert.smteval import _Reader, _tokens, run_script
 from viprcert.smtgen import (
     Aggregate,
     DispatchResult,
@@ -85,13 +87,56 @@ def test_emitted_files_are_ground_and_exact(tmp_path):
             assert "." not in text
 
 
-def test_negative_rationals_use_the_negated_form(tmp_path):
+def _numeral(node) -> bool:
+    """A numeral or a negated one, `7` or `(- 7)`."""
+    if isinstance(node, list):
+        return len(node) == 2 and node[0] == "-" and _numeral(node[1]) and node[1] != "0"
+    return node.isdigit()
+
+
+def _chains(node) -> int:
+    """Check every product and quotient below `node`; the number of
+    chained zero tests among its terms."""
+    if isinstance(node, str):
+        return 0
+    head, *operands = node
+    if head == "*":  # two literal factors, neither of them 1
+        assert len(operands) == 2 and all(map(_numeral, operands)), node
+        assert "1" not in operands, node
+    elif head == "/":  # an integer quotient with a positive denominator other than 1
+        top, bottom = operands
+        assert _numeral(top) or top[0] == "*", node
+        factors = [bottom] if isinstance(bottom, str) else bottom[1:]
+        assert isinstance(bottom, str) or bottom[0] == "*", node
+        assert all(f.isdigit() and f not in ("0", "1") for f in factors), node
+    chained = head == "=" and operands[0] == "0" and len(operands) > 2
+    return chained + sum(map(_chains, operands))
+
+
+def test_products_are_quotients_and_zero_tests_are_chained(tmp_path):
     files = _emit_fixture("cert0", tmp_path / "neg", block_size=1)
     text = "".join(f.path.read_text() for f in files)
-    assert "(- (/ 1 4))" in text  # the -1/4 multiplier
-    assert "(- 4)" in text  # the -4 coefficient
-    assert "(/ 14 3)" in text
+    assert "(/ (* (- 1) 3) 4)" in text  # the -1/4 multiplier times 3: one quotient
+    assert "(/ (- 1) 3)" in text  # 1/3 times -1, with the factor 1 dropped
+    assert "(+ (/ (* (- 1) (- 4)) 3) (* (- 1) 6) (/ 14 3))" in text  # no `/` over 1
+    assert "(= 0 a1 a2)" in text and "(= a1 0)" not in text
+    assert "(- (/" not in text and "(* 1 " not in text
     assert re.search(r"-\d", text) is None  # negative literals never appear bare
+    from conftest import random_valid_certificate
+
+    rng = random.Random(1618)
+    models = [load_fixture(name) for name in CORPUS]
+    models += [random_valid_certificate(rng) for _ in range(30)]
+    chains = 0
+    for i, (problem, certificate) in enumerate(models):
+        asets = compute_assumption_sets(problem, certificate)
+        plan = EmissionPlan.create(problem, certificate, block_size=1)
+        for emitted in emit(problem, certificate, asets, plan, tmp_path / str(i)):
+            script = emitted.path.read_text()
+            assert re.search(r"-\d", script) is None
+            assert re.search(r"\(= a\d+ 0\)", script) is None  # a sum's zero test is chained
+            chains += _chains(_tree(script.split("\n")[1]))
+    assert chains > 50
 
 
 def _tree(text: str):
@@ -143,6 +188,39 @@ def test_each_combined_sum_is_bound_once():
             assert "let" not in body_atoms and "*" not in body_atoms, expression
             checked += 1
     assert checked > 100
+
+
+def _text(node) -> str:
+    return node if isinstance(node, str) else "(" + " ".join(map(_text, node)) + ")"
+
+
+def test_bound_sums_are_the_fraction_reference_combination():
+    # each `a<j>` and `b` of a `lin`/`rnd` step, evaluated, is the exact sum
+    # the `Fraction` reference combines: the quotients write the same products
+    from conftest import random_valid_certificate
+    from test_exact_core import reference_combination
+
+    rng = random.Random(3141)
+    models = [load_fixture(name) for name in CORPUS]
+    models += [random_valid_certificate(rng) for _ in range(60)]
+    checked = 0
+    for problem, certificate in models:
+        resolve = partial(constraint_at, problem, certificate)
+        for k, derived in enumerate(certificate.der, start=problem.m + 1):
+            if derived.reason not in (Reason.LIN, Reason.RND):
+                continue
+            expression = der_constraint_expr(problem, certificate, k)
+            if expression in ("true", "false"):
+                continue
+            terms, bound, _, _ = reference_combination(derived.data, resolve)
+            _, bindings, _ = _tree(expression)
+            for name, term in bindings:
+                reader = _Reader(_tokens(_text(term)))
+                value = reader.term(1)
+                want = bound if name == "b" else terms.get(int(name[1:]), 0)
+                assert type(value) in (int, Fraction) and value == want, (k, name, expression)
+                checked += 1
+    assert checked > 250
 
 
 def test_emission_is_deterministic(tmp_path):
