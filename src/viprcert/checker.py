@@ -34,7 +34,7 @@ from .model import (
     nz,
     total_constraints,
 )
-from .rational import Rational, format_rational, unlimited_int_digits
+from .rational import Rational, format_rational
 from .spec import RtpFlags, compute_assumption_sets
 
 
@@ -61,7 +61,6 @@ def phi_feas(problem: Problem, point: SolutionPoint) -> bool:
     return all(_satisfies(c, coords) for c in problem.constraints)
 
 
-@unlimited_int_digits()
 def sol_violations(
     problem: Problem, certificate: Certificate, flags: RtpFlags
 ) -> list[Verdict]:
@@ -169,7 +168,6 @@ def der_violation(
     return fail("sol-domination", "no listed solution's objective bound dominates")
 
 
-@unlimited_int_digits()
 def final_violation(
     problem: Problem,
     certificate: Certificate,
@@ -228,11 +226,8 @@ class CheckReport(
     __slots__ = ()
 
 
-@unlimited_int_digits()
 def check_certificate_report(problem: Problem, certificate: Certificate) -> CheckReport:
-    """Verdict and every failure.  Messages print integers of any length,
-    with the interpreter's digit limit lifted process-wide while this runs
-    (`unlimited_int_digits`)."""
+    """Verdict and every failure; messages print integers of any length."""
     flags = RtpFlags.of(problem, certificate)
     asets = compute_assumption_sets(problem, certificate)
     failures = sol_violations(problem, certificate, flags)

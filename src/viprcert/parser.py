@@ -50,7 +50,8 @@ from .rational import (
     format_rational,
     is_integer_literal,
     parse_rational,
-    unlimited_int_digits,
+    read_int,
+    write_int,
 )
 
 VERSION_TOKEN = "1.0"
@@ -110,7 +111,7 @@ def _ratios(values: list[str]) -> Optional[tuple[int, list[int]]]:
     (D, [p * D / q, ...]), or None unless all are valid.  `int` reads
     what `is_integer_literal` accepts, a sign and Unicode decimal digits,
     and also `_` between digits: so values with no `_` that `int` reads,
-    with no zero `q`, are valid."""
+    with no zero `q`, are valid; `row` reads those past `int`'s digit limit."""
     joined = " ".join(values)
     if "_" in joined:
         return None
@@ -210,12 +211,12 @@ class _Parser:
         text = self.next(context, kind)
         if not is_integer_literal(text):
             raise self.error(kind, f"expected {context}, found {text!r}")
-        return int(text)
+        return read_int(text)
 
     def count(self, context: str) -> int:
         value = self.integer(context, ParseErrorKind.BAD_COUNT)
         if value < 0:
-            raise self.error(ParseErrorKind.BAD_COUNT, f"negative {context}: {value}")
+            raise self.error(ParseErrorKind.BAD_COUNT, f"negative {context}: {write_int(value)}")
         return value
 
     def rational_value(self, text: str) -> Rational:
@@ -232,7 +233,7 @@ class _Parser:
         value = self.integer(context, ParseErrorKind.BAD_INDEX)
         if not 0 <= value < limit:
             raise self.error(
-                ParseErrorKind.BAD_INDEX, f"{context} {value} outside [0, {limit - 1}]"
+                ParseErrorKind.BAD_INDEX, f"{context} {write_int(value)} outside [0, {limit - 1}]"
             )
         return value + 1
 
@@ -245,17 +246,16 @@ class _Parser:
     def row(self, count: int, limit: int, what: str, index_kind: str, value_kind: str) -> Row:
         """`count` pairs `i v`, token by token, as a row: a 0-based index
         below `limit`, at most once, and a rational value."""
-        checked: dict[int, str] = {}
+        checked: dict[int, Rational] = {}
         for _ in range(count):
             i = self.shifted_index(limit, f"{what} {index_kind} index")
             if i in checked:
                 raise self.error(
                     ParseErrorKind.BAD_INDEX, f"duplicate {index_kind} index {i - 1} in {what}"
                 )
-            checked[i] = self.next(f"{what} {value_kind}")
-            self.rational_value(checked[i])
-        scale, numbers = _ratios(list(checked.values()))
-        return Row(scale, dict(zip(checked, numbers)))
+            checked[i] = self.rational_value(self.next(f"{what} {value_kind}"))
+        scale = math.lcm(*(v.denominator for v in checked.values()))
+        return Row(scale, {i: v.numerator * scale // v.denominator for i, v in checked.items()})
 
     # --- whole records, each read from one slice, or None -------------------
 
@@ -263,7 +263,7 @@ class _Parser:
         """`offset` plus the tokens of the list `t (i v)^t` there, or 0 unless
         `t` is decimal and at most `len(keys)`, so a larger one fills nothing."""
         count = self.peek(offset)
-        t = int(count) if count and count.isdecimal() else -1
+        t = read_int(count) if count and count.isdecimal() else -1
         return offset + 1 + 2 * t if 0 <= t <= len(keys) else 0
 
     def _take(self, length: int, read: Callable[[list[str]], Any]) -> Any:
@@ -329,7 +329,7 @@ class _Parser:
         constraint = self._constraint(record, body)
         if constraint is None or (data is None) != (reason in (Reason.ASM, Reason.SOL)):
             return None
-        return DerivedConstraint(constraint, reason, data, int(record[-1]))
+        return DerivedConstraint(constraint, reason, data, read_int(record[-1]))
 
     # --- sections ----------------------------------------------------------
 
@@ -367,7 +367,8 @@ class _Parser:
         bound_count = self.integer("bound-constraint count", ParseErrorKind.BAD_COUNT)
         if not 0 <= bound_count <= m:
             raise self.error(
-                ParseErrorKind.BAD_COUNT, f"bound-constraint count {bound_count} outside [0, {m}]"
+                ParseErrorKind.BAD_COUNT,
+                f"bound-constraint count {write_int(bound_count)} outside [0, {m}]",
             )
         constraints = tuple(
             self.fast_constraint_body() or self.constraint_body(n, f"constraint {i}")
@@ -482,14 +483,12 @@ def _decode(data: bytes) -> str:
         ) from None
 
 
-@unlimited_int_digits()
 def parse_certificate(source: Union[str, bytes]) -> tuple[Problem, Certificate]:
     """Parse VIPR 1.0 text into (Problem, Certificate).
 
-    Literals of any length are read, with the interpreter's digit limit
-    lifted process-wide while this runs (`unlimited_int_digits`).  Cyclic
-    garbage collection is paused too: the parse frees no cycles, so
-    collections during it only cost time.
+    Literals of any length are read (`rational.read_int`).  Cyclic
+    garbage collection is paused while this runs: the parse frees no
+    cycles, so collections during it only cost time.
     """
     if isinstance(source, bytes):
         source = _decode(source)
@@ -510,8 +509,8 @@ def _format_ratio(numerator: int, scale: int) -> str:
     prints it: `p` or `p/q`."""
     g = math.gcd(numerator, scale)
     if g == scale:
-        return str(numerator // g)
-    return f"{numerator // g}/{scale // g}"
+        return write_int(numerator // g)
+    return f"{write_int(numerator // g)}/{write_int(scale // g)}"
 
 
 def _format_terms(row: Union[Constraint, Row]) -> str:
@@ -537,12 +536,10 @@ def _format_reason(derived: DerivedConstraint) -> str:
     return f"{{ uns {indices} }}"
 
 
-@unlimited_int_digits()
 def serialize_certificate(problem: Problem, certificate: Certificate) -> str:
     """Emit the model back in the VIPR 1.0 grammar; reparsing it yields
     a structurally identical model (legacy index attributes included).
-    Integers of any length are printed, with the interpreter's digit
-    limit lifted process-wide while this runs (`unlimited_int_digits`)."""
+    Integers of any length are printed (`rational.write_int`)."""
     lines = ["VER 1.0"]
     lines.append(f"VAR {problem.n}")
     if problem.var_names:
@@ -569,6 +566,6 @@ def serialize_certificate(problem: Problem, certificate: Certificate) -> str:
     for derived in certificate.der:
         lines.append(
             f"{_format_constraint(derived.constraint)} "
-            f"{_format_reason(derived)} {derived.legacy_index}"
+            f"{_format_reason(derived)} {write_int(derived.legacy_index)}"
         )
     return "\n".join(lines) + "\n"

@@ -7,16 +7,12 @@ with a positive denominator, so equality is structural.  Every list of
 numbers (a constraint, the objective, a solution point, a `lin`/`rnd`
 multiplier list) is an integer row instead; see `model.Row`.  This
 module adds the strict text syntax (`p` or `p/q`, never decimals) used
-by the certificate format.
+by the certificate format, and integer literals of any length.
 """
 
 from __future__ import annotations
 
-import contextlib
-import sys
-import threading
 from fractions import Fraction
-from typing import Iterator
 
 Rational = Fraction
 
@@ -29,7 +25,8 @@ __all__ = [
     "is_integer_literal",
     "parse_rational",
     "format_rational",
-    "unlimited_int_digits",
+    "read_int",
+    "write_int",
 ]
 
 
@@ -54,6 +51,58 @@ def is_integer_literal(text: str) -> bool:
     return text.isdecimal() or (text[:1] in ("+", "-") and text[1:].isdecimal())
 
 
+# `int` reads at most this many digits and `str` prints at most this many
+# bits (about 450 digits): below 640, the lowest digit limit CPython accepts
+_READ_DIGITS, _WRITE_BITS = 512, 1500
+
+
+def read_int(text: str) -> int:
+    """`int(text)` for a text `is_integer_literal` accepts, of any length,
+    whatever the interpreter's digit limit: halves of a text too long for
+    one `int` call are joined with powers of 10, in subquadratic time.
+    Other long texts raise ValueError."""
+    if len(text) <= _READ_DIGITS:
+        return int(text)
+    if not is_integer_literal(text):
+        raise ValueError(f"not an integer literal: {text[:20]!r}...")
+    powers: dict[int, int] = {}  # 10 ** k by k
+
+    def read(digits: str) -> int:
+        if len(digits) <= _READ_DIGITS:
+            return int(digits)
+        low = len(digits) // 2
+        if low not in powers:
+            powers[low] = 10**low
+        return read(digits[:-low]) * powers[low] + read(digits[-low:])
+
+    return -read(text[1:]) if text[0] == "-" else read(text.lstrip("+"))
+
+
+def write_int(value: int) -> str:
+    """`str(value)` for an int of any size, whatever the interpreter's
+    digit limit: a value too large for `str` is split by bit shifts into
+    `decimal.Decimal` parts, which multiply exactly and print in linear
+    time, as CPython 3.12's `_pylong` does."""
+    if value.bit_length() <= _WRITE_BITS:
+        return str(value)
+    import decimal  # only values this large need it
+
+    powers: dict[int, decimal.Decimal] = {}  # 2 ** k by k
+
+    def write(n: int, bits: int) -> decimal.Decimal:  # 0 <= n < 2 ** bits
+        if bits <= _WRITE_BITS:
+            return decimal.Decimal(n)
+        low = bits // 2
+        if low not in powers:
+            powers[low] = decimal.Decimal(2) ** low
+        return write(n >> low, bits - low) * powers[low] + write(n & ((1 << low) - 1), low)
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        text = str(write(abs(value), value.bit_length()))
+    return text if value >= 0 else "-" + text
+
+
 def parse_rational(token: str) -> Rational:
     """Parse `p` or `p/q` into a canonical Rational.
 
@@ -64,14 +113,11 @@ def parse_rational(token: str) -> Rational:
     numerator.
     """
     numerator, slash, denominator = token.partition("/")
-    if is_integer_literal(numerator):
-        if not slash:
-            return Fraction(int(numerator))
-        if is_integer_literal(denominator):
-            q = int(denominator)
-            if q == 0:
-                raise ZeroDenominatorError(f"zero denominator: {token!r}")
-            return Fraction(int(numerator), q)
+    if is_integer_literal(numerator) and (not slash or is_integer_literal(denominator)):
+        q = read_int(denominator) if slash else 1
+        if q == 0:
+            raise ZeroDenominatorError(f"zero denominator: {token!r}")
+        return Fraction(read_int(numerator), q)
     if "." in token:
         raise DecimalNotationError(
             f"decimal notation is not accepted, write a fraction instead: {token!r}"
@@ -82,37 +128,5 @@ def parse_rational(token: str) -> Rational:
 def format_rational(value: Rational) -> str:
     """Canonical text form: `p` for integers, `p/q` otherwise."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-_digits_lock = threading.Lock()
-_digits_users = 0  # blocks inside `unlimited_int_digits`, across threads
-_digits_saved = 0  # the limit the first of them found
-
-
-@contextlib.contextmanager
-def unlimited_int_digits() -> Iterator[None]:
-    """Lift CPython's limit on int <-> str conversion digits while the
-    block runs: exact certificates may carry integers of any length.
-    The limit is process-wide, so every thread sees it lifted meanwhile.
-    Blocks may nest and overlap across threads: the first to enter lifts
-    the limit and the last to leave restores it.  Also a decorator on
-    every public entry point that reads or prints literals: the parser,
-    the serializer, the checker's and the SMT route's."""
-    global _digits_users, _digits_saved
-    if not hasattr(sys, "get_int_max_str_digits"):  # interpreters from before the limit
-        yield
-        return
-    with _digits_lock:
-        if not _digits_users:
-            _digits_saved = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-        _digits_users += 1
-    try:
-        yield
-    finally:
-        with _digits_lock:
-            _digits_users -= 1
-            if not _digits_users:
-                sys.set_int_max_str_digits(_digits_saved)
+        return write_int(value.numerator)
+    return f"{write_int(value.numerator)}/{write_int(value.denominator)}"

@@ -39,7 +39,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Union
 
-from .rational import unlimited_int_digits
+from .rational import read_int
 
 Value = Union[bool, int, Fraction]
 
@@ -164,7 +164,7 @@ class _Reader:
         if value is not None:
             return value
         if token.isdigit() and token.isascii():
-            return int(token)
+            return read_int(token)
         raise EvalError(f"unknown symbol {token!r} (script is not ground)")
 
     def application(self, depth: int) -> Value:
@@ -189,7 +189,10 @@ class _Reader:
             elif (value := known.get(token)) is not None:
                 values.append(value)
             elif token.isdigit() and token.isascii():
-                values.append(int(token))
+                try:
+                    values.append(int(token))
+                except ValueError:  # past the interpreter's digit limit
+                    values.append(read_int(token))
             else:
                 raise EvalError(f"unknown symbol {token!r} (script is not ground)")
         else:
@@ -231,11 +234,10 @@ class _Reader:
         return value
 
 
-@unlimited_int_digits()
 def run_script(text: str, out=sys.stdout) -> bool:
     """Read the whole script, then print one answer per check-sat; True
     when every answer is sat.  A rejected script prints nothing.
-    Numerals of any length are read (`unlimited_int_digits`)."""
+    Numerals of any length are read (`rational.read_int`)."""
     answers = _Reader(_tokens(text)).script()
     for holds in answers:
         print("sat" if holds else "unsat", file=out)

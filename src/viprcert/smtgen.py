@@ -50,7 +50,7 @@ from .model import (
     constraint_at,
     total_constraints,
 )
-from .rational import unlimited_int_digits
+from .rational import write_int
 from .spec import RtpFlags
 
 _RZERO = "0"
@@ -61,9 +61,11 @@ def _ratio(numerator: int, denominator: int) -> tuple[str, str]:
     """numerator / denominator, denominator > 0, in lowest terms, as the
     texts of its numerator (`(- 7)` when negative) and denominator."""
     g = math.gcd(numerator, denominator)
-    numerator //= g
-    top = str(numerator) if numerator >= 0 else f"(- {-numerator})"
-    return top, str(denominator // g)
+    try:
+        top, bottom = str(numerator // g), str(denominator // g)
+    except ValueError:  # `str` refuses values past the interpreter's digit limit
+        top, bottom = write_int(numerator // g), write_int(denominator // g)
+    return (f"(- {top[1:]})" if top[0] == "-" else top), bottom
 
 
 # products repeat their factors (nine calls in ten hit on smt-medium); a
@@ -252,14 +254,9 @@ def _satisfied_parts(constraint: Constraint, point: Row) -> list[str]:
     return parts
 
 
-@unlimited_int_digits()
 def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> str:
     """Ground formula for the validity of derived constraint C_k; the
     assumption predicate is discharged at emission time."""
-    return _der_expr(problem, certificate, k)
-
-
-def _der_expr(problem: Problem, certificate: Certificate, k: int) -> str:
     derived = certificate.der[k - problem.m - 1]
     target = derived.constraint
     d = total_constraints(problem, certificate)
@@ -312,7 +309,6 @@ def _der_expr(problem: Problem, certificate: Certificate, k: int) -> str:
     return _disj(branches)
 
 
-@unlimited_int_digits()
 def sol_expr(problem: Problem, certificate: Certificate, flags: RtpFlags) -> str:
     """Ground formula for the solution side."""
     if not flags.has_range:
@@ -334,7 +330,6 @@ def sol_expr(problem: Problem, certificate: Certificate, flags: RtpFlags) -> str
     return _conj(parts)
 
 
-@unlimited_int_digits()
 def final_expr(
     problem: Problem, certificate: Certificate, asets: frozenset[int], flags: RtpFlags
 ) -> str:
@@ -397,7 +392,6 @@ def _write_script(path: Path, expression: str) -> None:
     path.write_text(f"(set-logic ALL)\n(assert {expression})\n(check-sat)\n", encoding="utf-8")
 
 
-@unlimited_int_digits()
 def emit(
     problem: Problem,
     certificate: Certificate,
@@ -408,9 +402,7 @@ def emit(
     """Write the solution file, one file per block, and the final file.
 
     Emission is deterministic: identical inputs and plan produce
-    byte-identical files.  Integers of any length are written, with
-    the interpreter's digit limit lifted process-wide while this runs
-    (`unlimited_int_digits`).
+    byte-identical files.  Integers of any length are written.
     """
     flags = RtpFlags.of(problem, certificate)  # raises before any file is written
     out = Path(out_dir)
@@ -422,11 +414,10 @@ def emit(
     files.append(EmittedFile(sol_path, "sol"))
 
     width = max(4, len(str(total_constraints(problem, certificate))))
+    der_expr = partial(der_constraint_expr, problem, certificate)
     for first_k, last_k in plan.blocks:
-        # `emit` lifts the digit limit once for all blocks, not once per conjunct
-        conjuncts = [_der_expr(problem, certificate, k) for k in range(first_k, last_k + 1)]
         path = out / f"der_{first_k:0{width}d}_{last_k:0{width}d}.smt2"
-        _write_script(path, _conj(conjuncts))
+        _write_script(path, _conj([der_expr(k) for k in range(first_k, last_k + 1)]))
         files.append(EmittedFile(path, "block", first_k, last_k))
 
     final_path = out / "final.smt2"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import shlex
@@ -39,6 +40,32 @@ CORPUS = ("cert0", "forged1", "forged2", "manipulated1")
 # `--hypothesis-profile=ci` runs five times the examples of every property
 # test that does not set its own count, and prints a failure's reproducer.
 settings.register_profile("ci", max_examples=500, print_blob=True)
+
+# the lowest int <-> str digit limit CPython accepts; huge-literal tests run
+# under it as well as under the interpreter's own
+LOWEST_DIGIT_LIMIT = 640
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit: int):
+    """The interpreter's int <-> str digit limit set to `limit` (0 lifts
+    it) while the block runs, and restored after."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture(params=["own", "lowest"])
+def digit_limit(request):
+    """Runs a test under the interpreter's own digit limit, and again
+    under the lowest one, set for the test only."""
+    lowest = request.param == "lowest"
+    with int_digit_limit(LOWEST_DIGIT_LIMIT if lowest else sys.get_int_max_str_digits()):
+        yield
+
 
 # Bundled ground-formula evaluator, used wherever tests need an external
 # SMT-LIB executable.

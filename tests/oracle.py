@@ -12,8 +12,8 @@ import itertools
 from collections import namedtuple
 from typing import Mapping, Optional
 
-from .model import CheckedTuple, Problem, Row, Sense, dot
-from .rational import Rational
+from viprcert.model import CheckedTuple, Problem, Row, Sense, dot
+from viprcert.rational import Rational
 
 ENUMERATION_LIMIT = 10**6
 

@@ -24,6 +24,7 @@ from conftest import (
     load_fixture,
     mutated_variant,
 )
+from oracle import BoxBounds, brute_force
 from rows import constraint, lhs, multipliers, rhs
 
 from viprcert.algebra import (
@@ -34,7 +35,6 @@ from viprcert.algebra import (
 )
 from viprcert.checker import check_certificate, default_jobs
 from viprcert.model import Constraint, Sign
-from viprcert.oracle import BoxBounds, brute_force
 from viprcert.parser import ParseError, parse_certificate, serialize_certificate
 from viprcert.cli import main as cli_main
 from viprcert.rational import Rational, format_rational, parse_rational

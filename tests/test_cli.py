@@ -358,7 +358,7 @@ def _huge_infeasible_certificate(tmp_path):
 
 
 @pytest.mark.parametrize("command", ("check", "verify"))
-def test_huge_literals_keep_the_verdict_exit_code(command, tmp_path, capsys):
+def test_huge_literals_keep_the_verdict_exit_code(command, tmp_path, capsys, digit_limit):
     path = _huge_infeasible_certificate(tmp_path)
     extra = ["--solver", SOLVER_COMMAND] if command == "verify" else []
     assert main([command, str(path), *extra]) == 0
@@ -367,7 +367,7 @@ def test_huge_literals_keep_the_verdict_exit_code(command, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_library_calls_accept_huge_literals_on_their_own(tmp_path):
+def test_library_calls_accept_huge_literals_on_their_own(tmp_path, digit_limit):
     """The library reads, prints and writes the 5000-digit literals the
     command line accepts, and leaves the interpreter's limit as it was."""
     limit = sys.get_int_max_str_digits()
@@ -386,7 +386,7 @@ def test_library_calls_accept_huge_literals_on_their_own(tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_check_and_emit_parts_print_huge_literals_on_their_own():
+def test_check_and_emit_parts_print_huge_literals_on_their_own(digit_limit):
     """The per-part helpers the benchmark's tracer calls directly print a
     5000-digit bound and coordinate without a caller lifting the limit."""
     huge = "1" + "0" * 4998 + "7"

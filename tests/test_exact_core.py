@@ -52,7 +52,7 @@ from viprcert.parser import (
     parse_certificate,
     serialize_certificate,
 )
-from viprcert.rational import RationalSyntaxError, parse_rational, unlimited_int_digits
+from viprcert.rational import RationalSyntaxError, parse_rational
 
 # --- Fraction reference for the constraint algebra ----------------------------
 
@@ -422,19 +422,17 @@ def test_row_reader_edge_tokens(rhs, pairs, expected):
         assert outcome[0] is expected
     else:
         assert outcome == expected
-        with unlimited_int_digits():
-            assert outcome == reference_row(rhs, read)
+        assert outcome == reference_row(rhs, read)
 
     # the same pairs as each list read to a Row
     for kind in ROW_LISTS:
         row = _list_outcome(kind, listed)
         assert row == _list_outcome(kind, listed, token_path=True), kind
-        with unlimited_int_digits():
-            rhs_valid = isinstance(_outcome(parse_rational, rhs), Fraction)
-            if isinstance(expected, ParseErrorKind) and rhs_valid:
-                assert row[0] is expected, kind  # the error is in the pairs
-            else:
-                assert row == reference_list(read), kind
+        rhs_valid = isinstance(_outcome(parse_rational, rhs), Fraction)
+        if isinstance(expected, ParseErrorKind) and rhs_valid:
+            assert row[0] is expected, kind  # the error is in the pairs
+        else:
+            assert row == reference_list(read), kind
 
 
 def _keyword_outcome(objective: str, rhs: str, token_path: bool = False):
@@ -514,11 +512,10 @@ def test_row_reader_matches_the_token_path_and_the_reference(rhs, pairs, data):
     ):
         return
     read = [(str(int(j)), v) for j, v in pairs]
-    with unlimited_int_digits():
-        if kind == "constraint":
-            assert tuple(outcome[0].constraints[0])[2:] == reference_row(rhs, read)
-        else:
-            assert tuple(_list_row(kind, *outcome)) == reference_list(read)
+    if kind == "constraint":
+        assert tuple(outcome[0].constraints[0])[2:] == reference_row(rhs, read)
+    else:
+        assert tuple(_list_row(kind, *outcome)) == reference_list(read)
 
 
 # --- error positions computed on demand against an eager tokenizer ----------
@@ -630,8 +627,7 @@ WINDOW_CHUNKS = (1, 2, 7, parser.CHUNK)
 def assert_window_matches_the_whole_list(text: str, chunk: int) -> None:
     """The same model, or the same error kind, position and message."""
     try:
-        with unlimited_int_digits():
-            expected = WholeListParser(text).parse()
+        expected = WholeListParser(text).parse()
     except ParseError as exc:
         expected = exc.kind, exc.line, exc.column, exc.message
     with mock.patch.object(parser, "CHUNK", chunk):

@@ -72,3 +72,12 @@ def test_the_native_check_reaches_no_smt_route():
 
 def test_the_evaluator_reaches_at_most_rational():
     assert reach("smteval") <= {"rational"}
+
+
+def test_no_module_changes_the_interpreters_digit_limit():
+    """Literals of any length are converted by `rational.read_int` and
+    `write_int`; nothing in the package sets the process-wide limit."""
+    for path in _PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            assert "set_int_max_str_digits" not in names, f"{path.name}:{node.lineno}"

@@ -3,15 +3,15 @@ from __future__ import annotations
 import pytest
 
 from conftest import load_fixture
-from rows import constraint, objective
-
-from viprcert.model import Problem, Sense, Sign
-from viprcert.oracle import (
+from oracle import (
     BoxBounds,
     EnumerationTooLarge,
     UnsupportedContinuousVariable,
     brute_force,
 )
+from rows import constraint, objective
+
+from viprcert.model import Problem, Sense, Sign
 from viprcert.rational import Rational
 
 

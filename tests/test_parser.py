@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from assumptions import chain_text
-from conftest import CORPUS, fixture_path, load_fixture
+from conftest import CORPUS, LOWEST_DIGIT_LIMIT, fixture_path, int_digit_limit, load_fixture
 from rows import lhs, rhs
 from test_scale_agreement import gen
 
@@ -282,24 +282,22 @@ def test_serializer_writes_exact_rationals():
     assert text.endswith("\n") and not text.endswith("\n\n")
 
 
-def test_serializer_round_trips_huge_literals_on_its_own():
+@pytest.mark.parametrize("limit", [4300, LOWEST_DIGIT_LIMIT])
+def test_serializer_round_trips_huge_literals_on_its_own(limit):
     """5000-digit values in a constraint, an RTP bound, a solution
     coordinate and a multiplier print back verbatim, under the
-    interpreter's default digit limit, which stays as it was."""
+    interpreter's default digit limit and the lowest one, which stay as
+    they were."""
     huge = "1" + "0" * 4998 + "7"
     text = (
         "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n1 0 1\nCON 1 0\n"
         f"c G {huge} 1 0 1\nRTP range {huge}/3 inf\nSOL 1\npt 1 0 -{huge}/7\n"
         f"DER 1\nd G 0 1 0 1 {{ lin 1 0 1/{huge} }} -1\n"
     )
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with int_digit_limit(limit):
         problem, certificate = parse_certificate(text)
         printed = serialize_certificate(problem, certificate)
-        assert sys.get_int_max_str_digits() == 4300
-    finally:
-        sys.set_int_max_str_digits(limit)
+        assert sys.get_int_max_str_digits() == limit
     assert printed == text
     assert parse_certificate(printed) == (problem, certificate)
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
-import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import LOWEST_DIGIT_LIMIT, int_digit_limit
+from viprcert import rational
 from viprcert.rational import (
     DecimalNotationError,
     MalformedNumberError,
@@ -14,7 +16,8 @@ from viprcert.rational import (
     ZeroDenominatorError,
     format_rational,
     parse_rational,
-    unlimited_int_digits,
+    read_int,
+    write_int,
 )
 
 nonzero_ints = st.integers(min_value=-10**12, max_value=10**12)
@@ -128,44 +131,70 @@ def test_field_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-def test_digit_limit_stays_lifted_until_the_last_overlapping_block_leaves():
-    """Thread A enters, then thread B, then A leaves: B still converts a
-    5000-digit integer, and once both have left the interpreter's limit
-    is what it was, also after a nested entry."""
-    huge = "7" * 5000
-    a_entered, b_entered, a_left = threading.Event(), threading.Event(), threading.Event()
-    converted = []
+# --- integer literals of any length, against `int` and `str` -----------------
 
-    def thread_a():
-        with unlimited_int_digits():
-            a_entered.set()
-            b_entered.wait(30)
-        a_left.set()
+# at and around every split point: `int`'s piece, two pieces, the default
+# digit limit, and one length that is no power of two
+LITERAL_LENGTHS = [1, 2, 511, 512, 513, 1023, 1024, 1025, 4299, 4300, 4301, 12345]
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
-    def thread_b():
-        a_entered.wait(30)
-        with unlimited_int_digits():
-            b_entered.set()
-            a_left.wait(30)
-            try:
-                converted.append(len(str(int(huge))))
-            except ValueError as exc:
-                converted.append(exc)
 
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
-        assert converted == [5000]
-        assert sys.get_int_max_str_digits() == 4300
-        with unlimited_int_digits():
-            with unlimited_int_digits():
-                pass
-            assert len(str(int(huge))) == 5000
-        assert sys.get_int_max_str_digits() == 4300
-    finally:
-        sys.set_int_max_str_digits(limit)
+def _digits(length: int, seed: int) -> str:
+    rng = random.Random(seed)
+    return str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=length - 1))
+
+
+@pytest.mark.parametrize("length", LITERAL_LENGTHS)
+@pytest.mark.parametrize("sign", ["", "-", "+"])
+def test_read_int_of_huge_and_short_literals_is_int_of_them(sign, length):
+    texts = [sign + _digits(length, length), sign + "0" * (length - 1) + "7"]
+    texts.append(texts[0].translate(ARABIC_INDIC))
+    with int_digit_limit(LOWEST_DIGIT_LIMIT):
+        values = [read_int(text) for text in texts]
+        assert sys.get_int_max_str_digits() == LOWEST_DIGIT_LIMIT
+    with int_digit_limit(0):
+        assert values == [int(text) for text in texts]
+    assert values[2] == values[0]
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 600 + "x", "1_0" * 300, "--" + "1" * 600, "1" * 300 + " " + "1" * 300]
+)
+def test_read_int_refuses_a_huge_text_that_is_no_literal(text):
+    with pytest.raises(ValueError):
+        read_int(text)
+
+
+def _write_values():
+    """Values around the bit length where `write_int` leaves `str`, and
+    around the lengths of `LITERAL_LENGTHS` in digits."""
+    bits = rational._WRITE_BITS
+    for width in (bits - 1, bits, bits + 1, 2 * bits, 2 * bits + 1, 40_000):
+        yield 2**width - 1
+        yield 2**width
+        yield 2**width + 1
+        yield random.Random(width).getrandbits(width)
+    for length in LITERAL_LENGTHS:
+        yield 10**length - 1
+        yield 10**length
+        yield random.Random(length).randrange(10 ** (length - 1), 10**length)
+    yield 0
+
+
+@pytest.mark.parametrize("value", list(_write_values()), ids=lambda v: f"{v.bit_length()}bits")
+def test_write_int_of_huge_and_small_values_is_str_of_them(value):
+    with int_digit_limit(LOWEST_DIGIT_LIMIT):
+        texts = [write_int(value), write_int(-value)]
+        assert sys.get_int_max_str_digits() == LOWEST_DIGIT_LIMIT
+    with int_digit_limit(0):
+        assert texts == [str(value), str(-value)]
+
+
+def test_huge_rationals_parse_and_format_under_the_lowest_digit_limit():
+    huge = _digits(5000, 5000)
+    with int_digit_limit(LOWEST_DIGIT_LIMIT):
+        value = parse_rational(f"-{huge}/{huge}1")
+        text = format_rational(value)
+    with int_digit_limit(0):
+        assert value == Rational(-int(huge), int(huge + "1"))
+        assert text == f"{value.numerator}/{value.denominator}"
