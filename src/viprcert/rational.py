@@ -60,11 +60,11 @@ def read_int(text: str) -> int:
     """`int(text)` for a text `is_integer_literal` accepts, of any length,
     whatever the interpreter's digit limit: halves of a text too long for
     one `int` call are joined with powers of 10, in subquadratic time.
-    Other long texts raise ValueError."""
+    Other texts, of any length, raise ValueError."""
+    if not is_integer_literal(text):
+        raise ValueError(f"not an integer literal: {text[:20]!r}")
     if len(text) <= _READ_DIGITS:
         return int(text)
-    if not is_integer_literal(text):
-        raise ValueError(f"not an integer literal: {text[:20]!r}...")
     powers: dict[int, int] = {}  # 10 ** k by k
 
     def read(digits: str) -> int:

@@ -61,10 +61,7 @@ def _ratio(numerator: int, denominator: int) -> tuple[str, str]:
     """numerator / denominator, denominator > 0, in lowest terms, as the
     texts of its numerator (`(- 7)` when negative) and denominator."""
     g = math.gcd(numerator, denominator)
-    try:
-        top, bottom = str(numerator // g), str(denominator // g)
-    except ValueError:  # `str` refuses values past the interpreter's digit limit
-        top, bottom = write_int(numerator // g), write_int(denominator // g)
+    top, bottom = write_int(numerator // g), write_int(denominator // g)
     return (f"(- {top[1:]})" if top[0] == "-" else top), bottom
 
 

@@ -158,9 +158,11 @@ def test_read_int_of_huge_and_short_literals_is_int_of_them(sign, length):
 
 
 @pytest.mark.parametrize(
-    "text", ["1" * 600 + "x", "1_0" * 300, "--" + "1" * 600, "1" * 300 + " " + "1" * 300]
+    "text",
+    ["1" * 600 + "x", "1_0" * 300, "--" + "1" * 600, "1" * 300 + " " + "1" * 300]
+    + ["", "-", "1_0", " 5", "5 ", "+-5", "0x10", "1.5"],
 )
-def test_read_int_refuses_a_huge_text_that_is_no_literal(text):
+def test_read_int_refuses_a_text_that_is_no_literal_at_any_length(text):
     with pytest.raises(ValueError):
         read_int(text)
 
