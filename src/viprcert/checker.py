@@ -31,16 +31,15 @@ from .model import (
     Verdict,
     constraint_at,
     dot,
-    nz,
     total_constraints,
 )
-from .rational import Rational, format_rational
-from .spec import RtpFlags, compute_assumption_sets
+from .rational import format_ratio
+from .spec import RtpFlags, cites_earlier, compute_assumption_sets
 
 
 def _relation(bound: Constraint) -> str:
     """`>= b` or `<= b` for a one-sided bound constraint."""
-    value = format_rational(Rational(bound.bound, bound.scale))
+    value = format_ratio(bound.bound, bound.scale)
     return f"{'>=' if bound.sign is Sign.GEQ else '<='} {value}"
 
 
@@ -97,11 +96,6 @@ def sol_violations(
     return failures
 
 
-def phi_prv(k: int, multipliers: Row) -> bool:
-    """Every multiplier index refers to a strictly earlier constraint."""
-    return all(1 <= i < k for i in nz(multipliers))
-
-
 def der_violation(
     problem: Problem,
     certificate: Certificate,
@@ -124,10 +118,8 @@ def der_violation(
 
     if derived.reason in (Reason.LIN, Reason.RND):
         assert isinstance(derived.data, Row)
-        if not phi_prv(k, derived.data):
-            return fail(
-                "prv", "multiplier indices must refer to strictly earlier constraints"
-            )
+        if not cites_earlier(k, derived.data):
+            return fail("prv", "multiplier indices must refer to strictly earlier constraints")
         combination = linear_combination(
             derived.data, lambda i: constraint_at(problem, certificate, i)
         )
@@ -144,7 +136,7 @@ def der_violation(
     if derived.reason is Reason.UNS:
         assert isinstance(derived.data, Unsplit)
         data = derived.data
-        if not all(1 <= i < k for i in data):
+        if not cites_earlier(k, data):
             return fail("uns-index", "unsplit data must refer to strictly earlier constraints")
         for i in (data.i1, data.i2):
             if not constraint_dominates(constraint_at(problem, certificate, i), target):

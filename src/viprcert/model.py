@@ -265,11 +265,6 @@ def constraint_at(problem: Problem, certificate: Certificate, k: int) -> Constra
     return certificate.der[k - problem.m - 1].constraint
 
 
-def nz(multipliers: Row) -> frozenset[int]:
-    """Non-zero index set; zeros are never stored, so this is the key set."""
-    return frozenset(multipliers.terms)
-
-
 class Verdict(CheckedTuple, namedtuple("Verdict", "valid location predicate_id message")):
     """A failure's location is `Sol(<point name>)`, `Der(<k>)` or `Final`."""
 

@@ -47,6 +47,8 @@ from .rational import (
     DecimalNotationError,
     Rational,
     RationalSyntaxError,
+    excerpt,
+    format_ratio,
     format_rational,
     is_integer_literal,
     parse_rational,
@@ -205,18 +207,20 @@ class _Parser:
     def keyword(self, expected: str, kind: ParseErrorKind = ParseErrorKind.MISSING_SECTION) -> None:
         text = self.next(f"{expected!r}", kind)
         if text != expected:
-            raise self.error(kind, f"expected {expected!r}, found {text!r}")
+            raise self.error(kind, f"expected {expected!r}, found {excerpt(text)}")
 
     def integer(self, context: str, kind: ParseErrorKind) -> int:
         text = self.next(context, kind)
         if not is_integer_literal(text):
-            raise self.error(kind, f"expected {context}, found {text!r}")
+            raise self.error(kind, f"expected {context}, found {excerpt(text)}")
         return read_int(text)
 
     def count(self, context: str) -> int:
         value = self.integer(context, ParseErrorKind.BAD_COUNT)
         if value < 0:
-            raise self.error(ParseErrorKind.BAD_COUNT, f"negative {context}: {write_int(value)}")
+            raise self.error(
+                ParseErrorKind.BAD_COUNT, f"negative {context}: {excerpt(write_int(value), str)}"
+            )
         return value
 
     def rational_value(self, text: str) -> Rational:
@@ -233,14 +237,17 @@ class _Parser:
         value = self.integer(context, ParseErrorKind.BAD_INDEX)
         if not 0 <= value < limit:
             raise self.error(
-                ParseErrorKind.BAD_INDEX, f"{context} {write_int(value)} outside [0, {limit - 1}]"
+                ParseErrorKind.BAD_INDEX,
+                f"{context} {excerpt(write_int(value), str)} outside [0, {limit - 1}]",
             )
         return value + 1
 
     def sense_letter(self, context: str) -> Sign:
         text = self.next(context, ParseErrorKind.UNKNOWN_SENSE)
         if text not in _SIGN_BY_LETTER:
-            raise self.error(ParseErrorKind.UNKNOWN_SENSE, f"expected E, G or L, found {text!r}")
+            raise self.error(
+                ParseErrorKind.UNKNOWN_SENSE, f"expected E, G or L, found {excerpt(text)}"
+            )
         return _SIGN_BY_LETTER[text]
 
     def row(self, count: int, limit: int, what: str, index_kind: str, value_kind: str) -> Row:
@@ -339,7 +346,7 @@ class _Parser:
         if version != VERSION_TOKEN:
             raise self.error(
                 ParseErrorKind.UNEXPECTED_TOKEN,
-                f"unsupported version {version!r}, expected {VERSION_TOKEN!r}",
+                f"unsupported version {excerpt(version)}, expected {VERSION_TOKEN!r}",
             )
 
         self.keyword("VAR")
@@ -355,7 +362,7 @@ class _Parser:
         sense_text = self.next("objective sense", ParseErrorKind.UNKNOWN_SENSE)
         if sense_text not in ("min", "max"):
             raise self.error(
-                ParseErrorKind.UNKNOWN_SENSE, f"expected min or max, found {sense_text!r}"
+                ParseErrorKind.UNKNOWN_SENSE, f"expected min or max, found {excerpt(sense_text)}"
             )
         sense = Sense(sense_text)
         objective = self.objective = self.fast_row(0) or self.row(
@@ -368,7 +375,7 @@ class _Parser:
         if not 0 <= bound_count <= m:
             raise self.error(
                 ParseErrorKind.BAD_COUNT,
-                f"bound-constraint count {write_int(bound_count)} outside [0, {m}]",
+                f"bound-constraint count {excerpt(write_int(bound_count), str)} outside [0, {m}]",
             )
         constraints = tuple(
             self.fast_constraint_body() or self.constraint_body(n, f"constraint {i}")
@@ -396,7 +403,7 @@ class _Parser:
         if trailing is not None:
             raise self.error(
                 ParseErrorKind.TRAILING_GARBAGE,
-                f"unexpected content after last derivation: {trailing!r}",
+                f"unexpected content after last derivation: {excerpt(trailing)}",
                 self.pos,
             )
 
@@ -432,7 +439,8 @@ class _Parser:
             return Rtp.make_infeasible()
         if relation != "range":
             raise self.error(
-                ParseErrorKind.UNEXPECTED_TOKEN, f"expected infeas or range, found {relation!r}"
+                ParseErrorKind.UNEXPECTED_TOKEN,
+                f"expected infeas or range, found {excerpt(relation)}",
             )
         lb_text = self.next("lower bound")
         lb = None if lb_text == "-inf" else self.rational_value(lb_text)
@@ -453,7 +461,9 @@ class _Parser:
         reason_text = self.next("reason", ParseErrorKind.UNKNOWN_REASON)
         reason = _REASONS.get(reason_text)
         if reason is None:
-            raise self.error(ParseErrorKind.UNKNOWN_REASON, f"unknown reason {reason_text!r}")
+            raise self.error(
+                ParseErrorKind.UNKNOWN_REASON, f"unknown reason {excerpt(reason_text)}"
+            )
 
         data: Union[None, Row, Unsplit] = None
         if reason in (Reason.LIN, Reason.RND):
@@ -504,25 +514,16 @@ def parse_certificate(source: Union[str, bytes]) -> tuple[Problem, Certificate]:
 # --- serialization ----------------------------------------------------------
 
 
-def _format_ratio(numerator: int, scale: int) -> str:
-    """numerator / scale, scale > 0, in lowest terms as `format_rational`
-    prints it: `p` or `p/q`."""
-    g = math.gcd(numerator, scale)
-    if g == scale:
-        return write_int(numerator // g)
-    return f"{write_int(numerator // g)}/{write_int(scale // g)}"
-
-
 def _format_terms(row: Union[Constraint, Row]) -> str:
     """`t j_1 c_1 ... j_t c_t` of a row's values, 0-based."""
     parts = [str(len(row.terms))]
     for j, a in sorted(row.terms.items()):
-        parts.append(f"{j - 1} {_format_ratio(a, row.scale)}")
+        parts.append(f"{j - 1} {format_ratio(a, row.scale)}")
     return " ".join(parts)
 
 
 def _format_constraint(constraint: Constraint) -> str:
-    rhs = _format_ratio(constraint.bound, constraint.scale)
+    rhs = format_ratio(constraint.bound, constraint.scale)
     return f"{constraint.name} {constraint.sign.letter} {rhs} {_format_terms(constraint)}"
 
 

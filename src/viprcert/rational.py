@@ -12,6 +12,7 @@ by the certificate format, and integer literals of any length.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -24,7 +25,9 @@ __all__ = [
     "ZeroDenominatorError",
     "is_integer_literal",
     "parse_rational",
+    "format_ratio",
     "format_rational",
+    "excerpt",
     "read_int",
     "write_int",
 ]
@@ -116,17 +119,31 @@ def parse_rational(token: str) -> Rational:
     if is_integer_literal(numerator) and (not slash or is_integer_literal(denominator)):
         q = read_int(denominator) if slash else 1
         if q == 0:
-            raise ZeroDenominatorError(f"zero denominator: {token!r}")
+            raise ZeroDenominatorError(f"zero denominator: {excerpt(token)}")
         return Fraction(read_int(numerator), q)
     if "." in token:
         raise DecimalNotationError(
-            f"decimal notation is not accepted, write a fraction instead: {token!r}"
+            f"decimal notation is not accepted, write a fraction instead: {excerpt(token)}"
         )
-    raise MalformedNumberError(f"not an integer or p/q fraction: {token!r}")
+    raise MalformedNumberError(f"not an integer or p/q fraction: {excerpt(token)}")
+
+
+def format_ratio(numerator: int, scale: int) -> str:
+    """numerator / scale, scale > 0, in lowest terms: `p` or `p/q`."""
+    g = math.gcd(numerator, scale)
+    if g == scale:
+        return write_int(numerator // g)
+    return f"{write_int(numerator // g)}/{write_int(scale // g)}"
 
 
 def format_rational(value: Rational) -> str:
-    """Canonical text form: `p` for integers, `p/q` otherwise."""
-    if value.denominator == 1:
-        return write_int(value.numerator)
-    return f"{write_int(value.numerator)}/{write_int(value.denominator)}"
+    """A Rational's canonical text form, as `format_ratio` prints it."""
+    return format_ratio(value.numerator, value.denominator)
+
+
+def excerpt(text: str, show=repr) -> str:
+    """`show(text)` for an error message; a text over 40 characters is
+    shown by its first 40, then `...` and its length."""
+    if len(text) <= 40:
+        return show(text)
+    return f"{show(text[:40])}... ({len(text)} characters)"

@@ -103,8 +103,9 @@ _RESERVED = frozenset({"let", "true", "false", *_OPERATORS})
 
 class _Reader:
     """Reads a script's tokens once, front to back, by recursive descent:
-    each construct is read where the emitter writes it, and each
-    application is applied as its `)` is read, so no tree is kept.
+    each construct is read where the emitter writes it, each application
+    is applied as its `)` is read, so no tree is kept, and `terms` reads
+    every term: operands, asserted terms, let bindings and let bodies.
 
     `let` is the flat form `smtgen` writes: a non-empty list of distinct
     `(name term)` bindings, in which the terms see no name of that list,
@@ -136,11 +137,12 @@ class _Reader:
                 raise EvalError("unbalanced ')'" if token == ")" else f"{token!r} is not a command")
             command = self._next()
             if command == "assert":
-                value = self.term(1)
-                if type(value) is not bool:
-                    raise EvalError("assert applied to a term that is not Boolean")
-                holds = holds and value
-            elif command == "check-sat":
+                values = self.terms(1)
+                if len(values) != 1 or type(values[0]) is not bool:
+                    raise EvalError("assert takes one Boolean term")
+                holds = holds and values[0]
+                continue  # `terms` has read the assert's `)`
+            if command == "check-sat":
                 answers.append(holds)
             elif command == "set-logic":
                 if self._next() in ("(", ")"):
@@ -150,22 +152,24 @@ class _Reader:
             self._expect(")", f"{command} given too many operands")
         return answers
 
-    def term(self, depth: int) -> Value:
-        """The value of the term that starts at the next token."""
-        token = self._next()
-        if token == "(":
-            return self.application(depth + 1)
-        if token == ")":
-            raise EvalError("a term is missing")
-        return self.atom(token)
-
-    def atom(self, token: str) -> Value:
-        value = self.known.get(token)
-        if value is not None:
-            return value
-        if token.isdigit() and token.isascii():
-            return read_int(token)
-        raise EvalError(f"unknown symbol {token!r} (script is not ground)")
+    def terms(self, depth: int) -> list[Value]:
+        """The values of the terms up to the next `)`, which is read."""
+        values, known = [], self.known
+        for token in self.tokens:
+            if token == ")":
+                return values
+            if token == "(":
+                values.append(self.application(depth + 1))
+            elif (value := known.get(token)) is not None:
+                values.append(value)
+            elif token.isdigit() and token.isascii():
+                try:
+                    values.append(int(token))
+                except ValueError:  # past the interpreter's digit limit
+                    values.append(read_int(token))
+            else:
+                raise EvalError(f"unknown symbol {token!r} (script is not ground)")
+        raise EvalError("unbalanced '('")
 
     def application(self, depth: int) -> Value:
         """The value of `(op operand ...)` or of a let, whose `(` is read."""
@@ -180,23 +184,7 @@ class _Reader:
             if head is None:
                 raise EvalError("unbalanced '('") from None
             raise EvalError(f"unsupported operator {head!r}") from None
-        values, known = [], self.known
-        for token in self.tokens:  # each operand as `term` and `atom` read it, inline
-            if token == ")":
-                break
-            if token == "(":
-                values.append(self.application(depth + 1))
-            elif (value := known.get(token)) is not None:
-                values.append(value)
-            elif token.isdigit() and token.isascii():
-                try:
-                    values.append(int(token))
-                except ValueError:  # past the interpreter's digit limit
-                    values.append(read_int(token))
-            else:
-                raise EvalError(f"unknown symbol {token!r} (script is not ground)")
-        else:
-            raise EvalError("unbalanced '('")
+        values = self.terms(depth)
         if head == "-" and len(values) == 1 and type(values[0]) is int:  # a negative numeral
             return -values[0]
         if not fewest <= len(values) <= most:
@@ -221,17 +209,20 @@ class _Reader:
                 raise EvalError(f"let cannot bind {name!r}")
             if name in bound:
                 raise EvalError("let binds a name twice")
-            bound[name] = self.term(depth + 2)
-            self._expect(")", "let binding is not (symbol term)")
+            values = self.terms(depth + 2)
+            if len(values) != 1:
+                raise EvalError("let binding is not (symbol term)")
+            bound[name] = values[0]
         if token != ")" or not bound:
             raise EvalError("let bindings must be a non-empty list of (symbol term)")
         self.known.update(bound)
-        value = self.term(depth)
-        self._expect(")", "let takes one body term")
+        values = self.terms(depth)
+        if len(values) != 1:
+            raise EvalError("let takes one body term")
         for name in bound:
             del self.known[name]
         self.in_let = False
-        return value
+        return values[0]
 
 
 def run_script(text: str, out=sys.stdout) -> bool:

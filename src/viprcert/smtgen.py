@@ -2,13 +2,14 @@
 orchestration of an external solver over them.
 
 The split of labor: this side folds into the emitted text, as Boolean
-constants, only the `spec` facts (what the relation to prove asks, and
-the A(d) it is handed), index ranges and the sign flags of linear
-combinations; every sum, product, comparison, floor/ceiling, and
-integrality test is written out symbolically for the solver to
-re-derive.  Each file is a ground script: one `(set-logic ALL)`, one
-`(assert ...)` with no declared symbols, one `(check-sat)`, so `sat`
-means "this slice of the formula holds".
+constants, only the `spec` facts (what the relation to prove asks, the
+A(d) it is handed, and whether each step cites only strictly earlier
+constraints, so every index test is decided at emission) and the sign
+flags of linear combinations; every sum, product, comparison,
+floor/ceiling, and integrality test is written out symbolically for the
+solver to re-derive.  Each file is a ground script: one
+`(set-logic ALL)`, one `(assert ...)` with no declared symbols, one
+`(check-sat)`, so `sat` means "this slice of the formula holds".
 
 A rational p/q in lowest terms is written as the numeral `p` when q is
 1 and as `(/ p q)` otherwise, a negative numerator as `(- 7)`; a product
@@ -46,12 +47,11 @@ from .model import (
     Reason,
     Row,
     Sign,
-    Unsplit,
     constraint_at,
     total_constraints,
 )
 from .rational import write_int
-from .spec import RtpFlags
+from .spec import RtpFlags, cites_earlier
 
 _RZERO = "0"
 _RONE = "1"
@@ -253,27 +253,25 @@ def _satisfied_parts(constraint: Constraint, point: Row) -> list[str]:
 
 def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> str:
     """Ground formula for the validity of derived constraint C_k; the
-    assumption predicate is discharged at emission time."""
+    assumption predicate and the rule that C_k cites only strictly
+    earlier constraints (`spec.cites_earlier`) are decided at emission."""
     derived = certificate.der[k - problem.m - 1]
     target = derived.constraint
-    d = total_constraints(problem, certificate)
 
     if derived.reason is Reason.ASM:
         return "true"
+    if not cites_earlier(k, derived.data):
+        return "false"
 
     if derived.reason in (Reason.LIN, Reason.RND):
         assert isinstance(derived.data, Row)
-        indices = sorted(derived.data.terms)
-        if any(not 1 <= i <= d for i in indices):
-            return "false"
-        prv = [f"(< {i} {k})" for i in indices]
         a_sums, b_sum, geq, leq = _symbolic_combination(problem, certificate, derived.data)
         # each sum is written once, bound to a name the tests below refer to
         a_exprs = {j: f"a{j}" for j in a_sums}
         bindings = [(a_exprs[j], a_sums[j]) for j in sorted(a_sums)] + [("b", b_sum)]
         if derived.reason is Reason.LIN:
             dom = _dom_expr(a_exprs, "b", geq and leq, geq, leq, target)
-            return _let(bindings, _conj(prv + [dom]))
+            return _let(bindings, dom)
         if geq and leq:  # an equality combination is never roundable
             return "false"
         int_vars = problem.int_vars
@@ -282,18 +280,13 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
         # rounding keeps the absurdity test: ceil(b) > 0 iff b > 0, floor(b) < 0 iff b < 0
         rounded = _ceil("b") if geq else _floor("b")
         dom = _dom_expr(a_exprs, rounded, False, geq, leq, target)
-        return _let(bindings, _conj(prv + roundable + [dom]))
+        return _let(bindings, _conj(roundable + [dom]))
 
     if derived.reason is Reason.UNS:
-        assert isinstance(derived.data, Unsplit)
-        data = derived.data
-        if any(not 1 <= i <= d for i in data):
-            return "false"
+        i1, l1, i2, l2 = derived.data
         at = partial(constraint_at, problem, certificate)
-        parts = [f"(> {k} {i})" for i in data]
-        parts += [_constraint_dom_expr(at(i), target) for i in (data.i1, data.i2)]
-        parts.append(_dis_expr(at(data.l1), at(data.l2), problem.int_vars))
-        return _conj(parts)
+        dominate = [_constraint_dom_expr(at(i), target) for i in (i1, i2)]
+        return _conj(dominate + [_dis_expr(at(l1), at(l2), problem.int_vars)])
 
     # sol reasoning
     s = problem.sense.bound_sign.value

@@ -1,5 +1,6 @@
 """What the spec fixes, read by both routes: what the relation to prove
-asks (`RtpFlags`) and A(d), recomputed by a sequential replay that
+asks (`RtpFlags`), that a step cites only strictly earlier constraints
+(`cites_earlier`), and A(d), recomputed by a sequential replay that
 discharges the assumption sets' correctness by construction.  The native
 check (`checker`) and the SMT route (`smtgen`) import this, never each other.
 """
@@ -51,6 +52,14 @@ class RtpFlags(namedtuple("RtpFlags", "has_range solution_bound final_target")):
                 "the relation to prove requires a last constraint, but there are none"
             )
         return flags
+
+
+def cites_earlier(k: int, data) -> bool:
+    """The rule that a step C_k cites only strictly earlier constraints:
+    every index its `lin`/`rnd` multipliers cite, and all four indices of
+    an unsplit step, lie in [1, k).  An `asm` or `sol` step cites none."""
+    cited = data.terms if isinstance(data, Row) else data or ()
+    return all(0 < i < k for i in cited)
 
 
 def _sources(m: int, k: int, data) -> list[tuple[int, int]]:

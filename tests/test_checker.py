@@ -18,7 +18,6 @@ from viprcert.checker import (
     der_violations,
     final_violation,
     phi_feas,
-    phi_prv,
     sol_violations,
 )
 from viprcert.model import (
@@ -32,7 +31,7 @@ from viprcert.model import (
     Unsplit,
 )
 from viprcert.rational import Rational
-from viprcert.spec import EmptyConstraintSystem, RtpFlags, compute_assumption_sets
+from viprcert.spec import EmptyConstraintSystem, RtpFlags, cites_earlier, compute_assumption_sets
 
 # Assumption sets of the running infeasibility example, one row per
 # derived constraint (unified indices 4..14).
@@ -137,10 +136,20 @@ def test_phi_sol_failures_are_localized():
     assert [f.predicate_id for f in failures] == ["feas"]
 
 
-def test_phi_prv():
-    assert phi_prv(10, multipliers({2: Rational(1), 5: Rational(2)}))
-    assert not phi_prv(7, multipliers({7: Rational(1)}))
-    assert phi_prv(7, multipliers({}))
+def test_cites_earlier():
+    assert cites_earlier(10, multipliers({2: Rational(1), 5: Rational(2)}))
+    assert not cites_earlier(7, multipliers({7: Rational(1)}))
+    assert cites_earlier(7, multipliers({}))
+    assert cites_earlier(2, multipliers({1: Rational(1), 9: Rational(0)}))  # a zero cites nothing
+    assert cites_earlier(5, Unsplit(1, 2, 3, 4))
+    assert not cites_earlier(4, Unsplit(1, 2, 3, 4))  # l2 = 4 is C_k itself
+    assert not cites_earlier(5, Unsplit(1, 0, 3, 4))
+    assert cites_earlier(1, None)  # an `asm` or `sol` step cites nothing
+    # cert0 (m = 3): C_7 combines C_1, C_4 and C_6, and C_11 rounds C_10
+    _, certificate = load_fixture("cert0")
+    row7, row11 = certificate.der[3].data, certificate.der[7].data
+    assert (cites_earlier(7, row7), cites_earlier(6, row7)) == (True, False)
+    assert (cites_earlier(11, row11), cites_earlier(10, row11)) == (True, False)
 
 
 def test_phi_der_k_examples():

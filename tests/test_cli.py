@@ -407,6 +407,53 @@ def test_check_and_emit_parts_print_huge_literals_on_their_own(digit_limit):
     assert sys.get_int_max_str_digits() == limit
 
 
+_SMALL_CERTIFICATE = (
+    "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n1 0 1\nCON 1 0\nc G 1 1 0 1\n"
+    "RTP range -inf inf\nSOL 0\nDER 1\nd G 1 1 0 1 { lin 1 0 1 } -1\n"
+)
+_LONG, _DIGITS = 100_000, "9" * 5000
+
+# (what the huge token replaces, the token, the kind, the message up to it)
+HUGE_TOKENS = {
+    "keyword": ("VAR", "V" * _LONG, "MissingSection", "expected 'VAR', found 'VVV"),
+    "version": ("1.0", "1" * _LONG, "UnexpectedToken", "unsupported version '111"),
+    "integer": ("VAR 1", "VAR " + "x" * _LONG, "BadCount", "expected variable count, found 'xxx"),
+    "count": ("VAR 1", f"VAR -{_DIGITS}", "BadCount", "negative variable count: -999"),
+    "sense": ("min", "m" * _LONG, "UnknownSense", "expected min or max, found 'mmm"),
+    "sense-letter": ("c G", "c " + "G" * _LONG, "UnknownSense", "expected E, G or L, found 'GGG"),
+    "index": ("1 0 1\nCON", f"1 {_DIGITS} 1\nCON", "BadIndex",
+              "objective variable index 999"),
+    "bound-count": ("CON 1 0", f"CON 1 {_DIGITS}", "BadCount", "bound-constraint count 999"),
+    "relation": ("range", "r" * _LONG, "UnexpectedToken", "expected infeas or range, found 'rrr"),
+    "reason": ("lin", "l" * _LONG, "UnknownReason", "unknown reason 'lll"),
+    "trailing": ("} -1\n", "} -1\n" + "z" * _LONG, "TrailingGarbage",
+                 "unexpected content after last derivation: 'zzz"),
+    "decimal": ("c G 1", "c G " + "1" * 1_000_000 + ".5", "DecimalNotation",
+                "decimal notation is not accepted, write a fraction instead: '111"),
+    "zero-denominator": ("c G 1", f"c G {_DIGITS}/0", "UnexpectedToken",
+                         "zero denominator: '999"),
+    "malformed": ("c G 1", "c G " + "1" * _LONG + "x", "UnexpectedToken",
+                  "not an integer or p/q fraction: '111"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_TOKENS)
+def test_parse_errors_show_a_bounded_excerpt_of_a_huge_token(case, tmp_path, capsys, digit_limit):
+    replaced, text, kind, message = HUGE_TOKENS[case]
+    assert _SMALL_CERTIFICATE.count(replaced) == 1
+    certificate = _SMALL_CERTIFICATE.replace(replaced, text)
+    token = max(certificate.split(), key=len)
+    line = certificate[: certificate.index(token)].count("\n") + 1
+    column = certificate.index(token) - certificate.rfind("\n", 0, certificate.index(token))
+    path = tmp_path / "bad.vipr"
+    path.write_text(certificate)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error at line {line}, column {column}: [{kind}] {message}")
+    assert f"... ({len(token)} characters)" in err
+    assert len(err) < 250 and err.count("\n") == 1, err
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")

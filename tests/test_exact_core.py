@@ -15,8 +15,8 @@
   reader that holds every token of the text in one list.
 - The package keeps no rational view of a row, and no second list type:
   `check` builds no `Fraction` per multiplier or coordinate, nor does the
-  serializer per printed value, which prints each ratio as
-  `format_rational` does.
+  serializer per printed value, which prints each ratio with
+  `rational.format_ratio`, the one p/q printer.
 """
 
 from __future__ import annotations
@@ -906,5 +906,7 @@ def test_serializer_builds_no_fraction_per_value():
 @example(0, 7, 1)
 @example(-6, 4, 1)
 def test_serializer_prints_a_ratio_as_format_rational_does(numerator, scale, common):
-    expected = rational.format_rational(Fraction(numerator, scale))
-    assert parser._format_ratio(numerator * common, scale * common) == expected
+    # the one p/q printer, which the serializer calls, against `Fraction`'s own text
+    expected = str(Fraction(numerator, scale))
+    assert rational.format_ratio(numerator * common, scale * common) == expected
+    assert rational.format_rational(Fraction(numerator, scale)) == expected

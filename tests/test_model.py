@@ -18,7 +18,6 @@ from viprcert.model import (
     Unsplit,
     Verdict,
     constraint_at,
-    nz,
     total_constraints,
 )
 from viprcert.rational import Rational
@@ -141,16 +140,6 @@ def test_constraint_at_running_example():
         constraint_at(problem, certificate, d + 1)
     with pytest.raises(IndexOutOfRange):
         constraint_at(problem, certificate, 0)
-
-
-def test_nz_examples():
-    problem, certificate = load_fixture("cert0")
-    row7 = certificate.der[3]  # C_7 in the unified numbering
-    assert row7.reason is Reason.LIN
-    assert nz(row7.data) == {1, 4, 6}
-    assert nz(Row(1, {})) == frozenset()
-    row11 = certificate.der[7]
-    assert nz(row11.data) == {10}
 
 
 def test_derived_constraint_data_invariants():

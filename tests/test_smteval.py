@@ -14,7 +14,7 @@ from conftest import CORPUS, SOLVER_COMMAND, load_fixture
 from test_scale_agreement import gen
 
 from viprcert.parser import parse_certificate
-from viprcert.rational import Rational
+from viprcert.rational import Rational, read_int
 from viprcert.smteval import (
     _OPERATORS,
     MAX_DEPTH,
@@ -30,11 +30,12 @@ from viprcert.spec import compute_assumption_sets
 
 def evaluate(text: str):
     """The value of one term, read as the evaluator reads the operand of
-    `(assert TERM)`."""
-    reader = _Reader(_tokens(text))
-    value = reader.term(1)
+    `(assert TERM)`: by `terms`, up to the `)` that closes the assert."""
+    reader = _Reader(_tokens(text + ")"))
+    values = reader.terms(1)
     assert next(reader.tokens, None) is None, "text left after the term"
-    return value
+    assert len(values) == 1, "not one term"
+    return values[0]
 
 
 def test_arithmetic():
@@ -322,6 +323,36 @@ def test_let_fails_closed(case, tmp_path):
     assert outcome.status == "error", outcome
 
 
+def test_a_let_whose_binding_list_would_nest_too_deep_is_rejected():
+    # the let's own check: its binding list and first binding take two more
+    # levels, though the binding's term is an atom that no level check sees
+    def nested(nots: int) -> str:
+        return f"(assert {_nots(nots, '(let ((a true)) a)')})(check-sat)"
+
+    assert run_script(nested(MAX_DEPTH - 4), out=io.StringIO())
+    for nots in (MAX_DEPTH - 3, MAX_DEPTH - 2):
+        with pytest.raises(EvalError, match=f"terms nest deeper than {MAX_DEPTH}"):
+            run_script(nested(nots), out=io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "term, error",
+    [
+        ("", "assert takes one Boolean term"),
+        ("true false", "assert takes one Boolean term"),
+        ("1", "assert takes one Boolean term"),
+        ("(let ((a)) true)", "let binding is not (symbol term)"),
+        ("(let ((a true false)) a)", "let binding is not (symbol term)"),
+        ("(let ((a true)))", "let takes one body term"),
+        ("(let ((a true)) a a)", "let takes one body term"),
+    ],
+)
+def test_each_reader_of_terms_checks_the_count(term, error):
+    with pytest.raises(EvalError) as raised:
+        run_script(f"(assert {term})(check-sat)", out=io.StringIO())
+    assert str(raised.value) == error
+
+
 def test_let_levels_count_toward_the_depth_limit():
     # outside a let, a term deeper than the binding term of `deep-through-let` is within it
     deep = _nots(MAX_DEPTH - 2, "true")
@@ -427,14 +458,28 @@ def test_a_worker_stops_at_a_line_that_is_not_a_path(tmp_path):
         assert result.stderr.startswith('(error "not a JSON string')
 
 
-# --- the inline operand loop against the per-token reader -------------------------
+# --- the inline term loop against the per-token reader ---------------------------
 
 
 class PerTokenReader(_Reader):
-    """The reference reader: each operand read through `atom` and the
-    head through `_next`, the sorts checked as a set, and no unary `-`
-    taken apart from the other operators, as the evaluator read
-    applications before it read numerals inline."""
+    """The reference reader: each token read through `_next` and each
+    atom through its own `atom`, the sorts checked as a set, and no unary
+    `-` taken apart from the other operators, as the evaluator read terms
+    before it read numerals inline."""
+
+    def terms(self, depth: int):
+        values = []
+        while (token := self._next()) != ")":
+            values.append(self.application(depth + 1) if token == "(" else self.atom(token))
+        return values
+
+    def atom(self, token: str):
+        value = self.known.get(token)
+        if value is not None:
+            return value
+        if token.isdigit() and token.isascii():
+            return read_int(token)
+        raise EvalError(f"unknown symbol {token!r} (script is not ground)")
 
     def application(self, depth: int):
         if depth > MAX_DEPTH:
@@ -446,13 +491,7 @@ class PerTokenReader(_Reader):
             sorts, fewest, most, meaning = _OPERATORS[head]
         except KeyError:
             raise EvalError(f"unsupported operator {head!r}") from None
-        values = []
-        for token in self.tokens:
-            if token == ")":
-                break
-            values.append(self.application(depth + 1) if token == "(" else self.atom(token))
-        else:
-            raise EvalError("unbalanced '('")
+        values = self.terms(depth)
         if not fewest <= len(values) <= most:
             raise EvalError(f"{head} given {len(values)} operands")
         if not set(map(type, values)) <= sorts:
@@ -461,16 +500,17 @@ class PerTokenReader(_Reader):
 
 
 def _read(reader_class, text: str, as_term: bool):
-    """What a reader makes of a script, or of one term: the answers or
-    the value with its type, or the error text."""
-    reader = reader_class(_tokens(text))
+    """What a reader makes of a script, or of the terms of a text closed
+    by one more `)`: the answers, or each value with its type and the
+    token after the `)`, or the error text."""
+    reader = reader_class(_tokens(text + ")" if as_term else text))
     try:
         if not as_term:
             return reader.script()
-        value = reader.term(1)
+        values = reader.terms(1)
     except EvalError as exc:
         return "error", str(exc)
-    return type(value), value, next(reader.tokens, None)
+    return [(type(value), value) for value in values], next(reader.tokens, None)
 
 
 def assert_reads_as_the_per_token_reader(text: str, as_term: bool = False) -> None:
@@ -563,8 +603,8 @@ def test_the_edge_terms_keep_their_values_and_errors():
                         ("(- ٣)", "unknown symbol '٣' (script is not ground)"),
                         ("(- 1", "unbalanced '('"),
                         ("(", "unbalanced '('")]:
-        with pytest.raises(EvalError) as raised:
-            evaluate(term)
+        with pytest.raises(EvalError) as raised:  # an open assert: each error comes before its end
+            run_script(f"(assert {term}", out=io.StringIO())
         assert str(raised.value) == error
 
 

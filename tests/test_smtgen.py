@@ -5,6 +5,7 @@ import os
 import random
 import re
 import select
+import shlex
 import subprocess
 import sys
 import threading
@@ -15,9 +16,20 @@ from functools import partial
 import pytest
 
 from conftest import CORPUS, SOLVER_COMMAND, load_fixture, random_certificate
+from rows import constraint, multipliers, objective
 
 from viprcert.checker import check_certificate, sol_violations
-from viprcert.model import Reason, constraint_at
+from viprcert.model import (
+    Certificate,
+    DerivedConstraint,
+    Problem,
+    Reason,
+    Rtp,
+    Sense,
+    Sign,
+    Unsplit,
+    constraint_at,
+)
 from viprcert.smteval import _Reader, _tokens, run_script
 from viprcert.smtgen import (
     Aggregate,
@@ -57,6 +69,13 @@ def test_plan_block_partition():
     # more workers than derivations: block size clamps at 1
     tiny = EmissionPlan.create(problem, certificate, workers=64)
     assert tiny.block_size == 1 and len(tiny.blocks) == 11
+
+
+def test_plan_refuses_a_block_size_below_one():
+    problem, certificate = load_fixture("cert0")
+    for block_size in (0, -3):
+        with pytest.raises(ValueError, match="block size must be positive"):
+            EmissionPlan.create(problem, certificate, block_size=block_size)
 
 
 def test_plan_empty_derivations():
@@ -215,12 +234,52 @@ def test_bound_sums_are_the_fraction_reference_combination():
             terms, bound, _, _ = reference_combination(derived.data, resolve)
             _, bindings, _ = _tree(expression)
             for name, term in bindings:
-                reader = _Reader(_tokens(_text(term)))
-                value = reader.term(1)
+                (value,) = _Reader(_tokens(_text(term) + ")")).terms(1)
                 want = bound if name == "b" else terms.get(int(name[1:]), 0)
                 assert type(value) in (int, Fraction) and value == want, (k, name, expression)
                 checked += 1
     assert checked > 250
+
+
+def test_index_tests_are_decided_at_emission():
+    # no conjunct writes `(< i k)` or `(> k i)` for an index i that C_k cites
+    for name in CORPUS:
+        problem, certificate = load_fixture(name)
+        for k, derived in enumerate(certificate.der, start=problem.m + 1):
+            expression = der_constraint_expr(problem, certificate, k)
+            cited = derived.data.terms if derived.reason in (Reason.LIN, Reason.RND) else ()
+            cited = derived.data if derived.reason is Reason.UNS else cited
+            for i in cited:
+                assert f"(< {i} {k})" not in expression and f"(> {k} {i})" not in expression
+
+
+@pytest.mark.parametrize("reason, predicate_id", [(Reason.LIN, "prv"), (Reason.UNS, "uns-index")])
+@pytest.mark.parametrize("cited", [2, 3])  # C_2 itself; the later C_3
+def test_a_step_citing_no_earlier_constraint_fails_on_both_routes(
+    reason, predicate_id, cited, tmp_path
+):
+    # x >= 1, then C_2 citing C_cited and C_3 = C_1 by `lin`
+    geq_1 = partial(constraint, terms={1: Fraction(1)}, sign=Sign.GEQ, rhs=Fraction(1))
+    data = multipliers({cited: Fraction(1)}) if reason is Reason.LIN else Unsplit(1, 1, cited, 1)
+    problem = Problem(1, ("x",), frozenset({1}), Sense.MIN, objective({}), (geq_1("C1"),))
+    der = (
+        DerivedConstraint(geq_1("C2"), reason, data),
+        DerivedConstraint(geq_1("C3"), Reason.LIN, multipliers({1: Fraction(1)})),
+    )
+    certificate = Certificate(Rtp.make_range(None, None), (), der)
+    verdict = check_certificate(problem, certificate)
+    assert (verdict.location, verdict.predicate_id) == ("Der(2)", predicate_id)
+    asets = compute_assumption_sets(problem, certificate)
+    plan = EmissionPlan.create(problem, certificate, block_size=1)
+    files = emit(problem, certificate, asets, plan, tmp_path)
+    outcomes = dispatch(files, SOLVER_COMMAND, jobs=1, timeout_s=120).outcomes
+    assert [(f.label, o.status) for f, o in zip(files, outcomes)] == [
+        ("sol", "sat"),
+        ("block[2..2]", "unsat"),
+        ("block[3..3]", "cancelled"),
+        ("final", "cancelled"),
+    ]
+    assert files[1].path.read_text() == "(set-logic ALL)\n(assert false)\n(check-sat)\n"
 
 
 def test_emission_is_deterministic(tmp_path):
@@ -360,6 +419,12 @@ def test_dispatch_nonzero_exit_is_an_error_even_after_sat(tmp_path):
     assert result.aggregate is Aggregate.ERROR
 
 
+def test_a_solver_that_exits_0_with_blank_output_is_an_error(tmp_path):
+    silent = f"{shlex.quote(sys.executable)} -c 'print(\"  \")'"
+    (outcome,) = dispatch(_scripts(tmp_path, ["true"]), silent, jobs=1, timeout_s=60).outcomes
+    assert (outcome.status, outcome.detail) == ("error", "no output")
+
+
 def test_solver_command_placeholder_and_append(tmp_path):
     files = _emit_fixture("forged2", tmp_path / "p")
     with_placeholder = dispatch(files, SOLVER_COMMAND, jobs=1)
@@ -479,6 +544,16 @@ def test_a_worker_that_answers_outside_the_protocol_is_stopped(tmp_path, started
     worker = _Worker([sys.executable, "-c", liar])
     outcome = worker.ask(tmp_path / "f.smt2", 60)
     assert outcome.status == "error" and outcome.detail.startswith("malformed worker answer")
+    assert worker.process is None and _all_stopped(started)
+
+
+@pytest.mark.parametrize("answer", ['[0, 1, ""]', '[true, "", ""]', '[0, ""]'])
+def test_a_worker_answer_of_the_wrong_shape_is_malformed(answer, tmp_path, started):
+    liar = f"import sys; sys.stdin.readline(); print({answer!r}, flush=True); sys.stdin.readline()"
+    worker = _Worker([sys.executable, "-c", liar])
+    outcome = worker.ask(tmp_path / "f.smt2", 60)
+    assert outcome.status == "error" and outcome.detail.startswith("malformed worker answer")
+    assert answer in outcome.detail
     assert worker.process is None and _all_stopped(started)
 
 
