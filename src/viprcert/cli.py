@@ -102,16 +102,16 @@ def _timeout_seconds(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _emit_files(problem, certificate, out_dir, block_size: Optional[int], jobs: int):
-    from .smtgen import EmissionPlan, emit
+def _plan(problem, certificate, block_size: Optional[int], jobs: int):
+    """The assumption sets and the emission plan `emit` and `verify` write."""
+    from .smtgen import EmissionPlan
 
     asets = compute_assumption_sets(problem, certificate)
-    plan = EmissionPlan.create(problem, certificate, block_size=block_size, workers=jobs)
-    return emit(problem, certificate, asets, plan, out_dir)
+    return asets, EmissionPlan.create(problem, certificate, block_size=block_size, workers=jobs)
 
 
 def _total_bytes(files) -> int:
-    """Bytes written across all emitted files."""
+    """Bytes written across the given emitted files."""
     return sum(emitted.path.stat().st_size for emitted in files)
 
 
@@ -125,9 +125,12 @@ def _manifest_entry(emitted) -> dict:
 
 
 def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
+    from .smtgen import emit
+
     problem, certificate = parse_certificate(data)
     try:
-        files = _emit_files(problem, certificate, args.out, args.block_size, args.jobs)
+        asets, plan = _plan(problem, certificate, args.block_size, args.jobs)
+        files = emit(problem, certificate, asets, plan, args.out)
     except OSError as exc:
         print(f"cannot write to {args.out}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
@@ -143,7 +146,7 @@ def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
 def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
     import tempfile
 
-    from .smtgen import Aggregate, SolverSpawnError, dispatch
+    from .smtgen import Aggregate, SolverSpawnError, dispatch, planned_files
 
     started = time.perf_counter()
     problem, certificate = parse_certificate(data)
@@ -152,25 +155,29 @@ def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="viprcert-") as scratch:
         try:
-            files = _emit_files(problem, certificate, scratch, args.block_size, args.jobs)
+            # raises, before any file is written or solver started, on a
+            # certificate it refuses; `dispatch` writes the files as it solves
+            asets, plan = _plan(problem, certificate, args.block_size, args.jobs)
+            files, write = planned_files(problem, certificate, asets, plan, scratch)
+            result = dispatch(files, solver, jobs=args.jobs, timeout_s=args.timeout, write=write)
         except OSError as exc:
             print(f"cannot write SMT files: {exc}", file=sys.stderr)
             return EXIT_INTERNAL_ERROR
-        try:
-            result = dispatch(files, solver, jobs=args.jobs, timeout_s=args.timeout)
         except SolverSpawnError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INTERNAL_ERROR
         elapsed = time.perf_counter() - started
         reports = list(zip(files, result.outcomes))  # one outcome per file, in file order
         if args.format == "json":
+            # a cancelled file may or may not have been written: it never counts
+            solved = [f for f, o in reports if o.status != "cancelled"]
             payload = {
                 "verdict": result.aggregate.value,
                 "files": [
                     {**_manifest_entry(f), "status": o.status, "detail": o.detail}
                     for f, o in reports
                 ],
-                "bytes": _total_bytes(files),
+                "bytes": _total_bytes(solved),
                 "timings": {"parse_s": parse_seconds, "verify_s": elapsed},
             }
             print(json.dumps(payload))

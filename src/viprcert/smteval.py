@@ -116,7 +116,8 @@ class _Reader:
 
     def __init__(self, tokens: list[str]) -> None:
         self.tokens = iter(tokens)
-        self.known: dict[str, Value] = {"true": True, "false": False}  # and the let's names
+        # also the let's names, and every numeral read so far (no name is a numeral)
+        self.known: dict[str, Value] = {"true": True, "false": False}
         self.in_let = False
 
     def _next(self) -> str:
@@ -164,9 +165,10 @@ class _Reader:
                 values.append(value)
             elif token.isdigit() and token.isascii():
                 try:
-                    values.append(int(token))
+                    known[token] = value = int(token)  # each numeral is read once per script
                 except ValueError:  # past the interpreter's digit limit
-                    values.append(read_int(token))
+                    value = read_int(token)
+                values.append(value)
             else:
                 raise EvalError(f"unknown symbol {token!r} (script is not ground)")
         raise EvalError("unbalanced '('")

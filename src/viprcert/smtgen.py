@@ -37,8 +37,9 @@ import threading
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, partial
+from itertools import accumulate
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .model import (
     Certificate,
@@ -65,11 +66,13 @@ def _ratio(numerator: int, denominator: int) -> tuple[str, str]:
     return (f"(- {top[1:]})" if top[0] == "-" else top), bottom
 
 
-# products repeat their factors (nine calls in ten hit on smt-medium); a
-# target's literals seldom repeat, so `_frac` renders them uncached
+# products repeat their factors (nine calls in ten hit on smt-medium), and
+# literals repeat too: a target's once per solution point or cited source,
+# a cited constraint's once per citing step (four calls in five hit)
 _factor = lru_cache(maxsize=4096)(_ratio)
 
 
+@lru_cache(maxsize=4096)
 def _frac(numerator: int, denominator: int) -> str:
     """numerator / denominator, denominator > 0, as `p` or `(/ p q)` in
     lowest terms."""
@@ -336,9 +339,12 @@ def final_expr(
 # --- emission plan and file writing ----------------------------------------
 
 
+DEFAULT_BLOCK_CAP = 250  # derivations in a block of the default plan, at most
+
+
 class EmissionPlan(namedtuple("EmissionPlan", "block_size blocks")):
     """Partition of the per-derivation conjuncts into consecutive blocks,
-    each a pair (first k, last k)."""
+    each a pair (first k, last k), and the size of the largest block."""
 
     __slots__ = ()
 
@@ -350,16 +356,23 @@ class EmissionPlan(namedtuple("EmissionPlan", "block_size blocks")):
         block_size: Optional[int] = None,
         workers: int = 1,
     ) -> "EmissionPlan":
+        """Blocks of `block_size` derivations, the last one shorter if need
+        be.  By default, max(workers, ⌈derivations / DEFAULT_BLOCK_CAP⌉)
+        blocks, but no more than there are derivations, whose sizes differ
+        by at most 1, the larger first: every worker gets a block, and no
+        block is so large that one file holds a worker up."""
         count = len(certificate.der)
         if block_size is None:
-            block_size = max(1, -(-count // max(1, workers)))
-        if block_size < 1:
+            parts = min(count, max(workers, -(-count // DEFAULT_BLOCK_CAP))) or 1
+            size, extra = divmod(count, parts)
+            sizes = [size + 1] * extra + [size] * (parts - extra)
+            block_size = max(1, sizes[0])
+        elif block_size < 1:
             raise ValueError("block size must be positive")
-        m = problem.m
-        blocks = tuple(
-            (start, min(start + block_size - 1, m + count))
-            for start in range(m + 1, m + count + 1, block_size)
-        )
+        else:
+            sizes = [block_size] * (count // block_size) + [count % block_size]
+        starts = accumulate(sizes, initial=problem.m + 1)
+        blocks = tuple((start, start + size - 1) for start, size in zip(starts, sizes) if size)
         return cls(block_size=block_size, blocks=blocks)
 
 
@@ -382,6 +395,45 @@ def _write_script(path: Path, expression: str) -> None:
     path.write_text(f"(set-logic ALL)\n(assert {expression})\n(check-sat)\n", encoding="utf-8")
 
 
+def planned_files(
+    problem: Problem,
+    certificate: Certificate,
+    asets: frozenset[int],
+    plan: EmissionPlan,
+    out_dir: Union[str, Path],
+) -> tuple[list[EmittedFile], Callable[[int], None]]:
+    """The files `emit` writes, in order: the solution file, one file per
+    block and the final file; and `write`, which writes the file at an
+    index.  `write` builds a file's formula only when called, so `verify`
+    can solve the files already written while it writes the next.
+
+    Raises what `RtpFlags.of` raises before any file is written, and
+    creates `out_dir`.
+    """
+    flags = RtpFlags.of(problem, certificate)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    width = max(4, len(str(total_constraints(problem, certificate))))
+    files = [EmittedFile(out / "sol.smt2", "sol")]
+    for first_k, last_k in plan.blocks:
+        path = out / f"der_{first_k:0{width}d}_{last_k:0{width}d}.smt2"
+        files.append(EmittedFile(path, "block", first_k, last_k))
+    files.append(EmittedFile(out / "final.smt2", "final"))
+    der_expr = partial(der_constraint_expr, problem, certificate)
+
+    def write(index: int) -> None:
+        emitted = files[index]
+        if emitted.kind == "sol":
+            expression = sol_expr(problem, certificate, flags)
+        elif emitted.kind == "final":
+            expression = final_expr(problem, certificate, asets, flags)
+        else:
+            expression = _conj([der_expr(k) for k in range(emitted.first_k, emitted.last_k + 1)])
+        _write_script(emitted.path, expression)
+
+    return files, write
+
+
 def emit(
     problem: Problem,
     certificate: Certificate,
@@ -389,30 +441,14 @@ def emit(
     plan: EmissionPlan,
     out_dir: Union[str, Path],
 ) -> list[EmittedFile]:
-    """Write the solution file, one file per block, and the final file.
+    """Write every file of `planned_files`, in order, and return them.
 
     Emission is deterministic: identical inputs and plan produce
     byte-identical files.  Integers of any length are written.
     """
-    flags = RtpFlags.of(problem, certificate)  # raises before any file is written
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files: list[EmittedFile] = []
-
-    sol_path = out / "sol.smt2"
-    _write_script(sol_path, sol_expr(problem, certificate, flags))
-    files.append(EmittedFile(sol_path, "sol"))
-
-    width = max(4, len(str(total_constraints(problem, certificate))))
-    der_expr = partial(der_constraint_expr, problem, certificate)
-    for first_k, last_k in plan.blocks:
-        path = out / f"der_{first_k:0{width}d}_{last_k:0{width}d}.smt2"
-        _write_script(path, _conj([der_expr(k) for k in range(first_k, last_k + 1)]))
-        files.append(EmittedFile(path, "block", first_k, last_k))
-
-    final_path = out / "final.smt2"
-    _write_script(final_path, final_expr(problem, certificate, asets, flags))
-    files.append(EmittedFile(final_path, "final"))
+    files, write = planned_files(problem, certificate, asets, plan, out_dir)
+    for index in range(len(files)):
+        write(index)
     return files
 
 
@@ -523,30 +559,35 @@ def bundled_solver_command() -> str:
 
 class _Worker:
     """A dispatch thread's bundled evaluator: one `smteval --serve`
-    process, started at the first file it is asked about, that answers
-    every file the thread takes (see `viprcert.smteval`).  A timer kills
-    the worker when a file's time limit passes; a worker that times out,
-    exits or answers outside the protocol is stopped, and the next file
-    starts a new one.  Its stderr is read only as it stops."""
+    process, started when the thread starts (or at the first file it is
+    asked about), that answers every file the thread takes (see
+    `viprcert.smteval`).  A timer kills the worker when a file's time limit
+    passes; a worker that times out, exits or answers outside the protocol
+    is stopped, and the next file starts a new one.  Its stderr is read
+    only as it stops."""
 
     def __init__(self, argv: list[str]) -> None:
         self.argv = argv
         self.process: Optional[subprocess.Popen] = None
 
-    def ask(self, path: Path, timeout_s: float) -> FileOutcome:
+    def start(self) -> None:
+        """Start the worker process, unless one is running."""
         if self.process is None:
             pipe = subprocess.PIPE
             try:
                 self.process = subprocess.Popen(self.argv, stdin=pipe, stdout=pipe, stderr=pipe)
             except OSError as exc:
                 raise _spawn_error(self.argv, exc) from exc
+
+    def ask(self, path: Path, timeout_s: float) -> FileOutcome:
+        self.start()
         process, expired = self.process, threading.Event()
 
         def expire() -> None:
             expired.set()
             process.kill()
 
-        timer = threading.Timer(timeout_s, expire)  # the first file's limit includes the start
+        timer = threading.Timer(timeout_s, expire)  # it covers what is left of the start
         timer.start()
         try:
             try:
@@ -591,13 +632,23 @@ def dispatch(
     solver_command: str,
     jobs: int = 1,
     timeout_s: float = 300.0,
+    write: Callable[[int], None] = lambda index: None,
 ) -> DispatchResult:
     """Run the solver over every file, `jobs` at a time: up to `jobs`
     threads take the files' indices in order from one iterator.
 
+    One more thread calls `write` on each index in order, and a file is
+    asked about only once its `write` returned: `verify` passes the
+    `write` of `planned_files`, so the files written so far are solved
+    while the next one is written.  The default writes nothing, for files
+    that are written already.  The writer stops after the first unsat
+    answer or once anything raised; what `write` raises is raised as the
+    error of the file it was writing.
+
     Any solver command is started once per file, except the bundled
     evaluator's own (`bundled_solver_command`): on every platform, each
-    thread runs that one as a `--serve` worker that answers every file
+    thread starts that one as a `--serve` worker as the thread starts,
+    while the first files are written, and the worker answers every file
     the thread takes, so a run starts `min(jobs, files)` evaluators (and
     one more after each worker that failed).  A file's time limit kills
     the worker, or the process that runs it alone.  Both give each file
@@ -605,15 +656,15 @@ def dispatch(
 
     Files start in order, and a file is not started once an earlier one
     came back unsat.  Every file after the first unsat one is reported
-    cancelled, whether or not it ran, so the outcomes do not depend on
-    timing.  A timeout, a nonzero exit status or an unparseable solver
-    response is recorded as a failure of that file and makes the
-    aggregate an error, never a pass; so does an empty list of files.
-    A `timeout_s` that `check_timeout` refuses, or `jobs` < 1, raises
-    ValueError before any file starts.  A solver that cannot be started
-    raises SolverSpawnError: no further file starts, and the error of the
-    earliest such file is raised.  Every process and thread it started
-    has ended when it returns or raises.
+    cancelled, whether or not it ran or was written, so the outcomes do
+    not depend on timing.  A timeout, a nonzero exit status or an
+    unparseable solver response is recorded as a failure of that file and
+    makes the aggregate an error, never a pass; so does an empty list of
+    files.  A `timeout_s` that `check_timeout` refuses, or `jobs` < 1,
+    raises ValueError before any file is written or started.  A solver
+    that cannot be started raises SolverSpawnError: no further file
+    starts, and the error of the earliest such file is raised.  Every
+    process and thread it started has ended when it returns or raises.
     """
     check_timeout(timeout_s)
     if jobs < 1:
@@ -636,9 +687,25 @@ def dispatch(
         return outcome
 
     outcomes: list[Optional[FileOutcome]] = [None] * len(paths)
-    raised: dict[int, Exception] = {}  # file index -> what running it raised
+    raised: dict[int, Exception] = {}  # file index -> what writing or running it raised
+    written = [threading.Event() for _ in paths]  # all set once the writer stops
     indices = iter(range(len(paths)))
     lock = threading.Lock()
+
+    def write_all() -> None:
+        try:
+            for index, event in enumerate(written):
+                if unsat_at or raised:
+                    return
+                try:
+                    write(index)
+                except Exception as exc:  # re-raised below, once every thread stopped
+                    raised[index] = exc
+                    return
+                event.set()
+        finally:
+            for event in written:
+                event.set()
 
     def work() -> None:
         worker = _Worker(worker_argv) if serve else None
@@ -649,18 +716,24 @@ def dispatch(
                 if index is None:
                     return
                 try:
-                    outcomes[index] = run_one(index, worker)
+                    if worker is not None:
+                        worker.start()  # while the file is written
+                    written[index].wait()
+                    if not raised:
+                        outcomes[index] = run_one(index, worker)
                 except Exception as exc:  # re-raised below, once every thread stopped
                     raised[index] = exc
         finally:
             if worker is not None:
                 worker.stop()
 
-    workers = [threading.Thread(target=work) for _ in range(min(jobs, len(paths)))]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
+    # the dispatch threads first, so the workers start before the writer holds the GIL
+    threads = [threading.Thread(target=work) for _ in range(min(jobs, len(paths)))]
+    threads.append(threading.Thread(target=write_all))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
     if raised:
         raise raised[min(raised)]
     first = next((i for i, o in enumerate(outcomes) if o.status == "unsat"), len(outcomes))

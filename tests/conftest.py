@@ -4,6 +4,7 @@ import contextlib
 import os
 import random
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +71,26 @@ def digit_limit(request):
 # Bundled ground-formula evaluator, used wherever tests need an external
 # SMT-LIB executable.
 SOLVER_COMMAND = f"{shlex.quote(sys.executable)} -m viprcert.smteval {{}}"
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started through `subprocess.Popen` during the test."""
+    processes = []
+    real = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        process = real(*args, **kwargs)
+        processes.append(process)
+        return process
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return processes
+
+
+def all_stopped(processes) -> bool:
+    """Every process has been waited for and its pipes read to the end."""
+    return all(p.returncode is not None and p.stdout.closed for p in processes)
 
 
 def fixture_path(name: str) -> Path:

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from conftest import SOLVER_COMMAND, fixture_path
+from conftest import SOLVER_COMMAND, all_stopped, fixture_path
+from test_scale_agreement import gen
 
+from viprcert import smtgen
 from viprcert.checker import check_certificate_report, final_violation, sol_violations
 from viprcert.cli import main
 from viprcert.parser import parse_certificate
@@ -312,10 +316,13 @@ def test_verify_json_describes_files_as_emit_does(tmp_path, capsys):
     assert [entry["kind"] for entry in manifest] == ["sol", *["block"] * 4, "final"]
 
 
+_NO_CONSTRAINTS = "VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 0 0\nRTP infeas\nSOL 0\nDER 0\n"
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_check_empty_constraint_system_is_an_internal_error(command, tmp_path, capsys):
     f = tmp_path / "empty.vipr"
-    f.write_text("VER 1.0\nVAR 1\nx\nINT 0\nOBJ min\n0\nCON 0 0\nRTP infeas\nSOL 0\nDER 0\n")
+    f.write_text(_NO_CONSTRAINTS)
     assert main(command_argv(command, f, tmp_path)) == 3
     assert capsys.readouterr().err
     if command == "emit":  # the failure leaves no partial output
@@ -341,6 +348,77 @@ def test_verify_report_is_the_same_on_every_run(capsys):
         lines = capsys.readouterr().out.splitlines()
         reports.add(tuple(line.rsplit("/", 1)[-1] for line in lines))
     assert len(reports) == 1, reports
+
+
+def test_verify_starts_no_worker_on_a_certificate_with_no_constraints(tmp_path, started, capsys):
+    f = tmp_path / "empty.vipr"
+    f.write_text(_NO_CONSTRAINTS)
+    assert main(["verify", str(f), "--solver", SOLVER_COMMAND]) == 3
+    assert "requires a last constraint" in capsys.readouterr().err
+    assert started == []
+
+
+def test_a_write_error_stops_verify_and_every_worker(started, monkeypatch, capsys):
+    # cert0 has m = 3: at block size 1, block 2 is der_0005_0005.smt2
+    write_script, ask, asked = smtgen._write_script, smtgen._Worker.ask, []
+
+    def write_or_fail(path, expression):
+        if path.name == "der_0005_0005.smt2":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_script(path, expression)
+
+    def logged_ask(worker, path, timeout_s):
+        asked.append(path.name)
+        return ask(worker, path, timeout_s)
+
+    monkeypatch.setattr(smtgen, "_write_script", write_or_fail)
+    monkeypatch.setattr(smtgen._Worker, "ask", logged_ask)
+    before = threading.active_count()
+    argv = ["verify", str(fixture_path("cert0")), "--block-size", "1", "--jobs", "2"]
+    assert main([*argv, "--solver", SOLVER_COMMAND]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write SMT files: ") and "No space left" in captured.err
+    assert captured.out == ""
+    assert set(asked) <= {"sol.smt2", "der_0004_0004.smt2"}
+    assert started and all_stopped(started)  # each thread had started its worker
+    assert threading.active_count() == before
+
+
+def _forged_generated_certificate(tmp_path):
+    """A generated certificate whose step Der(26) is forged: at block size
+    3 its block is the 5th of 12."""
+    model = gen.build(gen.Spec(n=6, m=12, derivations=40, kind="lower", split_depth=2), 3)
+    text, expected = gen.render(model, "lin", 3)
+    assert expected.location == "Der(26)"
+    path = tmp_path / "forged.vipr"
+    path.write_bytes(text)
+    return path
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_verify_json_reports_the_same_bytes_on_every_run(jobs, tmp_path, capsys):
+    # the files after the unsat one are reported cancelled, written or not,
+    # and `bytes` counts only the others
+    cases = [(fixture_path("forged1"), "1", 1), (_forged_generated_certificate(tmp_path), "3", 12)]
+    for path, block_size, blocks in cases:
+        sizing = ["--block-size", block_size, "--jobs", str(jobs)]
+        out = tmp_path / f"emitted-{block_size}"
+        assert main(["emit", str(path), "--out", str(out), *sizing]) == 0
+        capsys.readouterr()
+        reports = set()
+        for _ in range(5):
+            argv = ["verify", str(path), "--solver", SOLVER_COMMAND, "--format", "json", *sizing]
+            assert main(argv) == 1
+            payload = json.loads(capsys.readouterr().out)
+            files = [(os.path.basename(f["path"]), f["status"]) for f in payload["files"]]
+            reports.add((payload["verdict"], tuple(files), payload["bytes"]))
+        assert len(reports) == 1, reports
+        ((verdict, files, size),) = reports
+        statuses = [status for _, status in files]
+        assert len(files) == blocks + 2 and statuses.count("unsat") == 1
+        assert statuses[-1] == "cancelled"
+        assert size == sum((out / name).stat().st_size for name, s in files if s != "cancelled")
+        assert verdict == "invalid"
 
 
 def _huge_infeasible_certificate(tmp_path):

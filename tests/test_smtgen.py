@@ -15,7 +15,7 @@ from functools import partial
 
 import pytest
 
-from conftest import CORPUS, SOLVER_COMMAND, load_fixture, random_certificate
+from conftest import CORPUS, SOLVER_COMMAND, all_stopped, load_fixture, random_certificate
 from rows import constraint, multipliers, objective
 
 from viprcert.checker import check_certificate, sol_violations
@@ -32,6 +32,7 @@ from viprcert.model import (
 )
 from viprcert.smteval import _Reader, _tokens, run_script
 from viprcert.smtgen import (
+    DEFAULT_BLOCK_CAP,
     Aggregate,
     DispatchResult,
     EmissionPlan,
@@ -69,6 +70,19 @@ def test_plan_block_partition():
     # more workers than derivations: block size clamps at 1
     tiny = EmissionPlan.create(problem, certificate, workers=64)
     assert tiny.block_size == 1 and len(tiny.blocks) == 11
+    # past DEFAULT_BLOCK_CAP derivations: max(workers, ceil(n / cap)) blocks
+    # whose sizes differ by at most 1
+    for copies in (100, 230, 1819):  # n = 1100, 2530, 20009
+        large = certificate._replace(der=certificate.der * copies)
+        n = len(large.der)
+        for workers in (1, 2, 4, 8):
+            plan = EmissionPlan.create(problem, large, workers=workers)
+            assert len(plan.blocks) == max(workers, -(-n // DEFAULT_BLOCK_CAP)), (n, workers)
+            sizes = [last - first + 1 for first, last in plan.blocks]
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= DEFAULT_BLOCK_CAP
+            assert plan.block_size == max(sizes)
+            flattened = [k for first, last in plan.blocks for k in range(first, last + 1)]
+            assert flattened == list(range(problem.m + 1, problem.m + n + 1))
 
 
 def test_plan_refuses_a_block_size_below_one():
@@ -363,6 +377,91 @@ def test_many_workers_run_every_file_once_in_order(tmp_path):
     assert sorted(log.read_text().split()) == [str(p) for p in paths]
 
 
+@pytest.mark.parametrize("unsat_at", [None, 10])
+def test_many_workers_ask_about_each_file_once_it_is_written(unsat_at, tmp_path):
+    """The writer beside more dispatch threads than cores, switching as
+    often as the interpreter allows: each file is written once, in order,
+    and asked about at most once, only once written (the solver errs on a
+    missing file); with an unsat file, the report does not depend on how
+    far the writer got."""
+    log = tmp_path / "ran.log"
+    paths = [tmp_path / f"f{i:02d}.smt2" for i in range(40)]
+    written = []
+
+    def write(index):
+        written.append(index)
+        paths[index].write_text("false\n" if index == unsat_at else "true\n")
+
+    answer = f"echo \"$0\" >> {log}; grep -q true \"$0\" && echo sat || echo unsat"
+    solver = f"sh -c 'test -f \"$0\" || exit 7; {answer}' {{}}"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = dispatch(paths, solver, jobs=8, timeout_s=60, write=write)
+    finally:
+        sys.setswitchinterval(interval)
+    statuses = ["sat"] * 40 if unsat_at is None else ["sat"] * 10 + ["unsat"] + ["cancelled"] * 29
+    assert [(o.path, o.status) for o in result.outcomes] == list(zip(paths, statuses))
+    assert written == list(range(len(written))) and len(written) > (unsat_at or 39)
+    asked = log.read_text().split()
+    assert sorted(asked) == sorted(set(asked)) and set(asked) <= {str(paths[i]) for i in written}
+
+
+def _wait_for(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def test_the_writer_stops_after_the_first_unsat_answer(tmp_path):
+    answered = tmp_path / "answered"
+    paths = [tmp_path / f"f{i}.smt2" for i in range(6)]
+    written = []
+
+    def write(index):
+        if index == 2:  # file 1 is unsat: let its answer come back first
+            _wait_for(answered.exists, 30)
+            time.sleep(1)
+        written.append(index)
+        paths[index].write_text("false\n" if index == 1 else "true\n")
+
+    answer = f"if grep -q true \"$0\"; then echo sat; else touch {answered}; echo unsat; fi"
+    result = dispatch(paths, f"sh -c '{answer}' {{}}", jobs=2, timeout_s=60, write=write)
+    assert _statuses(result) == ["sat", "unsat"] + ["cancelled"] * 4
+    assert written == [0, 1, 2]
+
+
+def test_the_writer_stops_once_a_solver_cannot_start(tmp_path):
+    paths = [tmp_path / f"f{i}.smt2" for i in range(6)]
+    written = []
+
+    def write(index):
+        if index == 1:
+            time.sleep(1)  # meanwhile, file 0's solver fails to start
+        written.append(index)
+        paths[index].write_text("true\n")
+
+    before = threading.active_count()
+    with pytest.raises(SolverSpawnError):
+        dispatch(paths, "/nonexistent/solver {}", jobs=2, timeout_s=60, write=write)
+    assert written == [0, 1]
+    assert threading.active_count() == before
+
+
+def test_each_thread_starts_its_worker_before_its_first_file_is_written(tmp_path, started):
+    paths = _scripts(tmp_path, ["true", "true", "false"])
+    workers_at_first_write = []
+
+    def write(index):
+        if index == 0:
+            _wait_for(lambda: len(started) == 2, 10)
+            workers_at_first_write.append(len(started))
+
+    result = dispatch(paths, SOLVER_COMMAND, jobs=2, timeout_s=120, write=write)
+    assert _statuses(result) == ["sat", "sat", "unsat"]
+    assert workers_at_first_write == [2] and len(started) == 2 and all_stopped(started)
+
+
 def test_two_workers_cancel_what_follows_an_unsat_first_block(tmp_path):
     # forged1's one derivation fails, so its block is unsat; the final
     # file may start beside it and is still reported cancelled
@@ -437,21 +536,6 @@ def test_solver_command_placeholder_and_append(tmp_path):
 # --- the bundled evaluator as one worker per thread ------------------------------
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """Every process started through `subprocess.Popen` during the test."""
-    processes = []
-    real = subprocess.Popen
-
-    def popen(*args, **kwargs):
-        process = real(*args, **kwargs)
-        processes.append(process)
-        return process
-
-    monkeypatch.setattr(subprocess, "Popen", popen)
-    return processes
-
-
 def _scripts(directory, asserted):
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -463,10 +547,6 @@ def _scripts(directory, asserted):
 
 def _statuses(result):
     return [o.status for o in result.outcomes]
-
-
-def _all_stopped(processes):
-    return all(p.returncode is not None and p.stdout.closed for p in processes)
 
 
 def test_the_bundled_command_is_the_default_one(monkeypatch):
@@ -482,7 +562,7 @@ def test_each_thread_starts_one_worker(tmp_path, started):
     assert _statuses(result) == ["sat"] * 3
     assert 1 <= len(started) <= 3
     assert all(p.args[-1] == "--serve" for p in started)
-    assert _all_stopped(started)
+    assert all_stopped(started)
 
 
 def test_workers_answer_as_one_process_per_file_does(tmp_path, started):
@@ -492,7 +572,7 @@ def test_workers_answer_as_one_process_per_file_does(tmp_path, started):
             del started[:]
             served = dispatch(files, SOLVER_COMMAND, jobs=jobs, timeout_s=120)
             workers = len(started)
-            assert workers <= jobs and _all_stopped(started)
+            assert workers <= jobs and all_stopped(started)
             once = dispatch(files, SOLVER_COMMAND.replace(" {}", ""), jobs=jobs, timeout_s=120)
             ran = sum(o.status != "cancelled" for o in once.outcomes)
             assert len(started) - workers >= ran  # one process per file
@@ -513,7 +593,7 @@ def test_a_worker_that_times_out_is_replaced(tmp_path, started):
     before = threading.active_count()
     result = dispatch(paths, SOLVER_COMMAND, jobs=1, timeout_s=2)
     assert _statuses(result) == ["timeout", "sat"]
-    assert len(started) == 2 and _all_stopped(started)
+    assert len(started) == 2 and all_stopped(started)
     assert threading.active_count() == before
 
 
@@ -535,7 +615,7 @@ def test_a_worker_that_is_killed_is_replaced(tmp_path, started):
     killer.join()
     assert _statuses(result) == ["error", "sat", "unsat"]
     assert result.outcomes[0].detail == "exit -9"
-    assert len(started) == 2 and _all_stopped(started)
+    assert len(started) == 2 and all_stopped(started)
     assert threading.active_count() == before
 
 
@@ -544,7 +624,7 @@ def test_a_worker_that_answers_outside_the_protocol_is_stopped(tmp_path, started
     worker = _Worker([sys.executable, "-c", liar])
     outcome = worker.ask(tmp_path / "f.smt2", 60)
     assert outcome.status == "error" and outcome.detail.startswith("malformed worker answer")
-    assert worker.process is None and _all_stopped(started)
+    assert worker.process is None and all_stopped(started)
 
 
 @pytest.mark.parametrize("answer", ['[0, 1, ""]', '[true, "", ""]', '[0, ""]'])
@@ -554,7 +634,7 @@ def test_a_worker_answer_of_the_wrong_shape_is_malformed(answer, tmp_path, start
     outcome = worker.ask(tmp_path / "f.smt2", 60)
     assert outcome.status == "error" and outcome.detail.startswith("malformed worker answer")
     assert answer in outcome.detail
-    assert worker.process is None and _all_stopped(started)
+    assert worker.process is None and all_stopped(started)
 
 
 @pytest.mark.parametrize("fixture", ["cert0", "forged1"])  # valid; an unsat block
@@ -563,7 +643,7 @@ def test_no_worker_outlives_dispatch(fixture, tmp_path, started):
     before = threading.active_count()
     result = dispatch(files, SOLVER_COMMAND, jobs=2, timeout_s=120)
     assert result.aggregate is (Aggregate.VALID if fixture == "cert0" else Aggregate.INVALID)
-    assert started and _all_stopped(started)
+    assert started and all_stopped(started)
     assert threading.active_count() == before
 
 
@@ -579,7 +659,7 @@ def test_no_worker_outlives_a_spawn_error(tmp_path, started, monkeypatch):
     paths = _scripts(tmp_path, ["true"] * 6)
     with pytest.raises(SolverSpawnError, match="no more processes"):
         dispatch(paths, SOLVER_COMMAND, jobs=2, timeout_s=120)
-    assert len(started) == 1 and _all_stopped(started)
+    assert len(started) == 1 and all_stopped(started)
 
 
 def test_the_bundled_command_runs_as_workers_without_poll(tmp_path, started, monkeypatch):
@@ -592,7 +672,7 @@ def test_the_bundled_command_runs_as_workers_without_poll(tmp_path, started, mon
     for name in CORPUS:
         assert dispatch(files[name], SOLVER_COMMAND, jobs=1, timeout_s=120) == served[name], name
     assert started and all(p.args[-1] == "--serve" for p in started)
-    assert _all_stopped(started)
+    assert all_stopped(started)
     statuses = _statuses(served["forged1"])
     first_unsat = statuses.index("unsat")
     after = statuses[first_unsat + 1 :]
@@ -608,7 +688,7 @@ def test_a_worker_that_hangs_mid_answer_times_out(tmp_path, started):
     outcome = worker.ask(tmp_path / "f.smt2", 1)
     assert 1 <= time.monotonic() - start < 30
     assert outcome == (tmp_path / "f.smt2", "timeout", "no answer within 1s")
-    assert worker.process is None and _all_stopped(started)
+    assert worker.process is None and all_stopped(started)
     assert threading.active_count() == before
 
 
@@ -634,7 +714,7 @@ def test_a_write_that_fails_with_einval_is_read_as_the_worker_exit(tmp_path, sta
     monkeypatch.setattr(subprocess, "Popen", exited)
     result = dispatch(_scripts(tmp_path, ["true"]), SOLVER_COMMAND, jobs=1, timeout_s=60)
     assert result.outcomes[0][1:] == ("error", "exit 1: gone")
-    assert len(started) == 1 and _all_stopped(started)
+    assert len(started) == 1 and all_stopped(started)
 
 
 def test_no_files_are_no_evidence():
