@@ -14,8 +14,7 @@ then derivations by ascending index, then the final obligation.
 from __future__ import annotations
 
 import os
-from collections import namedtuple
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import constraint_dominates, is_split_disjunction, linear_combination
 from .model import (
@@ -191,52 +190,26 @@ def final_violation(
     return None
 
 
-def der_violations(
-    problem: Problem,
-    certificate: Certificate,
-    asets: frozenset[int],
-    flags: RtpFlags,
-) -> list[Verdict]:
-    """All derivation-side failures: ascending k, then the final check."""
-    failures: list[Verdict] = []
+def failures(problem: Problem, certificate: Certificate, flags: RtpFlags) -> Iterator[Verdict]:
+    """Every failure, each computed only when the next one is asked for:
+    the solution side, then derivations by ascending index, then the
+    final obligation.  A(d) is replayed before the first."""
+    asets = compute_assumption_sets(problem, certificate)
+    yield from sol_violations(problem, certificate, flags)
     for k in range(problem.m + 1, total_constraints(problem, certificate) + 1):
         violation = der_violation(problem, certificate, asets, k)
         if violation is not None:
-            failures.append(violation)
+            yield violation
     final = final_violation(problem, certificate, asets, flags)
     if final is not None:
-        failures.append(final)
-    return failures
-
-
-class CheckReport(
-    namedtuple("CheckReport", "verdict failures solutions_checked derivations_checked")
-):
-    """Verdict plus every individual failure (a tuple), for diagnosis
-    output."""
-
-    __slots__ = ()
-
-
-def check_certificate_report(problem: Problem, certificate: Certificate) -> CheckReport:
-    """Verdict and every failure; messages print integers of any length."""
-    flags = RtpFlags.of(problem, certificate)
-    asets = compute_assumption_sets(problem, certificate)
-    failures = sol_violations(problem, certificate, flags)
-    failures.extend(der_violations(problem, certificate, asets, flags))
-    verdict = failures[0] if failures else Verdict.ok()
-    return CheckReport(
-        verdict=verdict,
-        failures=tuple(failures),
-        solutions_checked=len(certificate.sol) if flags.has_range else 0,
-        derivations_checked=len(certificate.der),
-    )
+        yield final
 
 
 def check_certificate(problem: Problem, certificate: Certificate) -> Verdict:
     """Valid iff the solution side and the derivation side both hold;
     otherwise the deterministic first failure."""
-    return check_certificate_report(problem, certificate).verdict
+    flags = RtpFlags.of(problem, certificate)
+    return next(failures(problem, certificate, flags), Verdict.ok())
 
 
 def default_jobs() -> int:

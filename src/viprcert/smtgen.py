@@ -342,9 +342,9 @@ def final_expr(
 DEFAULT_BLOCK_CAP = 250  # derivations in a block of the default plan, at most
 
 
-class EmissionPlan(namedtuple("EmissionPlan", "block_size blocks")):
+class EmissionPlan(namedtuple("EmissionPlan", "blocks")):
     """Partition of the per-derivation conjuncts into consecutive blocks,
-    each a pair (first k, last k), and the size of the largest block."""
+    each a pair (first k, last k)."""
 
     __slots__ = ()
 
@@ -366,14 +366,13 @@ class EmissionPlan(namedtuple("EmissionPlan", "block_size blocks")):
             parts = min(count, max(workers, -(-count // DEFAULT_BLOCK_CAP))) or 1
             size, extra = divmod(count, parts)
             sizes = [size + 1] * extra + [size] * (parts - extra)
-            block_size = max(1, sizes[0])
         elif block_size < 1:
             raise ValueError("block size must be positive")
         else:
             sizes = [block_size] * (count // block_size) + [count % block_size]
         starts = accumulate(sizes, initial=problem.m + 1)
         blocks = tuple((start, start + size - 1) for start, size in zip(starts, sizes) if size)
-        return cls(block_size=block_size, blocks=blocks)
+        return cls(blocks)
 
 
 class EmittedFile(

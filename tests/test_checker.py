@@ -1,25 +1,29 @@
 from __future__ import annotations
 
+import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from assumptions import assumption_set_at
-from conftest import load_fixture
+from conftest import CORPUS, fixture_path, load_fixture, mutated_variant
 from rows import constraint, lhs, multipliers, objective, point, rhs
+from test_scale_agreement import forgeries_for, gen
 
+from viprcert import checker
 from viprcert.checker import (
     check_certificate,
-    check_certificate_report,
     default_jobs,
     der_violation,
-    der_violations,
+    failures,
     final_violation,
     phi_feas,
     sol_violations,
 )
+from viprcert.cli import main
 from viprcert.model import (
     Certificate,
     DerivedConstraint,
@@ -29,7 +33,9 @@ from viprcert.model import (
     Sense,
     Sign,
     Unsplit,
+    Verdict,
 )
+from viprcert.parser import parse_certificate
 from viprcert.rational import Rational
 from viprcert.spec import EmptyConstraintSystem, RtpFlags, cites_earlier, compute_assumption_sets
 
@@ -170,13 +176,12 @@ def test_phi_der_k_examples():
 
 def test_phi_der_final_branch():
     problem, cert0 = load_fixture("cert0")
-    asets = compute_assumption_sets(problem, cert0)
-    assert der_violations(problem, cert0, asets, RtpFlags.of(problem, cert0)) == []
+    assert list(failures(problem, cert0, RtpFlags.of(problem, cert0))) == []
 
     problem2, forged2 = load_fixture("forged2")
     asets2 = compute_assumption_sets(problem2, forged2)
     flags2 = RtpFlags.of(problem2, forged2)
-    assert der_violations(problem2, forged2, asets2, flags2) != []
+    assert list(failures(problem2, forged2, flags2)) != []
     failure = final_violation(problem2, forged2, asets2, flags2)
     assert failure is not None and failure.predicate_id == "der-final"
 
@@ -224,17 +229,93 @@ def test_valid_certificates_have_backward_looking_assumption_sets():
             assert all(1 <= i <= k for i in assumption_set_at(problem, certificate, k)), (name, k)
 
 
-def test_report_counts():
-    problem, certificate = load_fixture("forged2")
-    report = check_certificate_report(problem, certificate)
-    assert report.solutions_checked == 0
-    assert report.derivations_checked == 0
-    assert len(report.failures) == 1
+def test_report_counts(capsys):
+    def report(name):
+        main(["check", str(fixture_path(name)), "--diagnose", "--format", "json"])
+        return json.loads(capsys.readouterr().out)
 
-    problem0, cert0 = load_fixture("cert0")
-    report0 = check_certificate_report(problem0, cert0)
-    assert report0.solutions_checked == 0  # infeasibility claim: nothing to check
-    assert report0.derivations_checked == 11
+    forged2 = report("forged2")
+    assert forged2["solutions_checked"] == 0
+    assert forged2["derivations_checked"] == 0
+    assert len(forged2["failures"]) == 1
+
+    cert0 = report("cert0")
+    assert cert0["solutions_checked"] == 0  # infeasibility claim: nothing to check
+    assert cert0["derivations_checked"] == 11
+
+
+# --- the failure stream --------------------------------------------------------
+
+
+def _asked_ks(monkeypatch) -> list[int]:
+    """The indices k that `failures` hands to `der_violation`, in order."""
+    asked: list[int] = []
+    real = checker.der_violation
+
+    def counting(problem, certificate, asets, k):
+        asked.append(k)
+        return real(problem, certificate, asets, k)
+
+    monkeypatch.setattr(checker, "der_violation", counting)
+    return asked
+
+
+@pytest.mark.parametrize("forgery", sorted(gen.FORGERIES))
+def test_check_evaluates_no_derivation_past_the_first_failure(
+    forgery, tmp_path, monkeypatch, capsys
+):
+    """Plain `check` stops at its first failure: no derivation at all
+    after a failing solution point, none past k after a failing C_k, and
+    every one when only the final obligation fails.  `--diagnose` asks
+    about every derivation."""
+    spec = gen.Spec(n=6, m=12, derivations=60, kind="optimal", split_depth=3)
+    model = gen.build(spec, 1)
+    text, expected = gen.render(model, forgery, 1)
+    path = tmp_path / f"{forgery}.vipr"
+    path.write_bytes(text)
+    every_k = list(range(model.m + 1, len(model.rows) + 1))
+    asked = _asked_ks(monkeypatch)
+
+    assert main(["check", str(path)]) == 1
+    headline = capsys.readouterr().out.splitlines()[0]
+    assert headline.startswith(f"INVALID {expected.location} {expected.predicate} ")
+    if expected.area == "sol":
+        assert asked == []
+    elif expected.area == "block":
+        assert expected.k < every_k[-1]  # the forgery is mid-certificate
+        assert asked == every_k[: every_k.index(expected.k) + 1]
+    else:
+        assert asked == every_k
+
+    asked.clear()
+    assert main(["check", str(path), "--diagnose"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == headline
+    assert asked == every_k
+
+
+def test_check_certificate_is_the_first_failure_of_the_stream():
+    """On the fixtures, their mutants and a generated forgery of every kind
+    on every relation kind, the verdict is the stream's first item."""
+    rng = random.Random(20261020)
+    cases = [(name, load_fixture(name)) for name in CORPUS]
+    cases += [(f"{name}+mut{i}", mutated_variant(name, rng)) for i in range(25) for name in CORPUS]
+    for kind in gen.KINDS:
+        model = gen.build(gen.Spec(n=6, m=12, derivations=40, kind=kind, split_depth=3), 2)
+        for forgery in [None, *forgeries_for(kind)]:
+            text, _ = gen.render(model, forgery, 2)
+            cases.append((f"{kind}+{forgery}", parse_certificate(text)))
+    invalid = 0
+    for label, (problem, certificate) in cases:
+        try:
+            flags = RtpFlags.of(problem, certificate)
+        except EmptyConstraintSystem:
+            with pytest.raises(EmptyConstraintSystem):
+                check_certificate(problem, certificate)
+            continue
+        stream = list(failures(problem, certificate, flags))
+        assert check_certificate(problem, certificate) == (stream or [Verdict.ok()])[0], label
+        invalid += bool(stream)
+    assert invalid >= len(cases) // 2, (invalid, len(cases))
 
 
 # --- permissiveness ----------------------------------------------------------

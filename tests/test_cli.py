@@ -13,7 +13,7 @@ from conftest import SOLVER_COMMAND, all_stopped, fixture_path
 from test_scale_agreement import gen
 
 from viprcert import smtgen
-from viprcert.checker import check_certificate_report, final_violation, sol_violations
+from viprcert.checker import check_certificate, final_violation, sol_violations
 from viprcert.cli import main
 from viprcert.parser import parse_certificate
 from viprcert.smtgen import EmissionPlan, der_constraint_expr, emit, final_expr, sol_expr
@@ -451,7 +451,7 @@ def test_library_calls_accept_huge_literals_on_their_own(tmp_path, digit_limit):
     limit = sys.get_int_max_str_digits()
     text = _huge_infeasible_certificate(tmp_path).read_text()
     problem, certificate = parse_certificate(text)
-    assert check_certificate_report(problem, certificate).verdict.valid
+    assert check_certificate(problem, certificate).valid
     asets = compute_assumption_sets(problem, certificate)
     plan = EmissionPlan.create(problem, certificate)
     files = emit(problem, certificate, asets, plan, tmp_path / "smt")
@@ -459,7 +459,7 @@ def test_library_calls_accept_huge_literals_on_their_own(tmp_path, digit_limit):
     assert any(huge in emitted.path.read_text() for emitted in files)
     # no derivation and a 5000-digit lower bound: the message prints it
     text = text[: text.index("RTP")] + f"RTP range {huge} inf\nSOL 0\nDER 0\n"
-    verdict = check_certificate_report(*parse_certificate(text)).verdict
+    verdict = check_certificate(*parse_certificate(text))
     assert verdict.location == "Final" and f">= {huge})" in verdict.message
     assert sys.get_int_max_str_digits() == limit
 
@@ -536,6 +536,6 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("viprcert.cli.check_certificate_report", explode)
+    monkeypatch.setattr("viprcert.cli.failures", explode)
     assert main(["check", str(fixture_path("cert0"))]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

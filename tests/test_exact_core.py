@@ -43,7 +43,7 @@ from viprcert.algebra import (
     linear_combination,
 )
 from viprcert import model, parser, rational
-from viprcert.checker import check_certificate_report
+from viprcert.checker import failures
 from viprcert.model import Constraint, Row, Sign
 from viprcert.parser import (
     ParseError,
@@ -53,6 +53,7 @@ from viprcert.parser import (
     serialize_certificate,
 )
 from viprcert.rational import RationalSyntaxError, parse_rational
+from viprcert.spec import RtpFlags
 
 # --- Fraction reference for the constraint algebra ----------------------------
 
@@ -867,12 +868,12 @@ def _listed(certificate) -> int:
 
 
 def _fractions_built(text: str) -> tuple[int, int]:
-    """`Fraction`s built by `parse_certificate` and `check_certificate_report`
-    on `text`, and the number of multipliers and solution coordinates it
-    lists."""
+    """`Fraction`s built by `parse_certificate` and by every failure
+    `failures` can report on `text`, and the number of multipliers and
+    solution coordinates it lists."""
     with _counting_fractions() as built:
         problem, certificate = parse_certificate(text)
-        check_certificate_report(problem, certificate)
+        list(failures(problem, certificate, RtpFlags.of(problem, certificate)))
     return built[0], _listed(certificate)
 
 

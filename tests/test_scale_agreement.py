@@ -18,12 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from viprcert.checker import check_certificate, check_certificate_report
+from viprcert.checker import check_certificate, failures
 from viprcert.parser import ParseError, parse_certificate
 from viprcert.rational import format_rational, parse_rational
 from viprcert.smteval import run_script
 from viprcert.smtgen import EmissionPlan, emit
-from viprcert.spec import compute_assumption_sets
+from viprcert.spec import RtpFlags, compute_assumption_sets
 
 _GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 _spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
@@ -143,10 +143,8 @@ def test_native_locations_are_the_unsat_files_at_block_size_1(tmp_path):
                     problem, certificate = parse_certificate(mutant)
                 except ParseError:
                     continue
-                native = {
-                    _native_area(f)
-                    for f in check_certificate_report(problem, certificate).failures
-                }
+                flags = RtpFlags.of(problem, certificate)
+                native = {_native_area(f) for f in failures(problem, certificate, flags)}
                 asets = compute_assumption_sets(problem, certificate)
                 plan = EmissionPlan.create(problem, certificate, block_size=1)
                 files = emit(problem, certificate, asets, plan, tmp_path / f"{kind}{seed}_{i}")

@@ -54,12 +54,16 @@ def _emit_fixture(name, out_dir, block_size=None, workers=1):
     return emit(problem, certificate, asets, plan, out_dir)
 
 
+def _block_sizes(plan):
+    return [last - first + 1 for first, last in plan.blocks]
+
+
 def test_plan_block_partition():
     problem, certificate = load_fixture("cert0")  # |D| = 11, m = 3
     plan = EmissionPlan.create(problem, certificate, block_size=3)
     assert plan.blocks == ((4, 6), (7, 9), (10, 12), (13, 14))
     default = EmissionPlan.create(problem, certificate, workers=4)
-    assert default.block_size == 3  # ceil(11 / 4)
+    assert max(_block_sizes(default)) == 3  # ceil(11 / 4)
     assert default.blocks[0] == (4, 6) and default.blocks[-1] == (13, 14)
     # blocks are consecutive and cover [m+1, d]
     flattened = [k for first, last in default.blocks for k in range(first, last + 1)]
@@ -69,7 +73,7 @@ def test_plan_block_partition():
     assert halves.blocks == ((4, 9), (10, 14))
     # more workers than derivations: block size clamps at 1
     tiny = EmissionPlan.create(problem, certificate, workers=64)
-    assert tiny.block_size == 1 and len(tiny.blocks) == 11
+    assert max(_block_sizes(tiny)) == 1 and len(tiny.blocks) == 11
     # past DEFAULT_BLOCK_CAP derivations: max(workers, ceil(n / cap)) blocks
     # whose sizes differ by at most 1
     for copies in (100, 230, 1819):  # n = 1100, 2530, 20009
@@ -78,9 +82,9 @@ def test_plan_block_partition():
         for workers in (1, 2, 4, 8):
             plan = EmissionPlan.create(problem, large, workers=workers)
             assert len(plan.blocks) == max(workers, -(-n // DEFAULT_BLOCK_CAP)), (n, workers)
-            sizes = [last - first + 1 for first, last in plan.blocks]
+            sizes = _block_sizes(plan)
             assert max(sizes) - min(sizes) <= 1 and max(sizes) <= DEFAULT_BLOCK_CAP
-            assert plan.block_size == max(sizes)
+            assert sizes[0] == max(sizes)  # the larger blocks first
             flattened = [k for first, last in plan.blocks for k in range(first, last + 1)]
             assert flattened == list(range(problem.m + 1, problem.m + n + 1))
 
