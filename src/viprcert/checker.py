@@ -59,40 +59,38 @@ def phi_feas(problem: Problem, point: SolutionPoint) -> bool:
     return all(_satisfies(c, coords) for c in problem.constraints)
 
 
+def _sol_failures(
+    problem: Problem, certificate: Certificate, flags: RtpFlags
+) -> Iterator[Verdict]:
+    """The solution-side failures, each point checked only when the next
+    failure is asked for."""
+    if not flags.has_range:
+        if certificate.sol:
+            yield Verdict.invalid(
+                f"Sol({certificate.sol[0].name})",
+                "sol-nonempty",
+                "relation to prove is infeasibility but the solution list is non-empty",
+            )
+        return
+    for point in certificate.sol:
+        if not phi_feas(problem, point):
+            yield Verdict.invalid(
+                f"Sol({point.name})", "feas", f"solution point {point.name} is not feasible"
+            )
+    bound = flags.solution_bound
+    if bound is not None and not any(_satisfies(bound, p.coords) for p in certificate.sol):
+        yield Verdict.invalid(
+            "Final",
+            "sol-bound",
+            f"no listed solution achieves objective value {_relation(bound)}",
+        )
+
+
 def sol_violations(
     problem: Problem, certificate: Certificate, flags: RtpFlags
 ) -> list[Verdict]:
     """All solution-side failures, in deterministic order."""
-    failures: list[Verdict] = []
-    if not flags.has_range:
-        if certificate.sol:
-            failures.append(
-                Verdict.invalid(
-                    f"Sol({certificate.sol[0].name})",
-                    "sol-nonempty",
-                    "relation to prove is infeasibility but the solution list is non-empty",
-                )
-            )
-        return failures
-    for point in certificate.sol:
-        if not phi_feas(problem, point):
-            failures.append(
-                Verdict.invalid(
-                    f"Sol({point.name})",
-                    "feas",
-                    f"solution point {point.name} is not feasible",
-                )
-            )
-    bound = flags.solution_bound
-    if bound is not None and not any(_satisfies(bound, p.coords) for p in certificate.sol):
-        failures.append(
-            Verdict.invalid(
-                "Final",
-                "sol-bound",
-                f"no listed solution achieves objective value {_relation(bound)}",
-            )
-        )
-    return failures
+    return list(_sol_failures(problem, certificate, flags))
 
 
 def der_violation(
@@ -192,14 +190,16 @@ def final_violation(
 
 def failures(problem: Problem, certificate: Certificate, flags: RtpFlags) -> Iterator[Verdict]:
     """Every failure, each computed only when the next one is asked for:
-    the solution side, then derivations by ascending index, then the
-    final obligation.  A(d) is replayed before the first."""
-    asets = compute_assumption_sets(problem, certificate)
-    yield from sol_violations(problem, certificate, flags)
+    the solution side point by point, then derivations by ascending
+    index, then the final obligation, for which A(d) is replayed.  So
+    nothing past the first failure is evaluated, the replay included,
+    unless the caller asks for more."""
+    yield from _sol_failures(problem, certificate, flags)
     for k in range(problem.m + 1, total_constraints(problem, certificate) + 1):
-        violation = der_violation(problem, certificate, asets, k)
+        violation = der_violation(problem, certificate, frozenset(), k)
         if violation is not None:
             yield violation
+    asets = compute_assumption_sets(problem, certificate)
     final = final_violation(problem, certificate, asets, flags)
     if final is not None:
         yield final

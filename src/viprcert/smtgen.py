@@ -47,7 +47,6 @@ from .model import (
     Problem,
     Reason,
     Row,
-    Sign,
     constraint_at,
     total_constraints,
 )
@@ -136,41 +135,29 @@ def _floor(expr: str) -> str:
 
 
 def _dom_expr(
-    a_exprs: dict[int, str],
-    b_expr: str,
-    eq: bool,
-    geq: bool,
-    leq: bool,
-    target: Constraint,
+    a_exprs: dict[int, str], b_expr: str, geq: bool, leq: bool, target: Constraint
 ) -> str:
     """Domination of a (possibly symbolic) source over a literal target;
-    the source's sign flags are already folded."""
+    the source's sign flags are already folded, both set for an equality."""
     support = sorted(a_exprs)
-    if eq:
-        absurd_tail: Optional[str] = f"(not (= {b_expr} {_RZERO}))"
-    elif geq:
-        absurd_tail = f"(> {b_expr} {_RZERO})"
-    elif leq:
-        absurd_tail = f"(< {b_expr} {_RZERO})"
-    else:
-        absurd_tail = None
-    if absurd_tail is None:
-        absurd = "false"
-    else:
+    absurd = "false"
+    if geq or leq:
+        if geq and leq:
+            absurd_tail = f"(not (= {b_expr} {_RZERO}))"
+        else:
+            absurd_tail = f"({'>' if geq else '<'} {b_expr} {_RZERO})"
         absurd = _conj(_zeros([a_exprs[j] for j in support]) + [absurd_tail])
 
+    s = target.sign.value
+    if (s >= 0 and not geq) or (s <= 0 and not leq):  # no direct domination
+        return absurd
     scale, terms = target.scale, target.terms
     same_lhs = _zeros([a_exprs[j] for j in support if j not in terms])
     same_lhs += [
         f"(= {a_exprs.get(j, _RZERO)} {_frac(a, scale)})" for j, a in sorted(terms.items())
     ]
-    rhs = _frac(target.bound, scale)
-    if target.sign is Sign.EQ:
-        direct = "false" if not eq else _conj(same_lhs + [f"(= {b_expr} {rhs})"])
-    elif target.sign is Sign.GEQ:
-        direct = "false" if not geq else _conj(same_lhs + [f"(>= {b_expr} {rhs})"])
-    else:
-        direct = "false" if not leq else _conj(same_lhs + [f"(<= {b_expr} {rhs})"])
+    relation = "=" if s == 0 else ">=" if s > 0 else "<="
+    direct = _conj(same_lhs + [f"({relation} {b_expr} {_frac(target.bound, scale)})"])
     return _disj([absurd, direct])
 
 
@@ -183,7 +170,7 @@ def _literal_exprs(constraint: Constraint) -> tuple[dict[int, str], str]:
 def _constraint_dom_expr(source: Constraint, target: Constraint) -> str:
     a_exprs, b_expr = _literal_exprs(source)
     s = source.sign.value
-    return _dom_expr(a_exprs, b_expr, s == 0, s >= 0, s <= 0, target)
+    return _dom_expr(a_exprs, b_expr, s >= 0, s <= 0, target)
 
 
 def _dis_expr(ci: Constraint, cj: Constraint, int_vars: frozenset[int]) -> str:
@@ -273,7 +260,7 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
         a_exprs = {j: f"a{j}" for j in a_sums}
         bindings = [(a_exprs[j], a_sums[j]) for j in sorted(a_sums)] + [("b", b_sum)]
         if derived.reason is Reason.LIN:
-            dom = _dom_expr(a_exprs, "b", geq and leq, geq, leq, target)
+            dom = _dom_expr(a_exprs, "b", geq, leq, target)
             return _let(bindings, dom)
         if geq and leq:  # an equality combination is never roundable
             return "false"
@@ -282,7 +269,7 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
         roundable += _zeros([a_exprs[j] for j in sorted(a_exprs) if j not in int_vars])
         # rounding keeps the absurdity test: ceil(b) > 0 iff b > 0, floor(b) < 0 iff b < 0
         rounded = _ceil("b") if geq else _floor("b")
-        dom = _dom_expr(a_exprs, rounded, False, geq, leq, target)
+        dom = _dom_expr(a_exprs, rounded, geq, leq, target)
         return _let(bindings, _conj(roundable + [dom]))
 
     if derived.reason is Reason.UNS:
@@ -298,7 +285,7 @@ def der_constraint_expr(problem: Problem, certificate: Certificate, k: int) -> s
     branches = []
     for point in certificate.sol:
         b_expr = _dot(terms, scale, point.coords)
-        branches.append(_dom_expr(a_exprs, b_expr, False, s >= 0, s <= 0, target))
+        branches.append(_dom_expr(a_exprs, b_expr, s >= 0, s <= 0, target))
     return _disj(branches)
 
 

@@ -35,7 +35,7 @@ from viprcert.model import (
     Unsplit,
     Verdict,
 )
-from viprcert.parser import parse_certificate
+from viprcert.parser import parse_certificate, serialize_certificate
 from viprcert.rational import Rational
 from viprcert.spec import EmptyConstraintSystem, RtpFlags, cites_earlier, compute_assumption_sets
 
@@ -291,6 +291,45 @@ def test_check_evaluates_no_derivation_past_the_first_failure(
     assert main(["check", str(path), "--diagnose"]) == 1
     assert capsys.readouterr().out.splitlines()[0] == headline
     assert asked == every_k
+
+
+def test_check_evaluates_no_point_and_no_replay_past_the_first_failure(
+    tmp_path, monkeypatch, capsys
+):
+    """A failing first point is the verdict: plain `check` tests no other
+    point and never replays A(d); `--diagnose` tests every point and
+    replays A(d) once, for the final obligation."""
+    model = gen.build(gen.Spec(n=6, m=12, derivations=40, kind="optimal", split_depth=3), 1)
+    problem, certificate = parse_certificate(gen.render(model, None, 1)[0])
+    coords = lhs(certificate.sol[0].coords)
+    j = min(problem.int_vars)
+    coords[j] = coords.get(j, 0) + Rational(1, 2)
+    sol = (point("half", coords), *certificate.sol)
+    assert len(sol) > 2
+    forged = Certificate(rtp=certificate.rtp, sol=sol, der=certificate.der)
+    path = tmp_path / "half.vipr"
+    path.write_text(serialize_certificate(problem, forged))
+    calls = {"phi_feas": 0, "compute_assumption_sets": 0}
+
+    def counted(name):
+        real = getattr(checker, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(checker, name, counting)
+
+    counted("phi_feas")
+    counted("compute_assumption_sets")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID Sol(half) feas ")
+    assert calls == {"phi_feas": 1, "compute_assumption_sets": 0}
+
+    calls.update(phi_feas=0)
+    assert main(["check", str(path), "--diagnose"]) == 1
+    assert capsys.readouterr().out.startswith("INVALID Sol(half) feas ")
+    assert calls == {"phi_feas": len(sol), "compute_assumption_sets": 1}
 
 
 def test_check_certificate_is_the_first_failure_of_the_stream():

@@ -16,6 +16,7 @@ from test_scale_agreement import gen
 from viprcert.parser import parse_certificate
 from viprcert.rational import Rational, read_int
 from viprcert.smteval import (
+    _MANY,
     _OPERATORS,
     MAX_DEPTH,
     EvalError,
@@ -41,7 +42,7 @@ def evaluate(text: str):
 def test_arithmetic():
     assert evaluate("(+ 1 2 3)") == 6
     assert evaluate("(- 5)") == -5
-    assert evaluate("(- 5 1 1)") == 3
+    assert evaluate("(- (- 5 1) 1)") == 3
     assert evaluate("(* 2 (/ 1 3))") == Rational(2, 3)
     assert evaluate("(/ 1 4)") == Rational(1, 4)
 
@@ -63,10 +64,14 @@ def test_boolean_connectives():
     assert evaluate("(and true (or false true))") is True
 
 
-def test_chainable_comparisons():
-    assert evaluate("(< 1 2 3)") is True
-    assert evaluate("(< 1 3 2)") is False
-    assert evaluate("(>= (/ 1 1) (/ 1 1) (/ 0 1))") is True
+def test_chained_comparisons_are_rejected():
+    # `emit` writes every comparison but `=` on two operands
+    assert evaluate("(and (< 1 2) (< 2 3))") is True
+    assert evaluate("(and (< 1 3) (< 3 2))") is False
+    for term in ("(< 1 2 3)", "(< 1 3 2)", "(>= (/ 1 1) (/ 1 1) (/ 0 1))"):
+        with pytest.raises(EvalError, match="given 3 operands"):
+            evaluate(term)
+    assert evaluate("(= 0 (- 1 1) (* 0 5))") is True
 
 
 def test_mixed_equality_is_rejected():
@@ -102,7 +107,9 @@ def test_unbalanced_parentheses_are_rejected(script):
 
 def test_numerals_of_any_length_are_read(digit_limit):
     huge = "7" * 5000  # past CPython's default int <-> str digit limit
-    assert run_script(f"(assert (< 1 {huge} (+ {huge} 1)))(check-sat)", out=io.StringIO())
+    assert run_script(
+        f"(assert (and (< 1 {huge}) (< {huge} (+ {huge} 1))))(check-sat)", out=io.StringIO()
+    )
 
 
 def test_free_symbols_are_rejected():
@@ -148,6 +155,15 @@ def test_command_line_interface(tmp_path):
     )
     assert result.stdout.strip() == "unsat"
 
+    # the script a solver start is timed on (perfbench/layers.py)
+    script.write_text("(check-sat)\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "viprcert.smteval", str(script)],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "sat\n", "")
+
 
 # SMT-LIB beyond what `smtgen` emits; the evaluator must reject each one.
 DROPPED_LANGUAGE = {
@@ -168,16 +184,30 @@ DROPPED_LANGUAGE = {
     "set-logic-open-paren": "(set-logic ( )",
     "set-logic-close-paren": "(set-logic ) )",
     "check-sat-with-operand": "(check-sat 1)",
+    # operators `smtgen` writes, on operand counts or sorts it never writes
+    "and-empty": "(assert (and))",
+    "or-one-operand": "(assert (or true))",
+    "plus-empty": "(assert (= (+) 0))",
+    "times-empty": "(assert (= (*) 1))",
+    "times-three": "(assert (= (* 1 2 3) 6))",
+    "less-three": "(assert (< 1 2 3))",
+    "minus-three": "(assert (= (- 5 1 1) 3))",
+    "divide-three": "(assert (= (/ 12 2 3) 2))",
+    "equal-booleans": "(assert (= true false))",
+    "other-logic": "(set-logic QF_LRA)",
 }
 
 
 @pytest.mark.parametrize("construct", DROPPED_LANGUAGE)
-def test_dropped_language_fails_closed(construct, tmp_path):
+def test_dropped_language_fails_closed(construct, tmp_path, capsys):
     script = f"(set-logic ALL)\n{DROPPED_LANGUAGE[construct]}\n(check-sat)\n"
     with pytest.raises(EvalError):
         run_script(script, out=io.StringIO())
     path = tmp_path / "script.smt2"
     path.write_text(script)
+    assert main([str(path)]) == 1  # `viprcert-smteval FILE`
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith('(error "') and err.count("\n") == 1
     (outcome,) = dispatch([path], SOLVER_COMMAND, jobs=1, timeout_s=120).outcomes
     assert outcome.status == "error", outcome
 
@@ -250,7 +280,7 @@ def test_solver_child_loads_only_the_evaluator(tmp_path):
 
 def test_let_binds_names_in_its_body():
     assert evaluate("(let ((a 2) (b (/ 1 2))) (= (* a b) 1))") is True
-    assert evaluate("(let ((a1 (+ 1 2)) (b (- 3))) (and (is_int a1) (< b 0 a1)))") is True
+    assert evaluate("(let ((a1 (+ 1 2)) (b (- 3))) (and (is_int a1) (< b 0) (< 0 a1)))") is True
     assert evaluate("(let ((b (/ 7 2))) (to_real (to_int b)))") == 3
 
 
@@ -539,6 +569,54 @@ def _emitted_scripts(out_dir) -> list[str]:
 @pytest.fixture(scope="module")
 def emitted_scripts(tmp_path_factory):
     return _emitted_scripts(tmp_path_factory.mktemp("emitted"))
+
+
+def _operand_counts(scripts) -> dict[str, set[int]]:
+    """How many operands each head is given in `scripts`, counted token by
+    token: the reader takes `(- numeral)` apart from `_OPERATORS`, so only
+    a walk over the tokens sees every application.  A let's binding list
+    counts under the head `(`, each binding under its name."""
+    counts: dict[str, set[int]] = {}
+    for script in scripts:
+        open_terms: list[list] = []  # [head, operands so far] of each open `(`
+        for token in _tokens(script):
+            if open_terms and open_terms[-1][0] is None:  # the token after `(`
+                open_terms[-1][0] = token
+                if token != "(":
+                    continue
+            if token == ")":
+                head, operands = open_terms.pop()
+                counts.setdefault(head, set()).add(operands)
+                continue
+            if open_terms:
+                open_terms[-1][1] += 1
+            if token == "(":
+                open_terms.append([None, 0])
+        assert open_terms == []
+    return counts
+
+
+def test_the_operator_table_admits_exactly_the_emitted_operand_counts(
+    emitted_scripts, tmp_path
+):
+    from conftest import random_valid_certificate
+
+    rng = random.Random(2718)
+    scripts = list(emitted_scripts)
+    for i in range(30):
+        problem, certificate = random_valid_certificate(rng)
+        asets = compute_assumption_sets(problem, certificate)
+        for block_size in (1, None):
+            plan = EmissionPlan.create(problem, certificate, block_size=block_size, workers=2)
+            files = emit(problem, certificate, asets, plan, tmp_path / f"{i}-{block_size}")
+            scripts += [f.path.read_text() for f in files]
+    counts = _operand_counts(scripts)
+    for head, (_, fewest, most, _) in _OPERATORS.items():
+        emitted = counts[head]
+        widest = max(emitted) if max(emitted) <= 2 else _MANY
+        assert (fewest, most) == (min(emitted), widest), head
+    assert all(script.startswith("(set-logic ALL)\n") for script in scripts)
+    assert counts["set-logic"] == {1}
 
 
 def test_emitted_files_read_as_the_per_token_reader_reads_them(emitted_scripts):
