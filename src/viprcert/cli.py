@@ -199,25 +199,29 @@ def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
     return EXIT_INTERNAL_ERROR
 
 
+_BLOCK_SIZE = "derivations per block, the last one fewer if need be (default: max(jobs, "
+_BLOCK_SIZE += "ceil(derivations / 250)) blocks, their sizes differing by at most 1)"
+_JOBS = "the fewest blocks of the default plan, and the solver files verify runs at once "
+_JOBS += "(default: %(default)s, the CPUs this process may run on, as nproc counts them)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="viprcert",
         description="Skeptical verifier for VIPR 1.0 certificates of MILP results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = {"choices": ("text", "json"), "default": "text", "help": "report as text or JSON"}
 
     check = sub.add_parser("check", help="evaluate the certificate natively")
     check.add_argument("file")
     check.add_argument("--diagnose", action="store_true", help="report every failure")
-    check.add_argument("--format", choices=("text", "json"), default="text")
+    check.add_argument("--format", **formats)
     check.set_defaults(handler=cmd_check)
 
     emit_cmd = sub.add_parser("emit", help="write the formula as SMT-LIB files")
     emit_cmd.add_argument("file")
     emit_cmd.add_argument("--out", required=True, help="output directory")
-    emit_cmd.add_argument("--block-size", type=_positive_int, default=None)
-    emit_cmd.add_argument("--jobs", type=_positive_int, default=default_jobs())
-    emit_cmd.add_argument("--format", choices=("text", "json"), default="text")
     emit_cmd.set_defaults(handler=cmd_emit)
 
     verify = sub.add_parser("verify", help="emit and dispatch to an SMT solver")
@@ -228,13 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver command; {} is replaced by the file path, otherwise the "
         f"path is appended (default: ${SOLVER_ENV_VAR} or the bundled evaluator)",
     )
-    verify.add_argument("--jobs", type=_positive_int, default=default_jobs())
-    verify.add_argument("--block-size", type=_positive_int, default=None)
     verify.add_argument(
         "--timeout", type=_timeout_seconds, default=300.0, help="seconds per file, in (0, 1e6]"
     )
-    verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(handler=cmd_verify)
+    for command in (emit_cmd, verify):
+        command.add_argument("--block-size", type=_positive_int, default=None, help=_BLOCK_SIZE)
+        command.add_argument("--jobs", type=_positive_int, default=default_jobs(), help=_JOBS)
+        command.add_argument("--format", **formats)
     return parser
 
 

@@ -39,6 +39,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Callable, Optional, Sequence, Union
 
 from .model import (
@@ -544,7 +545,7 @@ def bundled_solver_command() -> str:
 
 
 class _Worker:
-    """A dispatch thread's bundled evaluator: one `smteval --serve`
+    """A solving thread's bundled evaluator: one `smteval --serve`
     process, started when the thread starts (or at the first file it is
     asked about), that answers every file the thread takes (see
     `viprcert.smteval`).  A timer kills the worker when a file's time limit
@@ -620,25 +621,28 @@ def dispatch(
     timeout_s: float = 300.0,
     write: Callable[[int], None] = lambda index: None,
 ) -> DispatchResult:
-    """Run the solver over every file, `jobs` at a time: up to `jobs`
-    threads take the files' indices in order from one iterator.
+    """Run the solver over every file, `jobs` at a time.
 
-    One more thread calls `write` on each index in order, and a file is
-    asked about only once its `write` returned: `verify` passes the
-    `write` of `planned_files`, so the files written so far are solved
-    while the next one is written.  The default writes nothing, for files
-    that are written already.  The writer stops after the first unsat
-    answer or once anything raised; what `write` raises is raised as the
-    error of the file it was writing.
+    The calling thread writes the files: it calls `write` on each index
+    in order and puts the index on one queue once `write` returned, and up
+    to `jobs` solving threads take the indices from that queue, so a file
+    is asked about only once written.  `verify` passes the `write` of
+    `planned_files`, so the files written so far are solved while the
+    next one is written.  The default writes nothing, for files that are
+    written already.  The writer stops after the first unsat answer or
+    once anything raised; what `write` raises is raised as the error of
+    the file it was writing.
 
     Any solver command is started once per file, except the bundled
     evaluator's own (`bundled_solver_command`): on every platform, each
     thread starts that one as a `--serve` worker as the thread starts,
     while the first files are written, and the worker answers every file
     the thread takes, so a run starts `min(jobs, files)` evaluators (and
-    one more after each worker that failed).  A file's time limit kills
-    the worker, or the process that runs it alone.  Both give each file
-    the same outcome.
+    one more after each worker that failed).  A worker that cannot be
+    started then is started again at the thread's first file, and only
+    that second failure is an error.  A file's time limit kills the
+    worker, or the process that runs it alone.  Both give each file the
+    same outcome.
 
     Files start in order, and a file is not started once an earlier one
     came back unsat.  Every file after the first unsat one is reported
@@ -659,70 +663,59 @@ def dispatch(
     unsat_at: list[int] = []  # indices of the files that came back unsat
     serve = solver_command == bundled_solver_command()
     worker_argv = _solver_argv(solver_command, "--serve") if serve else None
-
-    def run_one(index: int, worker: Optional[_Worker]) -> FileOutcome:
-        path = paths[index]
-        if any(i < index for i in unsat_at):
-            return FileOutcome(path, "cancelled", _CANCELLED)
-        if worker is not None:
-            outcome = worker.ask(path, timeout_s)
-        else:
-            outcome = _run_once(_solver_argv(solver_command, path), path, timeout_s)
-        if outcome.status == "unsat":
-            unsat_at.append(index)
-        return outcome
-
     outcomes: list[Optional[FileOutcome]] = [None] * len(paths)
     raised: dict[int, Exception] = {}  # file index -> what writing or running it raised
-    written = [threading.Event() for _ in paths]  # all set once the writer stops
-    indices = iter(range(len(paths)))
-    lock = threading.Lock()
-
-    def write_all() -> None:
-        try:
-            for index, event in enumerate(written):
-                if unsat_at or raised:
-                    return
-                try:
-                    write(index)
-                except Exception as exc:  # re-raised below, once every thread stopped
-                    raised[index] = exc
-                    return
-                event.set()
-        finally:
-            for event in written:
-                event.set()
+    written: SimpleQueue[Optional[int]] = SimpleQueue()  # then one None per thread
 
     def work() -> None:
         worker = _Worker(worker_argv) if serve else None
         try:
-            while not raised:  # once a file raised, start no further file
-                with lock:
-                    index = next(indices, None)
-                if index is None:
-                    return
+            if worker is not None:
                 try:
-                    if worker is not None:
-                        worker.start()  # while the file is written
-                    written[index].wait()
-                    if not raised:
-                        outcomes[index] = run_one(index, worker)
+                    worker.start()  # while the first files are written
+                except SolverSpawnError:  # its first file starts it again, and is charged
+                    pass
+            for index in iter(written.get, None):
+                if raised:  # once a file raised, start no further file
+                    return
+                path = paths[index]
+                try:
+                    if any(i < index for i in unsat_at):
+                        outcome = FileOutcome(path, "cancelled", _CANCELLED)
+                    elif worker is not None:
+                        outcome = worker.ask(path, timeout_s)
+                    else:
+                        outcome = _run_once(_solver_argv(solver_command, path), path, timeout_s)
                 except Exception as exc:  # re-raised below, once every thread stopped
                     raised[index] = exc
+                    return
+                if outcome.status == "unsat":
+                    unsat_at.append(index)
+                outcomes[index] = outcome
         finally:
             if worker is not None:
                 worker.stop()
 
-    # the dispatch threads first, so the workers start before the writer holds the GIL
     threads = [threading.Thread(target=work) for _ in range(min(jobs, len(paths)))]
-    threads.append(threading.Thread(target=write_all))
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join()
+    try:
+        for index in range(len(paths)):
+            if unsat_at or raised:
+                break
+            try:
+                write(index)
+            except Exception as exc:  # re-raised below, once every thread stopped
+                raised[index] = exc
+                break
+            written.put(index)
+    finally:
+        for thread in threads:
+            written.put(None)
+        for thread in threads:
+            thread.join()
     if raised:
         raise raised[min(raised)]
-    first = next((i for i, o in enumerate(outcomes) if o.status == "unsat"), len(outcomes))
-    for i in range(first + 1, len(outcomes)):
-        outcomes[i] = FileOutcome(outcomes[i].path, "cancelled", _CANCELLED)
+    for i in range(min(unsat_at, default=len(paths)) + 1, len(paths)):
+        outcomes[i] = FileOutcome(paths[i], "cancelled", _CANCELLED)
     return DispatchResult(outcomes=tuple(outcomes))

@@ -300,6 +300,35 @@ def test_a_step_citing_no_earlier_constraint_fails_on_both_routes(
     assert files[1].path.read_text() == "(set-logic ALL)\n(assert false)\n(check-sat)\n"
 
 
+# x in {0, 1}, split on x/2 <= 0 or x/2 >= 1: x/2 is not integral, so the
+# split skips x = 1 and its two branches prove nothing about it
+NON_INTEGRAL_SPLIT = """VER 1.0 VAR 1 x INT 1 0 OBJ min 0
+CON 2 0 C1 G 1 1 0 1 C2 L 1 1 0 1 RTP infeas SOL 0 DER 5
+A3 L 0 1 0 1/2 { asm } -1
+D4 G 1 0 { lin 2 0 1 2 -2 } -1
+A5 G 1 1 0 1/2 { asm } -1
+D6 G 1 0 { lin 2 1 -1 4 2 } -1
+D7 G 1 0 { uns 3 2 5 4 } -1
+"""
+
+
+def test_a_split_on_a_non_integral_combination_fails_on_both_routes(tmp_path, capsys):
+    from viprcert.cli import main
+
+    path = tmp_path / "split.vipr"
+    path.write_text(NON_INTEGRAL_SPLIT)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID Der(7) uns-disjunction ")
+    assert main(["verify", str(path), "--jobs", "2", "--solver", SOLVER_COMMAND]) == 1
+    outcomes = [line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert outcomes == [
+        "sol sat",
+        "block[3..5] sat",
+        "block[6..7] unsat",
+        "final cancelled earlier file was unsat",
+    ]
+
+
 def test_emission_is_deterministic(tmp_path):
     first = _emit_fixture("manipulated1", tmp_path / "x", block_size=2)
     second = _emit_fixture("manipulated1", tmp_path / "y", block_size=2)
@@ -363,8 +392,8 @@ def test_two_workers_raise_the_spawn_error_once_both_stopped(tmp_path):
 
 def test_many_workers_run_every_file_once_in_order(tmp_path):
     """More workers than cores, switching threads as often as the
-    interpreter allows: a lost update of the shared index iterator would
-    run a file twice or never."""
+    interpreter allows: a file taken from the queue twice, or never, would
+    run twice or never."""
     log = tmp_path / "ran.log"
     paths = []
     for i in range(40):
@@ -383,8 +412,9 @@ def test_many_workers_run_every_file_once_in_order(tmp_path):
 
 @pytest.mark.parametrize("unsat_at", [None, 10])
 def test_many_workers_ask_about_each_file_once_it_is_written(unsat_at, tmp_path):
-    """The writer beside more dispatch threads than cores, switching as
-    often as the interpreter allows: each file is written once, in order,
+    """The calling thread writes while more solving threads than cores
+    take the written files, switching as often as the interpreter
+    allows: each file is written once, in order,
     and asked about at most once, only once written (the solver errs on a
     missing file); with an unsat file, the report does not depend on how
     far the writer got."""
@@ -449,6 +479,55 @@ def test_the_writer_stops_once_a_solver_cannot_start(tmp_path):
     with pytest.raises(SolverSpawnError):
         dispatch(paths, "/nonexistent/solver {}", jobs=2, timeout_s=60, write=write)
     assert written == [0, 1]
+    assert threading.active_count() == before
+
+
+def test_a_write_that_raises_at_once_stops_every_thread_and_worker(tmp_path, started, monkeypatch):
+    """Every thread is waiting on the queue when the first write raises:
+    the one `None` each is put there in the end wakes it."""
+    ask, asked = _Worker.ask, []
+
+    def logged_ask(worker, path, timeout_s):
+        asked.append(path)
+        return ask(worker, path, timeout_s)
+
+    def write(index):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(_Worker, "ask", logged_ask)
+    paths = _scripts(tmp_path, ["true"] * 8)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="No space left"):
+        dispatch(paths, SOLVER_COMMAND, jobs=4, timeout_s=120, write=write)
+    assert asked == []
+    assert len(started) == 4 and all_stopped(started)  # each thread had started its worker
+    assert threading.active_count() == before
+
+
+def test_a_thread_that_gets_no_file_still_stops_its_worker(tmp_path, started, monkeypatch):
+    """More jobs than files: three threads, each with a worker, but only
+    files 0 and 1 are written, since file 1's write waits until file 0
+    came back unsat; so at least one thread takes no file."""
+    ask, answered, written = _Worker.ask, threading.Event(), []
+
+    def ask_and_tell(worker, path, timeout_s):
+        outcome = ask(worker, path, timeout_s)
+        answered.set()
+        return outcome
+
+    def write(index):
+        if index == 1:
+            answered.wait(60)
+            time.sleep(1)  # file 0's thread records the unsat answer meanwhile
+        written.append(index)
+
+    monkeypatch.setattr(_Worker, "ask", ask_and_tell)
+    paths = _scripts(tmp_path, ["false", "true", "true"])
+    before = threading.active_count()
+    result = dispatch(paths, SOLVER_COMMAND, jobs=8, timeout_s=120, write=write)
+    assert _statuses(result) == ["unsat", "cancelled", "cancelled"]
+    assert written == [0, 1]
+    assert len(started) == 3 and all_stopped(started)
     assert threading.active_count() == before
 
 
