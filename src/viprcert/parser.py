@@ -11,10 +11,11 @@ constraint body to a `model.Constraint`, the objective, a solution point
 and a multiplier list to a `model.Row`; an `OBJ` body is the row of
 `Row.bound`.  The serializer prints each value `a_j / D` from the row.
 
-A record whose length follows from its counts (the objective, a
-constraint body, a solution point, a derivation) is read from one slice
-of tokens.  Anything unexpected sends it, from its first token, to the
-token-by-token reader, the one place an error is located.
+Two kinds of record are read from one slice of tokens: every `index
+value` list, once its count is read, and each derivation, whose length
+follows from its counts.  Anything unexpected sends the record, from its
+first token (a list, from its first pair), to the token-by-token reader,
+the one place an error is located.
 
 The text is split a chunk of about `CHUNK` characters at a time, so a
 parse holds a bounded window of tokens, never those of the whole file;
@@ -143,9 +144,9 @@ def _keyed(indices: list[str], numbers: list[int], keys: dict[str, int]) -> Opti
 
 
 def _row(record: list[str], start: int, end: int, keys: dict[str, int]) -> Optional[Row]:
-    """`record[start:end]`, a list `t (i v)^t`, or None."""
-    ratios = _ratios(record[start + 2 : end : 2])
-    terms = ratios and _keyed(record[start + 1 : end : 2], ratios[1], keys)
+    """`record[start:end]`, the pairs `(i v)^t` of a list, or None."""
+    ratios = _ratios(record[start + 1 : end : 2])
+    terms = ratios and _keyed(record[start:end:2], ratios[1], keys)
     return None if terms is None else Row(ratios[0], terms)
 
 
@@ -250,9 +251,20 @@ class _Parser:
             )
         return _SIGN_BY_LETTER[text]
 
-    def row(self, count: int, limit: int, what: str, index_kind: str, value_kind: str) -> Row:
-        """`count` pairs `i v`, token by token, as a row: a 0-based index
-        below `limit`, at most once, and a rational value."""
+    def row(self, count: int, keys: dict[str, int], limit: int, *context: str) -> Row:
+        """`count` pairs `i v` as a row: a 0-based index below `limit`, at
+        most once, and a rational value.  As a derivation is, every list is
+        read from one slice, here its pairs once each index is a text of
+        `keys`, so a count past `len(keys)` fills nothing; else by `pairs`,
+        whose messages say `context`."""
+        row = count <= len(keys) and self._take(
+            2 * count, lambda record: _row(record, 0, 2 * count, keys)
+        )
+        return row or self.pairs(count, limit, *context)
+
+    def pairs(self, count: int, limit: int, what: str, index_kind: str, value_kind: str) -> Row:
+        """`row`, token by token: it locates the first error, and reads
+        `+1` indices, Unicode digits and literals past `int`'s digit limit."""
         checked: dict[int, Rational] = {}
         for _ in range(count):
             i = self.shifted_index(limit, f"{what} {index_kind} index")
@@ -264,33 +276,25 @@ class _Parser:
         scale = math.lcm(*(v.denominator for v in checked.values()))
         return Row(scale, {i: v.numerator * scale // v.denominator for i, v in checked.items()})
 
-    # --- whole records, each read from one slice, or None -------------------
+    # --- records read from one slice, or None -------------------------------
 
     def _span(self, offset: int, keys: dict[str, int]) -> int:
         """`offset` plus the tokens of the list `t (i v)^t` there, or 0 unless
-        `t` is decimal and at most `len(keys)`, so a larger one fills nothing."""
+        `t` is decimal and at most `len(keys)`, so a larger one fills nothing:
+        a derivation's slice holds its lists whole, `row` takes only pairs."""
         count = self.peek(offset)
         t = read_int(count) if count and count.isdecimal() else -1
         return offset + 1 + 2 * t if 0 <= t <= len(keys) else 0
 
     def _take(self, length: int, read: Callable[[list[str]], Any]) -> Any:
-        """`read` of the next `length` > 0 tokens, stepped past, or None."""
+        """`read` of the next `length` tokens, stepped past, or None."""
         self._fill(length)
         start = self.pos - self.base
         record = self.tokens[start : start + length]
-        value = read(record) if length and len(record) == length else None
+        value = read(record) if len(record) == length else None
         if value is not None:
             self.pos += length
         return value
-
-    def fast_row(self, offset: int) -> Optional[Row]:
-        """The variable list `t (j v)^t` `offset` tokens past `pos`; steps past both."""
-        end = self._span(offset, self.variables)
-        return self._take(end, lambda record: _row(record, offset, end, self.variables))
-
-    def fast_solution_point(self) -> Optional[SolutionPoint]:
-        name, coords = self.peek(), self.fast_row(1)
-        return coords and SolutionPoint(name, coords)
 
     def _constraint(self, record: list[str], end: int) -> Optional[Constraint]:
         """`record[:end]`, a body `name sense rhs (OBJ | t (j c)^t)`, or None."""
@@ -305,23 +309,17 @@ class _Parser:
         terms = _keyed(record[4:end:2], numbers, self.variables)
         return None if terms is None else Constraint(name, sign, scale, terms, numbers[-1])
 
-    def _body_span(self) -> int:
-        """Tokens of the body `name sense rhs (OBJ | t (j c)^t)`, or 0."""
-        return 4 if self.peek(3) == "OBJ" else self._span(3, self.variables)
-
-    def fast_constraint_body(self) -> Optional[Constraint]:
-        end = self._body_span()
-        return self._take(end, lambda record: self._constraint(record, end))
-
     def fast_derivation(self) -> Optional[DerivedConstraint]:
-        """`body { reason data } index`."""
-        body = self._body_span()
+        """`body { reason data } index`, the body `name sense rhs (OBJ | t (j c)^t)`."""
+        body = 4 if self.peek(3) == "OBJ" else self._span(3, self.variables)
         reason = _REASONS.get(self.peek(body + 1)) if body else None
         end = 0 if reason is None else body + (8 if reason is Reason.UNS else 4)
         if reason in (Reason.LIN, Reason.RND):
             end = self._span(body + 2, self.earlier)
             end = end and end + 2
-        return self._take(end, lambda record: self._derivation(record, body, reason))
+        if end:
+            return self._take(end, lambda record: self._derivation(record, body, reason))
+        return None
 
     def _derivation(self, record: list[str], body: int, reason: Reason):
         """`record`, a derivation of valid length, or None."""
@@ -332,7 +330,7 @@ class _Parser:
             data = list(map(self.earlier.get, record[body + 2 : -2]))
             data = None if None in data else Unsplit(*data)
         elif reason in (Reason.LIN, Reason.RND):
-            data = _row(record, body + 2, len(record) - 2, self.earlier)
+            data = _row(record, body + 3, len(record) - 2, self.earlier)
         constraint = self._constraint(record, body)
         if constraint is None or (data is None) != (reason in (Reason.ASM, Reason.SOL)):
             return None
@@ -365,8 +363,9 @@ class _Parser:
                 ParseErrorKind.UNKNOWN_SENSE, f"expected min or max, found {excerpt(sense_text)}"
             )
         sense = Sense(sense_text)
-        objective = self.objective = self.fast_row(0) or self.row(
-            self.count("objective term count"), n, "objective", "variable", "coefficient"
+        objective = self.objective = self.row(
+            self.count("objective term count"), self.variables, n, "objective", "variable",
+            "coefficient",
         )
 
         self.keyword("CON")
@@ -377,18 +376,13 @@ class _Parser:
                 ParseErrorKind.BAD_COUNT,
                 f"bound-constraint count {excerpt(write_int(bound_count), str)} outside [0, {m}]",
             )
-        constraints = tuple(
-            self.fast_constraint_body() or self.constraint_body(n, f"constraint {i}")
-            for i in range(m)
-        )
+        constraints = tuple(self.constraint_body(n, f"constraint {i}") for i in range(m))
 
         rtp = self.parse_rtp()
 
         self.keyword("SOL")
         sol_count = self.count("solution count")
-        sol = tuple(
-            self.fast_solution_point() or self.solution_point(n, i) for i in range(sol_count)
-        )
+        sol = tuple(self.solution_point(n, i) for i in range(sol_count))
 
         self.keyword("DER")
         der_count = self.count("derived-constraint count")
@@ -430,7 +424,9 @@ class _Parser:
             self.pos += 1
             return self.objective.bound(name, sign, value)
         t = self.count(f"{what} term count")
-        return self.row(t, n, what, "variable", "coefficient").bound(name, sign, value)
+        return self.row(t, self.variables, n, what, "variable", "coefficient").bound(
+            name, sign, value
+        )
 
     def parse_rtp(self) -> Rtp:
         self.keyword("RTP")
@@ -452,7 +448,7 @@ class _Parser:
         what = f"solution {ordinal}"
         name = self.next(f"{what} name")
         t = self.count(f"{what} term count")
-        return SolutionPoint(name, self.row(t, n, what, "variable", "value"))
+        return SolutionPoint(name, self.row(t, self.variables, n, what, "variable", "value"))
 
     def derived_constraint(self, n: int, d: int, ordinal: int) -> DerivedConstraint:
         what = f"derivation {ordinal}"
@@ -468,7 +464,7 @@ class _Parser:
         data: Union[None, Row, Unsplit] = None
         if reason in (Reason.LIN, Reason.RND):
             c = self.count(f"{what} multiplier count")
-            data = self.row(c, d, what, "constraint", "multiplier")
+            data = self.row(c, self.earlier, d, what, "constraint", "multiplier")
         elif reason is Reason.UNS:  # exactly four indices, no weights
             data = Unsplit(*(self.shifted_index(d, f"{what} unsplit index") for _ in range(4)))
         self.keyword("}", ParseErrorKind.UNEXPECTED_TOKEN)

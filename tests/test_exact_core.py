@@ -804,17 +804,19 @@ def test_record_certificates_are_valid_around_a_valid_record():
 
 
 def test_valid_certificates_never_leave_the_record_readers():
-    """Every record of a valid generated certificate, of every relation
-    kind with all five reasons and `OBJ` bodies, is read from one slice:
-    with the token-by-token readers made to raise, each still parses to
-    the token path's model.  A silent fallback would only be slower."""
+    """Every derivation and every `index value` list of a valid generated
+    certificate, of every relation kind with all five reasons and `OBJ`
+    bodies, is read from one slice: with the token-by-token derivation
+    reader and the pair-by-pair list reader made to raise, each still
+    parses to the token path's model.  A silent fallback would only be
+    slower."""
     seen = set()
     for i, kind in enumerate(gen.KINDS):
         spec = gen.Spec(n=6, m=10, derivations=60, kind=kind, split_depth=1 + i % 3)
         text = gen.render(gen.build(spec, 7 + i))[0].decode()
         expected = _parse_outcome(text, token_path=True)
         broken = mock.Mock(side_effect=AssertionError("read token by token"))
-        readers = ("row", "constraint_body", "solution_point", "derived_constraint")
+        readers = ("pairs", "derived_constraint")
         with contextlib.ExitStack() as stack:
             for reader in readers:
                 stack.enter_context(mock.patch.object(parser._Parser, reader, broken))

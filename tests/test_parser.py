@@ -198,6 +198,42 @@ def test_a_count_beyond_its_index_range_does_not_fill_the_window(monkeypatch):
     assert max(window) <= valid_peak < 40_000
 
 
+# a certificate cut right after one of its counts, `{}` in the text
+HUGE_COUNT_CUTS = {
+    "variable": "VAR {}",
+    "integer-variable": "VAR 2\nx y\nINT {}",
+    "objective term": "VAR 2\nx y\nINT 0\nOBJ min\n{}",
+    "constraint": "VAR 2\nx y\nINT 0\nOBJ min\n1 0 1\nCON {}",
+    "constraint term": "VAR 2\nx y\nINT 0\nOBJ min\n1 0 1\nCON 1 0\nc G 1 {}",
+    "solution": "VAR 2\nx y\nINT 0\nOBJ min\n1 0 1\nCON 1 0\nc G 1 1 0 1\n"
+    "RTP range -inf inf\nSOL {}",
+    "derivation": "VAR 2\nx y\nINT 0\nOBJ min\n1 0 1\nCON 1 0\nc G 1 1 0 1\n"
+    "RTP range -inf inf\nSOL 0\nDER {}",
+    "multiplier": "VAR 2\nx y\nINT 0\nOBJ min\n1 0 1\nCON 1 0\nc G 1 1 0 1\n"
+    "RTP range -inf inf\nSOL 0\nDER 1\nd G 1 1 0 1 { lin {}",
+}
+
+
+@pytest.mark.parametrize("count", ["1000000", "1" + "0" * 4999], ids=["1e6", "5000 digits"])
+@pytest.mark.parametrize("cut", HUGE_COUNT_CUTS, ids=list(HUGE_COUNT_CUTS))
+def test_a_huge_count_at_the_end_of_the_text_is_a_cheap_located_error(cut, count):
+    """A count far past the content builds nothing sized from it: the
+    parse ends at the end of the text, just past the count, with a
+    located error and a peak under 1 MB."""
+    text = "VER 1.0\n" + HUGE_COUNT_CUTS[cut].replace("{}", count)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_certificate(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    last_line = text.rsplit("\n", 1)[-1]
+    assert (info.value.line, info.value.column) == (text.count("\n") + 1, len(last_line) + 1)
+    assert info.value.message.startswith("unexpected end of input"), info.value.message
+    assert peak < 1_000_000
+
+
 def test_error_points_at_offending_token():
     text = "VER 1.0\nVAR 1\nx\nINT 1\n7\n"
     with pytest.raises(ParseError) as info:
