@@ -442,9 +442,6 @@ def emit(
 # --- dispatch ----------------------------------------------------------------
 
 
-_CANCELLED = "earlier file was unsat"
-
-
 class SolverSpawnError(Exception):
     """The solver command could not be started at all."""
 
@@ -546,35 +543,30 @@ def bundled_solver_command() -> str:
 
 class _Worker:
     """A solving thread's bundled evaluator: one `smteval --serve`
-    process, started when the thread starts (or at the first file it is
-    asked about), that answers every file the thread takes (see
-    `viprcert.smteval`).  A timer kills the worker when a file's time limit
-    passes; a worker that times out, exits or answers outside the protocol
-    is stopped, and the next file starts a new one.  Its stderr is read
-    only as it stops."""
+    process, started at the first file it is asked about, that answers
+    every file the thread takes (see `viprcert.smteval`).  A timer kills
+    the worker when a file's time limit passes; a worker that times out,
+    exits or answers outside the protocol is stopped, and the next file
+    starts a new one.  Its stderr is read only as it stops."""
 
     def __init__(self, argv: list[str]) -> None:
         self.argv = argv
         self.process: Optional[subprocess.Popen] = None
 
-    def start(self) -> None:
-        """Start the worker process, unless one is running."""
+    def ask(self, path: Path, timeout_s: float) -> FileOutcome:
         if self.process is None:
             pipe = subprocess.PIPE
             try:
                 self.process = subprocess.Popen(self.argv, stdin=pipe, stdout=pipe, stderr=pipe)
             except OSError as exc:
                 raise _spawn_error(self.argv, exc) from exc
-
-    def ask(self, path: Path, timeout_s: float) -> FileOutcome:
-        self.start()
         process, expired = self.process, threading.Event()
 
         def expire() -> None:
             expired.set()
             process.kill()
 
-        timer = threading.Timer(timeout_s, expire)  # it covers what is left of the start
+        timer = threading.Timer(timeout_s, expire)  # it covers the worker's start
         timer.start()
         try:
             try:
@@ -635,14 +627,11 @@ def dispatch(
 
     Any solver command is started once per file, except the bundled
     evaluator's own (`bundled_solver_command`): on every platform, each
-    thread starts that one as a `--serve` worker as the thread starts,
-    while the first files are written, and the worker answers every file
-    the thread takes, so a run starts `min(jobs, files)` evaluators (and
-    one more after each worker that failed).  A worker that cannot be
-    started then is started again at the thread's first file, and only
-    that second failure is an error.  A file's time limit kills the
-    worker, or the process that runs it alone.  Both give each file the
-    same outcome.
+    thread starts that one as a `--serve` worker at the first file it
+    takes, and the worker answers every file the thread takes, so a run
+    starts at most `min(jobs, files)` evaluators (and one more after each
+    worker that failed).  A file's time limit kills the worker, or the
+    process that runs it alone.  Both give each file the same outcome.
 
     Files start in order, and a file is not started once an earlier one
     came back unsat.  Every file after the first unsat one is reported
@@ -670,19 +659,14 @@ def dispatch(
     def work() -> None:
         worker = _Worker(worker_argv) if serve else None
         try:
-            if worker is not None:
-                try:
-                    worker.start()  # while the first files are written
-                except SolverSpawnError:  # its first file starts it again, and is charged
-                    pass
             for index in iter(written.get, None):
                 if raised:  # once a file raised, start no further file
                     return
+                if any(i < index for i in unsat_at):  # the post-pass reports it cancelled
+                    continue
                 path = paths[index]
                 try:
-                    if any(i < index for i in unsat_at):
-                        outcome = FileOutcome(path, "cancelled", _CANCELLED)
-                    elif worker is not None:
+                    if worker is not None:
                         outcome = worker.ask(path, timeout_s)
                     else:
                         outcome = _run_once(_solver_argv(solver_command, path), path, timeout_s)
@@ -717,5 +701,5 @@ def dispatch(
     if raised:
         raise raised[min(raised)]
     for i in range(min(unsat_at, default=len(paths)) + 1, len(paths)):
-        outcomes[i] = FileOutcome(paths[i], "cancelled", _CANCELLED)
+        outcomes[i] = FileOutcome(paths[i], "cancelled", "earlier file was unsat")
     return DispatchResult(outcomes=tuple(outcomes))

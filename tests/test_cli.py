@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 from conftest import SOLVER_COMMAND, all_stopped, fixture_path
 from test_scale_agreement import gen
 
-from viprcert import smtgen
+from viprcert import cli, smtgen
 from viprcert.checker import check_certificate, final_violation, sol_violations
 from viprcert.cli import main
 from viprcert.parser import parse_certificate
@@ -162,6 +163,18 @@ def test_verify_solver_spawn_error(capsys):
     assert "cannot start solver" in capsys.readouterr().err
 
 
+def test_verify_is_an_error_when_no_file_is_unsat_but_one_is_unknown(capsys):
+    solver = f"{shlex.quote(sys.executable)} -c \"print('unknown')\" {{}}"
+    argv = ["verify", str(fixture_path("cert0")), "--solver", solver]
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "ERROR" and all(line.endswith(" error unknown") for line in lines[:-1])
+    assert main([*argv, "--format", "json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "error"
+    assert payload["files"] and {f["status"] for f in payload["files"]} == {"error"}
+
+
 @pytest.mark.parametrize("solver", ["", " "])
 def test_verify_empty_solver_command_is_an_infrastructure_failure(solver, monkeypatch, capsys):
     monkeypatch.setenv("VIPRCERT_SOLVER", SOLVER_COMMAND)
@@ -285,6 +298,11 @@ def test_the_smt_route_loads_no_native_checker():
     assert not {"viprcert.checker", "viprcert.algebra"} & loaded
 
 
+def test_the_block_size_help_names_the_default_block_cap():
+    # written out in `cli`, so that `check` need not import `smtgen`
+    assert f"ceil(derivations / {smtgen.DEFAULT_BLOCK_CAP})" in cli._BLOCK_SIZE
+
+
 def test_nonpositive_block_size_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["emit", str(fixture_path("cert0")), "--out", str(tmp_path), "--block-size", "0"])
@@ -380,7 +398,7 @@ def test_a_write_error_stops_verify_and_every_worker(started, monkeypatch, capsy
     assert captured.err.startswith("cannot write SMT files: ") and "No space left" in captured.err
     assert captured.out == ""
     assert set(asked) <= {"sol.smt2", "der_0004_0004.smt2"}
-    assert started and all_stopped(started)  # each thread had started its worker
+    assert len(started) <= len(asked) and all_stopped(started)  # each started at an asked file
     assert threading.active_count() == before
 
 

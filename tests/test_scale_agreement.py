@@ -158,3 +158,63 @@ def test_native_locations_are_the_unsat_files_at_block_size_1(tmp_path):
                 invalid += bool(native)
                 several += len(native) > 1
     assert parsed >= 30 and invalid >= 25 and several >= 10, (parsed, invalid, several)
+
+
+def _forge(model, text: str, predicate: str) -> tuple[str, str]:
+    """`text`, the valid certificate rendered from `model`, with one edit
+    the generator does not make, which fails `predicate`; and the location
+    that fails it."""
+    lines = text.split("\n")
+    if predicate == "sol-nonempty":  # infeasibility, yet one point (empty) is listed
+        return text.replace("\nSOL 0\n", "\nSOL 1\np0 0\n"), "Sol(p0)"
+    if predicate == "sol-bound":  # the witnessed bound past every listed point
+        values = [sum(c * p.get(j, 0) for j, c in model.objective.items()) for p in model.points]
+        at = next(i for i, line in enumerate(lines) if line.startswith("RTP range "))
+        _, _, lower, upper = lines[at].split()
+        if model.minimize:
+            upper = str(min(values) - 1)
+        else:
+            lower = str(max(values) + 1)
+        lines[at] = f"RTP range {lower} {upper}"
+        return "\n".join(lines), "Final"
+    # a step that cites itself: the last multiplier index of a lin step, or
+    # the first index of an uns step, set to the step's own index
+    reason = "lin" if predicate == "prv" else "uns"
+    steps = [i for i, line in enumerate(lines) if f" {{ {reason} " in line]
+    at = steps[len(steps) // 2]
+    tokens = lines[at].split()
+    own = tokens[0][1:]  # step dN is constraint N, that is Der(N + 1)
+    tokens[tokens.index("}") - 2 if reason == "lin" else tokens.index("{") + 2] = own
+    lines[at] = " ".join(tokens)
+    return "\n".join(lines), f"Der({int(own) + 1})"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("predicate", ["sol-nonempty", "sol-bound", "prv", "uns-index"])
+def test_predicates_the_generator_never_forges_fail_at_one_location(predicate, seed, tmp_path):
+    """`check` names the forged location and predicate, and it is the one
+    location whose file of `emit --block-size 1` comes back unsat."""
+    kinds = {"sol-nonempty": ["infeas"], "sol-bound": ["witness", "optimal"]}
+    specs = [
+        gen.Spec(n=8, m=16, derivations=150, kind=kind, split_depth=3)
+        for kind in kinds.get(predicate, gen.KINDS)
+    ]
+    # and the shape of the benchmark's smt-medium certificates
+    specs.append(gen.Spec(n=50, m=150, derivations=2000, kind=specs[-1].kind, split_depth=8))
+    for spec in specs:
+        label = (spec.kind, spec.derivations)
+        model = gen.build(spec, seed)
+        text, location = _forge(model, gen.render(model, None, seed)[0].decode(), predicate)
+        problem, certificate = parse_certificate(text)
+        verdict = check_certificate(problem, certificate)
+        assert (str(verdict.location), verdict.predicate_id) == (location, predicate), label
+
+        asets = compute_assumption_sets(problem, certificate)
+        plan = EmissionPlan.create(problem, certificate, block_size=1)
+        files = emit(problem, certificate, asets, plan, tmp_path / "-".join(map(str, label)))
+        unsat = [
+            ("block", f.first_k) if f.kind == "block" else f.kind
+            for f in files
+            if not run_script(f.path.read_text(), out=io.StringIO())
+        ]
+        assert unsat == [_native_area(verdict)], label

@@ -99,7 +99,18 @@ def test_ill_sorted_or_malformed_scripts_are_rejected(script):
         run_script(script, out=io.StringIO())
 
 
-@pytest.mark.parametrize("script", ["(check-sat)(assert true", "(assert true))"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "(check-sat)(assert true",
+        "(assert true))",
+        # the text ends inside a command or a let
+        "(",
+        "(set-logic",
+        "(assert (let",
+        "(assert (let ((a 1)",
+    ],
+)
 def test_unbalanced_parentheses_are_rejected(script):
     with pytest.raises(EvalError, match="unbalanced"):
         run_script(script, out=io.StringIO())
