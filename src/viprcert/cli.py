@@ -16,14 +16,15 @@ import time
 from itertools import islice
 from typing import Optional
 
-from .checker import default_jobs, failures
-from .model import Verdict
-from .parser import ParseError, parse_certificate
-from .spec import EmptyConstraintSystem, RtpFlags, compute_assumption_sets
-
-# `smtgen` (with `subprocess`) and `tempfile` are imported where `emit`
-# and `verify` use them, so `check` does not load them; `smtgen` also
-# holds the bundled evaluator's command, which it runs as workers.
+# Each command imports the package modules it runs inside itself, so
+# `check` loads neither `subprocess` nor `smtgen`.  A `verify` with the
+# bundled evaluator (no --solver, no $VIPRCERT_SOLVER) starts its
+# `--serve` workers right after reading the file, `min(jobs, CPUs)` of
+# them at most, and only then imports `parser`, `model` and `smtgen`:
+# each worker's interpreter start (about 80 ms) overlaps the imports and
+# the parse.  Workers that no solving thread takes are killed, and so is
+# every worker when `verify` stops early.  A `--serve` worker skips
+# interpreter finalization when its stdin ends, so it exits at once.
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -38,12 +39,28 @@ def default_solver_command() -> str:
     configured = os.environ.get(SOLVER_ENV_VAR)
     if configured:
         return configured
-    from .smtgen import bundled_solver_command
+    from .worker import bundled_solver_command
 
     return bundled_solver_command()
 
 
+def default_jobs() -> int:
+    """Default `--jobs`, and the most workers `verify` starts before it
+    parses: the CPUs this process may run on, as `nproc` counts them,
+    where the platform says; else all of them.  `checker.default_jobs`
+    counts the same for library callers; `cli` counts on its own so that
+    it loads no package module before `verify`'s workers start."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_check(args: argparse.Namespace, data: bytes) -> int:
+    from .checker import failures
+    from .model import Verdict
+    from .parser import parse_certificate
+    from .spec import RtpFlags
+
     started = time.perf_counter()
     problem, certificate = parse_certificate(data)
     parse_seconds = time.perf_counter() - started
@@ -111,6 +128,7 @@ def _timeout_seconds(text: str) -> float:
 def _plan(problem, certificate, block_size: Optional[int], jobs: int):
     """The assumption sets and the emission plan `emit` and `verify` write."""
     from .smtgen import EmissionPlan
+    from .spec import compute_assumption_sets
 
     asets = compute_assumption_sets(problem, certificate)
     return asets, EmissionPlan.create(problem, certificate, block_size=block_size, workers=jobs)
@@ -131,6 +149,7 @@ def _manifest_entry(emitted) -> dict:
 
 
 def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
+    from .parser import parse_certificate
     from .smtgen import emit
 
     problem, certificate = parse_certificate(data)
@@ -150,8 +169,21 @@ def cmd_emit(args: argparse.Namespace, data: bytes) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
+    from .worker import start_workers
+
+    bundled = args.solver is None and not os.environ.get(SOLVER_ENV_VAR)
+    workers = start_workers(min(args.jobs, default_jobs())) if bundled else []
+    try:
+        return _verify(args, data, workers)
+    finally:  # no-ops for the workers that `dispatch` has stopped
+        for worker in workers:
+            worker.stop(kill=True)
+
+
+def _verify(args: argparse.Namespace, data: bytes, workers) -> int:
     import tempfile
 
+    from .parser import parse_certificate
     from .smtgen import Aggregate, SolverSpawnError, dispatch, planned_files
 
     started = time.perf_counter()
@@ -165,7 +197,9 @@ def cmd_verify(args: argparse.Namespace, data: bytes) -> int:
             # certificate it refuses; `dispatch` writes the files as it solves
             asets, plan = _plan(problem, certificate, args.block_size, args.jobs)
             files, write = planned_files(problem, certificate, asets, plan, scratch)
-            result = dispatch(files, solver, jobs=args.jobs, timeout_s=args.timeout, write=write)
+            result = dispatch(
+                files, solver, jobs=args.jobs, timeout_s=args.timeout, write=write, workers=workers
+            )
         except OSError as exc:
             print(f"cannot write SMT files: {exc}", file=sys.stderr)
             return EXIT_INTERNAL_ERROR
@@ -261,16 +295,22 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_FORMAT_ERROR
     try:
         return args.handler(args, data)
-    except ParseError as exc:
-        print(
-            f"parse error at line {exc.line}, column {exc.column}:"
-            f" [{exc.kind.value}] {exc.message}",
-            file=sys.stderr,
-        )
-        return EXIT_FORMAT_ERROR
-    except EmptyConstraintSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
+    except Exception as exc:
+        # a handler that raised one of these has imported its module
+        from .parser import ParseError
+        from .spec import EmptyConstraintSystem
+
+        if isinstance(exc, ParseError):
+            print(
+                f"parse error at line {exc.line}, column {exc.column}:"
+                f" [{exc.kind.value}] {exc.message}",
+                file=sys.stderr,
+            )
+            return EXIT_FORMAT_ERROR
+        if isinstance(exc, EmptyConstraintSystem):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL_ERROR
+        raise
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ read afresh, so nothing carries from one file to the next.  While
 serving, the process writes nothing else on stdout and nothing on
 stderr; it exits 0 at the end of stdin, and exits 2 with one
 `(error "...")` line on stderr at a line that is not a JSON string.
+Run as `python -m`, it flushes both streams and then leaves with
+`os._exit`, skipping the interpreter's finalization.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import io
 import json
 import math
 import operator
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Union
@@ -278,4 +281,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    if sys.argv[1:] == ["--serve"]:
+        # a worker skips finalization: stdin has ended and every file it
+        # opened is closed, so nothing is left to clean up but the buffers
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(status)
+    sys.exit(status)

@@ -28,11 +28,9 @@ therefore exactly the whole-certificate verdict.
 
 from __future__ import annotations
 
-import json
 import math
 import shlex
 import subprocess
-import sys
 import threading
 from collections import namedtuple
 from enum import Enum
@@ -53,6 +51,15 @@ from .model import (
 )
 from .rational import write_int
 from .spec import RtpFlags, cites_earlier
+from .worker import (
+    FileOutcome,
+    SolverSpawnError,
+    _outcome,
+    _spawn_error,
+    _timed_out,
+    _Worker,
+    bundled_solver_command,
+)
 
 _RZERO = "0"
 _RONE = "1"
@@ -442,10 +449,6 @@ def emit(
 # --- dispatch ----------------------------------------------------------------
 
 
-class SolverSpawnError(Exception):
-    """The solver command could not be started at all."""
-
-
 def check_timeout(seconds: float) -> float:
     """`seconds` if it lies in (0, 1e6], a solver's time limit per file;
     `subprocess` waits at most 2**31 ms.  Raises ValueError otherwise."""
@@ -458,13 +461,6 @@ class Aggregate(Enum):
     VALID = "valid"
     INVALID = "invalid"
     ERROR = "error"
-
-
-class FileOutcome(namedtuple("FileOutcome", "path status detail", defaults=("",))):
-    """A file's `Path` and what the solver made of it: status "sat",
-    "unsat", "timeout", "error" or "cancelled", and a detail text."""
-
-    __slots__ = ()
 
 
 class DispatchResult(namedtuple("DispatchResult", "outcomes")):
@@ -492,37 +488,6 @@ def _solver_argv(command: str, path: Path) -> list[str]:
     return tokens + [str(path)]
 
 
-def _parse_solver_output(stdout: str) -> Optional[str]:
-    lines = [line.strip() for line in stdout.splitlines() if line.strip()]
-    if not lines:
-        return None
-    first_token = lines[-1].split()[0].lower()
-    if first_token in ("sat", "unsat", "unknown"):
-        return first_token
-    return None
-
-
-def _outcome(path: Path, returncode: int, stdout: str, stderr: str) -> FileOutcome:
-    """What a solver's exit status and output make of the file at `path`."""
-    if returncode != 0:
-        output = stderr.strip() or stdout.strip()
-        detail = f"exit {returncode}" + (f": {output}" if output else "")
-        return FileOutcome(path, "error", detail[:500])
-    answer = _parse_solver_output(stdout)
-    if answer in ("sat", "unsat"):
-        return FileOutcome(path, answer)
-    detail = answer or (stderr.strip() or stdout.strip() or "no output")
-    return FileOutcome(path, "error", detail[:500])
-
-
-def _timed_out(path: Path, timeout_s: float) -> FileOutcome:
-    return FileOutcome(path, "timeout", f"no answer within {timeout_s}s")
-
-
-def _spawn_error(argv: list[str], exc: OSError) -> SolverSpawnError:
-    return SolverSpawnError(f"cannot start solver {argv[0]!r}: {exc}")
-
-
 def _run_once(argv: list[str], path: Path, timeout_s: float) -> FileOutcome:
     """Start the solver command on the one file at `path`."""
     try:
@@ -534,84 +499,13 @@ def _run_once(argv: list[str], path: Path, timeout_s: float) -> FileOutcome:
     return _outcome(path, process.returncode, process.stdout, process.stderr)
 
 
-def bundled_solver_command() -> str:
-    """The bundled evaluator, `viprcert.smteval`, as a solver command.
-    `dispatch` runs this command as one `--serve` worker per thread
-    instead of once per file."""
-    return f"{shlex.quote(sys.executable)} -m viprcert.smteval {{}}"
-
-
-class _Worker:
-    """A solving thread's bundled evaluator: one `smteval --serve`
-    process, started at the first file it is asked about, that answers
-    every file the thread takes (see `viprcert.smteval`).  A timer kills
-    the worker when a file's time limit passes; a worker that times out,
-    exits or answers outside the protocol is stopped, and the next file
-    starts a new one.  Its stderr is read only as it stops."""
-
-    def __init__(self, argv: list[str]) -> None:
-        self.argv = argv
-        self.process: Optional[subprocess.Popen] = None
-
-    def ask(self, path: Path, timeout_s: float) -> FileOutcome:
-        if self.process is None:
-            pipe = subprocess.PIPE
-            try:
-                self.process = subprocess.Popen(self.argv, stdin=pipe, stdout=pipe, stderr=pipe)
-            except OSError as exc:
-                raise _spawn_error(self.argv, exc) from exc
-        process, expired = self.process, threading.Event()
-
-        def expire() -> None:
-            expired.set()
-            process.kill()
-
-        timer = threading.Timer(timeout_s, expire)  # it covers the worker's start
-        timer.start()
-        try:
-            try:
-                process.stdin.write(json.dumps(str(path)).encode() + b"\n")
-                process.stdin.flush()
-            except OSError:  # it has exited (EPIPE, or EINVAL on Windows): the read says how
-                pass
-            line = process.stdout.readline()
-        finally:
-            timer.cancel()
-            timer.join()  # it has killed the worker, or never will
-        if expired.is_set():
-            self.stop(kill=True)
-            return _timed_out(path, timeout_s)
-        if not line.endswith(b"\n"):  # it exited without an answer
-            returncode, stderr = self.stop()
-            return _outcome(path, returncode, "", stderr)
-        try:
-            answer = json.loads(line)
-            returncode, stdout, stderr = answer
-            if list(map(type, answer)) != [int, str, str]:
-                raise TypeError
-        except (ValueError, TypeError):
-            self.stop(kill=True)
-            return FileOutcome(path, "error", f"malformed worker answer: {line[:400]!r}")
-        return _outcome(path, returncode, stdout, stderr)
-
-    def stop(self, kill: bool = False) -> tuple[int, str]:
-        """End the worker, at once if `kill` and otherwise by closing its
-        stdin, and wait for it: its exit status and stderr."""
-        process, self.process = self.process, None
-        if process is None:
-            return 0, ""
-        if kill:
-            process.kill()
-        _, stderr = process.communicate()
-        return process.returncode, stderr.decode(errors="replace")
-
-
 def dispatch(
     files: Sequence[Union[Path, EmittedFile]],
     solver_command: str,
     jobs: int = 1,
     timeout_s: float = 300.0,
     write: Callable[[int], None] = lambda index: None,
+    workers: Sequence[_Worker] = (),
 ) -> DispatchResult:
     """Run the solver over every file, `jobs` at a time.
 
@@ -626,10 +520,14 @@ def dispatch(
     the file it was writing.
 
     Any solver command is started once per file, except the bundled
-    evaluator's own (`bundled_solver_command`): on every platform, each
-    thread starts that one as a `--serve` worker at the first file it
-    takes, and the worker answers every file the thread takes, so a run
-    starts at most `min(jobs, files)` evaluators (and one more after each
+    evaluator's own (`bundled_solver_command`): on every platform, that
+    one runs as `--serve` workers, and each thread's worker answers every
+    file the thread takes.  `workers` are such workers started already:
+    `verify` starts `min(jobs, CPUs)` of them before it parses.  At its
+    first file, a thread takes one of them if any is left, or else starts
+    its own; those no thread took are killed, not waited for, once the
+    threads have stopped.  So a run starts at most `min(jobs, files)`
+    evaluators, one fewer for each it takes (and one more after each
     worker that failed).  A file's time limit kills the worker, or the
     process that runs it alone.  Both give each file the same outcome.
 
@@ -640,10 +538,12 @@ def dispatch(
     unparseable solver response is recorded as a failure of that file and
     makes the aggregate an error, never a pass; so does an empty list of
     files.  A `timeout_s` that `check_timeout` refuses, or `jobs` < 1,
-    raises ValueError before any file is written or started.  A solver
-    that cannot be started raises SolverSpawnError: no further file
-    starts, and the error of the earliest such file is raised.  Every
-    process and thread it started has ended when it returns or raises.
+    raises ValueError before any file is written or started, and leaves
+    `workers` to the caller.  A solver that cannot be started raises
+    SolverSpawnError: no further file starts, and the error of the
+    earliest such file is raised.  Every process and thread it started,
+    and every one of `workers` it did not leave to the caller, has ended
+    when it returns or raises.
     """
     check_timeout(timeout_s)
     if jobs < 1:
@@ -651,13 +551,13 @@ def dispatch(
     paths = [f.path if isinstance(f, EmittedFile) else Path(f) for f in files]
     unsat_at: list[int] = []  # indices of the files that came back unsat
     serve = solver_command == bundled_solver_command()
-    worker_argv = _solver_argv(solver_command, "--serve") if serve else None
+    ready, taking = iter(workers), threading.Lock()  # a thread takes one at its first file
     outcomes: list[Optional[FileOutcome]] = [None] * len(paths)
     raised: dict[int, Exception] = {}  # file index -> what writing or running it raised
     written: SimpleQueue[Optional[int]] = SimpleQueue()  # then one None per thread
 
     def work() -> None:
-        worker = _Worker(worker_argv) if serve else None
+        worker: Optional[_Worker] = None
         try:
             for index in iter(written.get, None):
                 if raised:  # once a file raised, start no further file
@@ -666,7 +566,10 @@ def dispatch(
                     continue
                 path = paths[index]
                 try:
-                    if worker is not None:
+                    if serve:
+                        if worker is None:
+                            with taking:
+                                worker = next(ready, None) or _Worker()
                         outcome = worker.ask(path, timeout_s)
                     else:
                         outcome = _run_once(_solver_argv(solver_command, path), path, timeout_s)
@@ -698,6 +601,8 @@ def dispatch(
             written.put(None)
         for thread in threads:
             thread.join()
+        for worker in ready:
+            worker.stop(kill=True)
     if raised:
         raise raised[min(raised)]
     for i in range(min(unsat_at, default=len(paths)) + 1, len(paths)):

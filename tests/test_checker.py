@@ -23,6 +23,7 @@ from viprcert.checker import (
     phi_feas,
     sol_violations,
 )
+from viprcert.cli import default_jobs as cli_default_jobs
 from viprcert.cli import main
 from viprcert.model import (
     Certificate,
@@ -543,11 +544,14 @@ def test_sol_reasoning_with_empty_solution_list_fails_naturally():
     assert not verdict.valid and verdict.predicate_id == "sol-domination"
 
 
+# `cli` counts the CPUs on its own, so that it imports no package module
+# before `verify`'s workers start; both counts must agree
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
-def test_default_jobs_counts_the_cpus_this_process_may_run_on():
+@pytest.mark.parametrize("module", ["checker", "cli"])
+def test_default_jobs_counts_the_cpus_this_process_may_run_on(module):
     probe = (
         "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-        "from viprcert.checker import default_jobs; print(default_jobs())"
+        f"from viprcert.{module} import default_jobs; print(default_jobs())"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
@@ -555,7 +559,8 @@ def test_default_jobs_counts_the_cpus_this_process_may_run_on():
     assert result.stdout.strip() == "1"
 
 
-def test_default_jobs_falls_back_to_the_cpu_count(monkeypatch):
+@pytest.mark.parametrize("default_jobs", [default_jobs, cli_default_jobs], ids=["checker", "cli"])
+def test_default_jobs_falls_back_to_the_cpu_count(default_jobs, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert default_jobs() == 3

@@ -13,7 +13,7 @@ import pytest
 from conftest import SOLVER_COMMAND, all_stopped, fixture_path
 from test_scale_agreement import gen
 
-from viprcert import cli, smtgen
+from viprcert import cli, parser, smtgen
 from viprcert.checker import check_certificate, final_violation, sol_violations
 from viprcert.cli import main
 from viprcert.parser import parse_certificate
@@ -265,6 +265,7 @@ sys.exit(code)
                 "viprcert.checker",
                 "viprcert.spec",
                 "viprcert.smtgen",
+                "viprcert.worker",
                 "subprocess",
                 "concurrent.futures",
                 "dataclasses",
@@ -273,7 +274,14 @@ sys.exit(code)
         ),
         (
             "verify",
-            ("viprcert.spec", "viprcert.smtgen", "concurrent.futures", "dataclasses"),
+            (
+                "viprcert.checker",
+                "viprcert.algebra",
+                "viprcert.spec",
+                "viprcert.smtgen",
+                "concurrent.futures",
+                "dataclasses",
+            ),
             ["viprcert.spec", "viprcert.smtgen"],
         ),
     ],
@@ -287,6 +295,33 @@ def test_each_command_imports_only_the_code_it_runs(command, watched, loaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == repr(loaded)
+
+
+# Runs `main(argv)` in a fresh interpreter and prints which of the parser
+# and `smtgen` had been imported when the first process started.
+_FIRST_POPEN_PROBE = """\
+import subprocess, sys
+real, seen = subprocess.Popen, []
+def popen(*args, **kwargs):
+    if not seen:
+        seen.append([m for m in ("viprcert.parser", "viprcert.smtgen") if m in sys.modules])
+    return real(*args, **kwargs)
+subprocess.Popen = popen
+from viprcert.cli import main
+code = main(sys.argv[1:])
+print(seen)
+sys.exit(code)
+"""
+
+
+def test_verify_starts_its_first_worker_before_it_imports_the_parser_and_smtgen():
+    env = {name: value for name, value in os.environ.items() if name != "VIPRCERT_SOLVER"}
+    argv = ["verify", str(fixture_path("cert0"))]
+    result = subprocess.run(
+        [sys.executable, "-c", _FIRST_POPEN_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[[]]"
 
 
 def test_the_smt_route_loads_no_native_checker():
@@ -376,7 +411,8 @@ def test_verify_starts_no_worker_on_a_certificate_with_no_constraints(tmp_path, 
     assert started == []
 
 
-def test_a_write_error_stops_verify_and_every_worker(started, monkeypatch, capsys):
+@pytest.mark.parametrize("given", [True, False], ids=["solver-given", "bundled"])
+def test_a_write_error_stops_verify_and_every_worker(given, started, monkeypatch, capsys):
     # cert0 has m = 3: at block size 1, block 2 is der_0005_0005.smt2
     write_script, ask, asked = smtgen._write_script, smtgen._Worker.ask, []
 
@@ -391,15 +427,96 @@ def test_a_write_error_stops_verify_and_every_worker(started, monkeypatch, capsy
 
     monkeypatch.setattr(smtgen, "_write_script", write_or_fail)
     monkeypatch.setattr(smtgen._Worker, "ask", logged_ask)
+    monkeypatch.delenv("VIPRCERT_SOLVER", raising=False)
     before = threading.active_count()
     argv = ["verify", str(fixture_path("cert0")), "--block-size", "1", "--jobs", "2"]
-    assert main([*argv, "--solver", SOLVER_COMMAND]) == 3
+    assert main([*argv, "--solver", SOLVER_COMMAND] if given else argv) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("cannot write SMT files: ") and "No space left" in captured.err
     assert captured.out == ""
     assert set(asked) <= {"sol.smt2", "der_0004_0004.smt2"}
-    assert len(started) <= len(asked) and all_stopped(started)  # each started at an asked file
+    # each started at an asked file, or, with the bundled evaluator, before the parse
+    early = 0 if given else min(2, cli.default_jobs())
+    assert len(started) <= len(asked) + early and all_stopped(started)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "text, code, err",
+    [
+        (
+            fixture_path("cert0").read_text()[:300],
+            2,
+            "parse error at line 20, column 26: [BadIndex] unexpected end of input,"
+            " expected derivation 5 constraint index\n",
+        ),
+        (
+            _NO_CONSTRAINTS,
+            3,
+            "error: the relation to prove requires a last constraint, but there are none\n",
+        ),
+    ],
+    ids=["parse-error", "refused-by-the-plan"],
+)
+def test_an_early_exit_of_verify_stops_every_worker_it_started(
+    text, code, err, tmp_path, started, monkeypatch, capsys
+):
+    monkeypatch.delenv("VIPRCERT_SOLVER", raising=False)
+    path = tmp_path / "early.vipr"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == code
+    assert capsys.readouterr() == ("", err)
+    assert started and all_stopped(started)  # started before the parse
+
+
+@pytest.mark.parametrize("given", ["option", "environment"])
+def test_no_worker_starts_before_the_first_write_when_a_solver_is_given(
+    given, started, monkeypatch, capsys
+):
+    write_script, at_first_write = smtgen._write_script, []
+
+    def counting_write(path, expression):
+        if not at_first_write:
+            at_first_write.append(len(started))
+        write_script(path, expression)
+
+    monkeypatch.setattr(smtgen, "_write_script", counting_write)
+    argv = ["verify", str(fixture_path("cert0"))]
+    if given == "option":
+        monkeypatch.delenv("VIPRCERT_SOLVER", raising=False)
+        argv += ["--solver", SOLVER_COMMAND]
+    else:
+        monkeypatch.setenv("VIPRCERT_SOLVER", SOLVER_COMMAND)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert at_first_write == [0]
+    assert started and all_stopped(started)
+
+
+def test_verify_starts_at_most_one_worker_per_cpu_before_the_parse(started, monkeypatch, capsys):
+    monkeypatch.delenv("VIPRCERT_SOLVER", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parse, at_parse = parser.parse_certificate, []
+
+    def counting_parse(data):
+        at_parse.append(len(started))
+        return parse(data)
+
+    monkeypatch.setattr(parser, "parse_certificate", counting_parse)
+    assert main(["verify", str(fixture_path("cert0")), "--jobs", "64"]) == 0
+    capsys.readouterr()
+    assert at_parse == [2] and all_stopped(started)
+
+
+def test_a_worker_that_cannot_start_before_the_parse_is_the_error_of_the_first_file(
+    monkeypatch, capsys
+):
+    monkeypatch.delenv("VIPRCERT_SOLVER", raising=False)
+    monkeypatch.setattr(sys, "executable", "/no/such/python")
+    assert main(["verify", str(fixture_path("cert0"))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot start solver '/no/such/python': ")
 
 
 def _forged_generated_certificate(tmp_path):
@@ -554,6 +671,6 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("viprcert.cli.failures", explode)
+    monkeypatch.setattr("viprcert.checker.failures", explode)
     assert main(["check", str(fixture_path("cert0"))]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

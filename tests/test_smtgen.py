@@ -44,6 +44,7 @@ from viprcert.smtgen import (
     emit,
 )
 from viprcert.spec import RtpFlags, compute_assumption_sets
+from viprcert.worker import start_workers
 import io
 
 
@@ -631,6 +632,19 @@ def test_each_thread_starts_one_worker(tmp_path, started):
     assert 1 <= len(started) <= 3
     assert all(p.args[-1] == "--serve" for p in started)
     assert all_stopped(started)
+
+
+def test_a_thread_takes_a_started_worker_and_the_untaken_ones_are_killed(tmp_path, started):
+    paths = _scripts(tmp_path, ["true", "false"])
+    result = dispatch(paths, SOLVER_COMMAND, jobs=1, timeout_s=120, workers=start_workers(3))
+    assert _statuses(result) == ["sat", "unsat"]
+    assert len(started) == 3 and all_stopped(started)
+    assert [p.returncode for p in started] == [0, -9, -9]  # the first answered both files
+    # a solver command of its own takes none of them
+    del started[:]
+    result = dispatch(paths, SOLVER_COMMAND.replace(" {}", ""), jobs=1, workers=start_workers(1))
+    assert _statuses(result) == ["sat", "unsat"]
+    assert started[0].returncode == -9 and all_stopped(started)
 
 
 def test_workers_answer_as_one_process_per_file_does(tmp_path, started):
